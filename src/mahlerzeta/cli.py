@@ -7,8 +7,9 @@ Every subcommand prints one JSON object::
 
 Numbers carry 17 significant digits; complex entries appear as [re, im]
 pairs.  Exit codes: 0 success, 1 computation failure (non-convergence,
-singular factor), 2 usage or parse error.  Output is byte-identical for
-identical inputs; pass --timing to add wall time to the diagnostics.
+singular factor, a grid over the work budget), 2 usage or parse error.
+Output is byte-identical for identical inputs; pass --timing to add wall
+time to the diagnostics.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from . import __version__
 from .coins import CoinMatrix, F_TYPE, build_coin, classify_coin, flip_flop
 from .correspondence import (
+    SUITE_GROUPS,
     default_suite_params,
     run_suite,
     spanning_tree_constant,
@@ -213,8 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-values", default="0.9,0.99,0.999", dest="u_values")
 
     p = sub.add_parser("verify", parents=[common], help="run identity cross-checks")
-    p.add_argument("--suite", default="all",
-                   help="all | qw1d | grover | rw | trees | transience | smyth | constants")
+    p.add_argument("--suite", default="all", choices=("all",) + SUITE_GROUPS,
+                   help="all, or one group of checks")
     p.add_argument("--tol-file", default="default", dest="tol_file",
                    help="'default' or a JSON file of tolerance overrides")
     return parser
@@ -341,31 +343,13 @@ def _cmd_transience(args):
     return inputs, result, {}
 
 
-_SUITE_PREFIXES = {
-    "qw1d": ("qw1d",),
-    "grover": ("grover_d1", "grover_d2", "grover_d3"),
-    "rw": ("rw_d1", "rw_d2"),
-    "trees": ("trees_lambda2", "stgf_shift"),
-    "transience": ("transience",),
-    "smyth": ("smyth_2var", "smyth_3var"),
-    "constants": ("catalan", "zeta3", "l_chi3"),
-}
-
-
 def _cmd_verify(args):
     if args.tol_file == "default":
         tolerances = None
     else:
         with open(args.tol_file, encoding="utf-8") as handle:
             tolerances = {k: float(v) for k, v in json.load(handle).items()}
-    if args.suite == "all":
-        params = None
-    elif args.suite in _SUITE_PREFIXES:
-        wanted = _SUITE_PREFIXES[args.suite]
-        params = [(kind, kw) for kind, kw in default_suite_params() if kind in wanted]
-    else:
-        raise ValueError(f"unknown suite {args.suite!r} "
-                         f"(choose all, {', '.join(_SUITE_PREFIXES)})")
+    params = None if args.suite == "all" else default_suite_params(args.suite)
     reports = run_suite(tolerances, params)
     result = [dataclasses.asdict(rep) for rep in reports]
     diagnostics = {"total": len(reports),

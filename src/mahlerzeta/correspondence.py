@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +45,8 @@ __all__ = [
     "green_series_estimate",
     "run_suite",
     "DEFAULT_TOLERANCES",
+    "SUITE_CHECKS",
+    "SUITE_GROUPS",
     "qw_validity_interval",
 ]
 
@@ -131,18 +134,26 @@ def verify_1d_qw(xi: float, u: float, shift_type: str,
     )
 
 
-def _scalar_log_mean(d: int, spec: QuadratureSpec, transform) -> float:
-    """Refined torus average of log(transform(sum_j cos theta_j))."""
+def _cos_log_grid(d: int, points: int, shift: float, transform) -> float:
+    """Average of log(transform(sum_j cos theta_j)) over one M^d grid."""
 
-    def eval_at(points):
-        def fn(nodes):
-            return np.log(transform(np.sum(np.cos(nodes), axis=1))), None
+    def fn(nodes):
+        return np.log(transform(np.sum(np.cos(nodes), axis=1))), None
 
-        mean, _ = grid_mean(fn, d, points, spec.node_shift)
-        return mean.real
+    mean, _ = grid_mean(fn, d, points, shift)
+    return mean.real
 
-    res = refine_to_tol(eval_at, spec)
-    if not res.converged:
+
+def _cos_log_mean(d: int, spec: QuadratureSpec, transform, ratio: float | None = None) -> float:
+    """Refined torus average of log(transform(sum_j cos theta_j)).
+
+    Without ``ratio`` a ladder that does not converge raises.  With it, the
+    ladder extrapolates at that fixed error ratio and its last extrapolant is
+    returned as it stands.
+    """
+    res = refine_to_tol(lambda points: _cos_log_grid(d, points, spec.node_shift, transform),
+                        spec, None if ratio is None else (lambda: ratio))
+    if ratio is None and not res.converged:
         raise ComputationError(
             f"scalar quadrature did not converge (last delta {res.delta:.3e})"
         )
@@ -185,7 +196,7 @@ def verify_grover(d: int, u: float,
         tol = 1e-6 if d <= 2 else 1e-4
     spec = quad or _grover_spec(d)
     base = (d - 1) * math.log(1.0 - u * u)
-    lhs = base + _scalar_log_mean(d, spec, lambda s: 1.0 - (2.0 * u / d) * s + u * u)
+    lhs = base + _cos_log_mean(d, spec, lambda s: 1.0 - (2.0 * u / d) * s + u * u)
     c = -d * (u + 1.0 / u)
     poly = _lattice_polynomial(d, c)
     mahler = mahler_quadrature(poly, spec)
@@ -235,7 +246,7 @@ def verify_rw(d: int, u: float,
     if tol is None:
         tol = 1e-8 if d == 1 else (1e-7 if d == 2 else 1e-6)
     spec = quad or _rw_spec(d)
-    lhs = _scalar_log_mean(d, spec, lambda s: 1.0 - (u / d) * s)
+    lhs = _cos_log_mean(d, spec, lambda s: 1.0 - (u / d) * s)
     c = -2.0 * d / u
     poly = _lattice_polynomial(d, c)
     mahler = mahler_quadrature(poly, spec)
@@ -266,43 +277,15 @@ def verify_rw(d: int, u: float,
     )
 
 
-def _singular_log_mean(d: int, spec: QuadratureSpec, transform) -> float:
-    """Like _scalar_log_mean but Richardson-extrapolated for the u = 1 zero.
-
-    The integrand vanishes quadratically at Theta = 0, which midpoint grids
-    straddle; the leading quadrature error is 1/M in one dimension and 1/M^2
-    above, and the ladder extrapolates against that model.
-    """
-    order = 2.0 if d == 1 else 4.0
-
-    def eval_at(points):
-        def fn(nodes):
-            return np.log(transform(np.sum(np.cos(nodes), axis=1))), None
-
-        mean, _ = grid_mean(fn, d, points, spec.node_shift)
-        return mean.real
-
-    points = spec.points_per_dim
-    values = [eval_at(max(2, points // 2)), eval_at(points)]
-    exts = [(order * values[-1] - values[-2]) / (order - 1.0)]
-    delta = math.inf
-    for _ in range(spec.max_refinements):
-        points *= 2
-        values.append(eval_at(points))
-        exts.append((order * values[-1] - values[-2]) / (order - 1.0))
-        delta = abs(exts[-1] - exts[-2])
-        if delta < spec.tol:
-            break
-    return exts[-1]
-
-
 def stgf(d: int, u: float, quad: QuadratureSpec | None = None) -> float:
     """Spanning tree generating function of Z^d at 0 < u <= 1.
 
     Equals log(2d) plus the torus average of log(1/u - (1/d) sum_j cos),
     i.e. the random-walk logarithmic zeta shifted by log(2d) - log u.  The
-    u = 1 endpoint has an integrable singularity at Theta = 0 and switches to
-    the extrapolating ladder.
+    u = 1 endpoint has an integrable singularity at Theta = 0, where the
+    integrand vanishes quadratically; there the leading quadrature error is
+    1/M in one dimension and 1/M^2 above, and the ladder extrapolates against
+    that model.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
@@ -310,10 +293,10 @@ def stgf(d: int, u: float, quad: QuadratureSpec | None = None) -> float:
         raise ValueError(f"u must lie in (0, 1], got {u}")
     if u == 1.0:
         spec = quad or _tree_spec(d)
-        integral = _singular_log_mean(d, spec, lambda s: 1.0 - s / d)
+        integral = _tree_log_mean(d, spec)
     else:
         spec = quad or _rw_spec(d)
-        integral = _scalar_log_mean(d, spec, lambda s: 1.0 / u - s / d)
+        integral = _cos_log_mean(d, spec, lambda s: 1.0 / u - s / d)
     return math.log(2 * d) + integral
 
 
@@ -321,6 +304,10 @@ def _tree_spec(d: int) -> QuadratureSpec:
     return {1: QuadratureSpec(4096, 0.5, 1e-9, 4),
             2: QuadratureSpec(1024, 0.5, 1e-7, 2),
             3: QuadratureSpec(128, 0.5, 1e-5, 1)}.get(d, QuadratureSpec(32, 0.5, 1e-4, 1))
+
+
+def _tree_log_mean(d: int, spec: QuadratureSpec) -> float:
+    return _cos_log_mean(d, spec, lambda s: 1.0 - s / d, 2.0 if d == 1 else 4.0)
 
 
 def spanning_tree_constant(d: int, quad: QuadratureSpec | None = None) -> float:
@@ -332,8 +319,7 @@ def spanning_tree_constant(d: int, quad: QuadratureSpec | None = None) -> float:
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
     spec = quad or _tree_spec(d)
-    integral = _singular_log_mean(d, spec, lambda s: 1.0 - s / d)
-    return math.log(2 * d) + integral
+    return math.log(2 * d) + _tree_log_mean(d, spec)
 
 
 # --------------------------------------------------------------------------
@@ -436,14 +422,6 @@ def _rw_probe_points(d: int, u: float) -> int:
     return min(size, 4096 if d == 1 else (1024 if d == 2 else 256))
 
 
-def _rw_log_zeta_scalar(d: int, u: float, points: int) -> float:
-    def fn(nodes):
-        return np.log(1.0 - (u / d) * np.sum(np.cos(nodes), axis=1)), None
-
-    mean, _ = grid_mean(fn, d, points, 0.5)
-    return mean.real
-
-
 def transience_probe(d: int, u_values) -> TransienceProbe:
     """Estimate u d/du of the random-walk log zeta along u_values -> 1.
 
@@ -467,11 +445,16 @@ def transience_probe(d: int, u_values) -> TransienceProbe:
         raise ValueError(
             f"u={us[-1]} too close to 1 for stable differencing (limit {1.0 - 10 * _PROBE_H})"
         )
+
+    def rw_log_zeta(v: float, points: int) -> float:
+        # one grid, no ladder: the probe sets its own resolution
+        return _cos_log_grid(d, points, 0.5, lambda s: 1.0 - (v / d) * s)
+
     derivs = []
     for u in us:
         points = _rw_probe_points(d, u)
-        up = _rw_log_zeta_scalar(d, u + _PROBE_H, points)
-        dn = _rw_log_zeta_scalar(d, u - _PROBE_H, points)
+        up = rw_log_zeta(u + _PROBE_H, points)
+        dn = rw_log_zeta(u - _PROBE_H, points)
         derivs.append(u * (up - dn) / (2.0 * _PROBE_H))
     greens = [1.0 - g for g in derivs]
     increments = [abs(b - a) for a, b in zip(derivs, derivs[1:])]
@@ -531,8 +514,13 @@ _RW_US = (-0.2, -0.5, -0.8)
 _STGF_US = (0.3, 0.6, 0.9)
 
 
-def default_suite_params() -> list[tuple[str, dict]]:
-    """The canonical (check kind, arguments) grid run by the suite."""
+def default_suite_params(group: str | None = None) -> list[tuple[str, dict]]:
+    """The canonical (check kind, arguments) grid run by the suite.
+
+    ``group`` keeps only the checks of one ``SUITE_GROUPS`` entry.
+    """
+    if group is not None and group not in SUITE_GROUPS:
+        raise ValueError(f"unknown suite group {group!r} (choose {', '.join(SUITE_GROUPS)})")
     params: list[tuple[str, dict]] = []
     for xi in _QW_XIS:
         lo, _ = qw_validity_interval(xi, M_TYPE)
@@ -557,6 +545,8 @@ def default_suite_params() -> list[tuple[str, dict]]:
     params.append(("catalan", {}))
     params.append(("zeta3", {}))
     params.append(("l_chi3", {}))
+    if group is not None:
+        params = [(kind, args) for kind, args in params if SUITE_CHECKS[kind][0] == group]
     return params
 
 
@@ -645,6 +635,27 @@ def _check_constant(key: str, tol: float) -> CorrespondenceReport:
     return _report(f"constants: {label}", value, reference, tol, {}, {})
 
 
+# check kind -> (suite group, verifier); the verifier takes the kind's
+# arguments from the parameter grid plus ``tol``
+SUITE_CHECKS = {
+    "qw1d": ("qw1d", verify_1d_qw),
+    "grover_d1": ("grover", verify_grover),
+    "grover_d2": ("grover", verify_grover),
+    "grover_d3": ("grover", verify_grover),
+    "rw_d1": ("rw", verify_rw),
+    "rw_d2": ("rw", verify_rw),
+    "trees_lambda2": ("trees", _check_trees_lambda2),
+    "stgf_shift": ("trees", _check_stgf_shift),
+    "transience": ("transience", _check_transience),
+    "smyth_2var": ("smyth", partial(_check_smyth, 2)),
+    "smyth_3var": ("smyth", partial(_check_smyth, 3)),
+    "catalan": ("constants", partial(_check_constant, "catalan")),
+    "zeta3": ("constants", partial(_check_constant, "zeta3")),
+    "l_chi3": ("constants", partial(_check_constant, "l_chi3")),
+}
+SUITE_GROUPS = tuple(dict.fromkeys(group for group, _ in SUITE_CHECKS.values()))
+
+
 def run_suite(tolerances: dict[str, float] | None = None,
               params: list[tuple[str, dict]] | None = None) -> list[CorrespondenceReport]:
     """Run every identity check over its canonical parameter grid.
@@ -664,25 +675,8 @@ def run_suite(tolerances: dict[str, float] | None = None,
         params = default_suite_params()
     reports: list[CorrespondenceReport] = []
     for kind, args in params:
-        if kind == "qw1d":
-            reports.append(verify_1d_qw(tol=tols["qw1d"], **args))
-        elif kind.startswith("grover_d"):
-            reports.append(verify_grover(tol=tols[kind], **args))
-        elif kind.startswith("rw_d"):
-            reports.append(verify_rw(tol=tols[kind], **args))
-        elif kind == "stgf_shift":
-            reports.append(_check_stgf_shift(args["d"], args["u"], tols["stgf_shift"]))
-        elif kind == "trees_lambda2":
-            reports.append(_check_trees_lambda2(tols["trees_lambda2"]))
-        elif kind == "transience":
-            reports.append(_check_transience(args["d"], tols["transience"]))
-        elif kind == "smyth_2var":
-            reports.append(_check_smyth(2, tols["smyth_2var"]))
-        elif kind == "smyth_3var":
-            reports.append(_check_smyth(3, tols["smyth_3var"]))
-        elif kind in _REFERENCE_CONSTANTS:
-            reports.append(_check_constant(kind, tols[kind]))
-        else:
+        if kind not in SUITE_CHECKS:
             raise ValueError(f"unknown suite check {kind!r}")
+        reports.append(SUITE_CHECKS[kind][1](tol=tols[kind], **args))
     reports.sort(key=lambda rep: (rep.identity_name, sorted(rep.inputs.items())))
     return reports

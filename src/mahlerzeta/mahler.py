@@ -83,47 +83,28 @@ def mahler_quadrature(poly: LaurentPolynomial, quad: QuadratureSpec | None = Non
 
     Midpoint nodes keep the grid off lattice-aligned zeros; when |f| vanishes
     on the torus the log singularity is integrable but drops the convergence
-    rate to algebraic, so univariate singular runs are Richardson-extrapolated
-    against the observed 1/M error model.  Non-convergence is reported through
-    ``error_estimate`` (it stays above the requested tolerance) rather than an
-    exception.
+    rate to algebraic.  Once a univariate grid has seen min|f| < 1e-6, the
+    ladder of ``refine_to_tol`` extrapolates against the observed 1/M error
+    model.  Non-convergence is reported through ``error_estimate`` (it stays
+    above the requested tolerance) rather than an exception.
     """
     spec = quad or _default_spec(poly.n_vars)
     fn = _log_abs_block(poly)
     d = poly.n_vars
-
-    values: list[float] = []
     min_stat = math.inf
-    points = max(1, spec.points_per_dim // 2)
 
-    def evaluate(p):
+    def eval_at(points):
         nonlocal min_stat
-        mean, stat = grid_mean(fn, d, p, spec.node_shift)
+        mean, stat = grid_mean(fn, d, points, spec.node_shift)
         if stat is not None:
             min_stat = min(min_stat, stat)
         return mean.real
 
-    values.append(evaluate(points))
-    delta = math.inf
-    for level in range(spec.max_refinements + 1):
-        points *= 2
-        values.append(evaluate(points))
-        singular = min_stat < _SINGULAR_MIN
-        if d == 1 and singular and len(values) >= 3:
-            ext_now = 2.0 * values[-1] - values[-2]
-            ext_prev = 2.0 * values[-2] - values[-3]
-            delta = abs(ext_now - ext_prev)
-        else:
-            delta = abs(values[-1] - values[-2])
-        if delta < spec.tol:
-            break
+    def order():
+        return 2.0 if d == 1 and min_stat < _SINGULAR_MIN else None
 
-    singular = min_stat < _SINGULAR_MIN
-    if d == 1 and singular and len(values) >= 2:
-        value = 2.0 * values[-1] - values[-2]
-    else:
-        value = values[-1]
-    return MahlerResult(value, "quadrature", delta, singular)
+    res = refine_to_tol(eval_at, spec, order)
+    return MahlerResult(res.value, "quadrature", res.delta, min_stat < _SINGULAR_MIN)
 
 
 def mahler_univariate(poly: LaurentPolynomial) -> MahlerResult:

@@ -5,6 +5,9 @@ periodic integrands the periodic trapezoid/midpoint rule converges
 geometrically, so refinement doubles the per-axis node count.  Grid sums are
 accumulated block by block in a fixed order with ``math.fsum``, which makes
 every result bit-reproducible and independent of the worker thread count.
+
+``refine_to_tol`` is the one refinement ladder: every refined torus average
+in the package runs through it, with or without Richardson extrapolation.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ComputationError
 
 __all__ = [
     "QuadratureSpec",
@@ -26,6 +31,9 @@ __all__ = [
 ]
 
 _threads = 1
+
+# per-grid work budget: 4x the largest grid of any default spec or suite check
+_MAX_GRID_NODES = 1 << 26
 
 
 def set_thread_count(n: int) -> None:
@@ -51,10 +59,10 @@ class QuadratureSpec:
 
     Nodes along each axis sit at ``2*pi*(k + node_shift)/M`` for
     ``k = 0..M-1``; the default half-node shift keeps grids away from
-    lattice-point zeros.  ``points_per_dim`` is the first full grid; the
-    refinement ladder starts one halving below it and doubles M until two
-    successive values differ by less than ``tol`` or ``max_refinements``
-    doublings have been spent.
+    lattice-point zeros.  ``points_per_dim`` is the first full grid: the
+    ladder of ``refine_to_tol`` starts one halving below it and doubles M
+    until its convergence test passes or ``max_refinements`` doublings have
+    been spent.
     """
 
     points_per_dim: int = 32
@@ -90,11 +98,16 @@ def grid_mean(fn, d: int, points: int, shift: float, *, max_block: int | None = 
 
     ``fn`` receives an (n, d) block of angles and returns ``(values, stat)``
     where ``values`` is a 1-D array (real or complex) and ``stat`` is a float
-    minimum statistic or None.  Returns ``(mean, min_stat)``.
+    minimum statistic or None.  Returns ``(mean, min_stat)``.  A grid of more
+    than 2^26 nodes raises ``ComputationError`` before ``fn`` is called.
     """
     if max_block is None:
         max_block = 1 << 20
     total = points ** d
+    if total > _MAX_GRID_NODES:
+        raise ComputationError(
+            f"grid {points}^{d} = {total} nodes exceeds the cap of {_MAX_GRID_NODES} (2^26)"
+        )
     ranges = [(i, min(i + max_block, total)) for i in range(0, total, max_block)]
 
     def work(rng):
@@ -118,6 +131,14 @@ def grid_mean(fn, d: int, points: int, shift: float, *, max_block: int | None = 
 
 @dataclass(frozen=True)
 class RefineResult:
+    """Outcome of one ladder run.
+
+    ``value`` is the last estimate and ``previous`` the one before it (the
+    previous grid value, or the previous extrapolant); ``delta`` is the gap
+    the convergence test used.  ``points_per_dim`` is the finest grid and
+    ``evaluations`` the number of grids.
+    """
+
     value: complex
     previous: complex
     delta: float
@@ -126,19 +147,41 @@ class RefineResult:
     evaluations: int
 
 
-def refine_to_tol(eval_at, spec: QuadratureSpec) -> RefineResult:
-    """Run the doubling ladder: M/2, M, 2M, ... until |delta| < spec.tol."""
+def refine_to_tol(eval_at, spec: QuadratureSpec, order=None) -> RefineResult:
+    """Run the doubling ladder M/2, M, 2M, ... on ``eval_at(points)``.
+
+    ``order`` is an optional zero-argument callable, called after each grid
+    from the second on.  It returns the error ratio r = 2^p of one doubling
+    (an error model ~ M^-p), or None for no extrapolation.  Without a ratio
+    the estimate is the last grid value and ``delta`` is its difference from
+    the grid before.  With one, the estimate is the Richardson extrapolant
+    (r v_k - v_{k-1}) / (r - 1) of the last two grids and ``delta`` is its
+    difference from the extrapolant of the two grids before, both taken with
+    the current ratio.  A lone extrapolant, from the first two grids only,
+    has the plain grid difference as ``delta`` and never counts as converged.
+    The ladder stops once ``delta`` is no longer ``>= spec.tol`` (a NaN
+    stops it, unconverged) or after ``spec.max_refinements`` doublings.
+    """
     points = spec.points_per_dim
-    prev = eval_at(max(1, points // 2))
-    value = eval_at(points)
-    delta = abs(value - prev)
-    evals = 2
-    while delta >= spec.tol and evals - 2 < spec.max_refinements:
+    grids = [eval_at(max(1, points // 2)), eval_at(points)]
+    while True:
+        ratio = order() if order is not None else None
+        if ratio is None:
+            value, previous = grids[-1], grids[-2]
+            delta = abs(value - previous)
+        else:
+            value = (ratio * grids[-1] - grids[-2]) / (ratio - 1.0)
+            if len(grids) < 3:
+                previous, delta = grids[-2], abs(grids[-1] - grids[-2])
+            else:
+                previous = (ratio * grids[-2] - grids[-3]) / (ratio - 1.0)
+                delta = abs(value - previous)
+        settled = ratio is None or len(grids) >= 3
+        if (settled and not delta >= spec.tol) or len(grids) - 2 >= spec.max_refinements:
+            return RefineResult(value, previous, delta, settled and delta < spec.tol,
+                                points, len(grids))
         points *= 2
-        prev, value = value, eval_at(points)
-        delta = abs(value - prev)
-        evals += 1
-    return RefineResult(value, prev, delta, delta < spec.tol, points, evals)
+        grids.append(eval_at(points))
 
 
 def det_stack(mats: np.ndarray) -> np.ndarray:

@@ -196,37 +196,38 @@ def _step_window(entries: np.ndarray, window: np.ndarray, dim_d: int) -> np.ndar
     return out
 
 
+def _origin_weights(coin: CoinMatrix, r_max: int):
+    """Yield the origin return weight after 0, 1, ..., r_max steps on Z^d.
+
+    Forward dynamic programming over the window [-r_max, r_max]^d with zero
+    boundary.  Each yielded matrix is a view into the current window.
+    """
+    d = coin.dim_d
+    _check_window(d, r_max)
+    window = np.zeros((2 * r_max + 1,) * d + (2 * d, 2 * d), dtype=np.complex128)
+    center = (r_max,) * d
+    window[center] = np.eye(2 * d)
+    yield window[center]
+    for _ in range(r_max):
+        window = _step_window(coin.entries, window, d)
+        yield window[center]
+
+
 def matrix_weight_origin(coin: CoinMatrix, r: int) -> MatrixWeight:
     """Return weight at the origin after r steps of the walk on Z^d.
 
-    Computed by forward dynamic programming over the window [-r, r]^d with
-    zero boundary; at r = 0 the weight is the identity.
+    At r = 0 the weight is the identity.
     """
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
-    d = coin.dim_d
-    _check_window(d, r)
-    side = 2 * r + 1
-    window = np.zeros((side,) * d + (2 * d, 2 * d), dtype=np.complex128)
-    center = (r,) * d
-    window[center] = np.eye(2 * d)
-    for _ in range(r):
-        window = _step_window(coin.entries, window, d)
-    return MatrixWeight(d, r, window[center])
+    # a plain loop keeps one window alive at a time
+    for weight in _origin_weights(coin, r):
+        pass
+    return MatrixWeight(coin.dim_d, r, weight)
 
 
 def matrix_weight_traces(coin: CoinMatrix, r_max: int) -> list[complex]:
     """Traces of the origin return weights for r = 0..r_max in one pass."""
     if r_max < 0:
         raise ValueError(f"r_max must be non-negative, got {r_max}")
-    d = coin.dim_d
-    _check_window(d, r_max)
-    side = 2 * r_max + 1
-    window = np.zeros((side,) * d + (2 * d, 2 * d), dtype=np.complex128)
-    center = (r_max,) * d
-    window[center] = np.eye(2 * d)
-    traces = [complex(2 * d)]
-    for _ in range(r_max):
-        window = _step_window(coin.entries, window, d)
-        traces.append(complex(np.trace(window[center])))
-    return traces
+    return [complex(np.trace(weight)) for weight in _origin_weights(coin, r_max)]

@@ -65,6 +65,15 @@ class SeriesCoefficients:
             raise ValueError("r values must be strictly increasing positive integers")
 
 
+def _real(x: complex, limit: float, what: str) -> float:
+    """The real part of x, once its imaginary residual is below ``limit``."""
+    if abs(x.imag) >= limit:
+        raise ComputationError(
+            f"imaginary residual {abs(x.imag):.3e} of {what} exceeds {limit}"
+        )
+    return x.real
+
+
 def _matrix_block_cap(d: int) -> int:
     # keep per-block matrix stacks around a few tens of MiB
     return max(4096, (1 << 22) // ((2 * d) ** 2))
@@ -123,11 +132,7 @@ def zeta_finite_log_mean(coin: CoinMatrix, N: int, u: float) -> complex:
 def zeta_finite(coin: CoinMatrix, N: int, u: float) -> float:
     """Walk-type zeta function on the N^d torus via the momentum factorization."""
     mean = zeta_finite_log_mean(coin, N, u)
-    if abs(mean.imag) >= 1e-10:
-        raise ComputationError(
-            f"imaginary residual {abs(mean.imag):.3e} of the log-determinant sum exceeds 1e-10"
-        )
-    return math.exp(-mean.real)
+    return math.exp(-_real(mean, 1e-10, "the log-determinant sum"))
 
 
 def _site_coords(N: int, d: int):
@@ -192,9 +197,28 @@ def cr_finite(coin: CoinMatrix, N: int, r: int) -> float:
     d = coin.dim_d
     mean, _ = grid_mean(_trace_power_block(coin, r), d, N, 0.0,
                         max_block=_matrix_block_cap(d))
-    if abs(mean.imag) >= 1e-10:
-        raise ComputationError(f"imaginary residual {abs(mean.imag):.3e} exceeds 1e-10")
-    return mean.real
+    return _real(mean, 1e-10, f"the finite-torus C_{r}")
+
+
+def _refined_mean(fn, d: int, spec: QuadratureSpec, what: str):
+    """Refined torus mean of a matrix integrand, as a ``RefineResult``.
+
+    Raises unless the ladder converges with an imaginary residual below 1e-9.
+    """
+
+    def eval_at(points):
+        mean, _ = grid_mean(fn, d, points, spec.node_shift,
+                            max_block=_matrix_block_cap(d))
+        return mean
+
+    res = refine_to_tol(eval_at, spec)
+    if not res.converged:
+        raise ComputationError(
+            f"{what} did not converge after {spec.max_refinements} refinements "
+            f"(last delta {res.delta:.3e})"
+        )
+    _real(res.value, 1e-9, f"the {what}")
+    return res
 
 
 def cr_limit(coin: CoinMatrix, r: int, quad: QuadratureSpec | None = None) -> float:
@@ -206,22 +230,7 @@ def cr_limit(coin: CoinMatrix, r: int, quad: QuadratureSpec | None = None) -> fl
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     spec = quad or QuadratureSpec(points_per_dim=max(32, 2 * r + 2), max_refinements=4)
-    d = coin.dim_d
-    fn = _trace_power_block(coin, r)
-
-    def eval_at(points):
-        mean, _ = grid_mean(fn, d, points, spec.node_shift,
-                            max_block=_matrix_block_cap(d))
-        return mean
-
-    res = refine_to_tol(eval_at, spec)
-    if not res.converged:
-        raise ComputationError(
-            f"C_{r} quadrature did not converge after {spec.max_refinements} refinements "
-            f"(last delta {res.delta:.3e})"
-        )
-    if abs(res.value.imag) >= 1e-9:
-        raise ComputationError(f"imaginary residual {abs(res.value.imag):.3e} exceeds 1e-9")
+    res = _refined_mean(_trace_power_block(coin, r), coin.dim_d, spec, f"C_{r} quadrature")
     return res.value.real
 
 
@@ -230,9 +239,7 @@ def cr_limit_pathsum(coin: CoinMatrix, r: int) -> float:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     tr = complex(np.trace(matrix_weight_origin(coin, r).matrix))
-    if abs(tr.imag) >= 1e-12:
-        raise ComputationError(f"imaginary residual {abs(tr.imag):.3e} exceeds 1e-12")
-    return tr.real
+    return _real(tr, 1e-12, f"the step-{r} return weight trace")
 
 
 def cr_closed_1d_qw(xi: float, l: int, shift_type: str) -> float:
@@ -272,21 +279,7 @@ def log_zeta_refined(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = N
     d = coin.dim_d
     eye = np.eye(2 * d, dtype=np.complex128)
     fn = _log_det_block(coin, u, eye, require_positive=True)
-
-    def eval_at(points):
-        mean, _ = grid_mean(fn, d, points, spec.node_shift,
-                            max_block=_matrix_block_cap(d))
-        return mean
-
-    res = refine_to_tol(eval_at, spec)
-    if not res.converged:
-        raise ComputationError(
-            f"log-zeta quadrature did not converge after {spec.max_refinements} refinements "
-            f"(last delta {res.delta:.3e})"
-        )
-    if abs(res.value.imag) >= 1e-9:
-        raise ComputationError(f"imaginary residual {abs(res.value.imag):.3e} exceeds 1e-9")
-    return res
+    return _refined_mean(fn, d, spec, "log-zeta quadrature")
 
 
 def log_zeta(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = None) -> float:
@@ -314,10 +307,7 @@ def log_zeta_series(coin: CoinMatrix, u: float, r_max: int) -> tuple[float, floa
     traces = matrix_weight_traces(coin, r_max)
     total = 0.0
     for r in range(1, r_max + 1):
-        c_r = traces[r]
-        if abs(c_r.imag) >= 1e-12:
-            raise ComputationError(f"imaginary residual {abs(c_r.imag):.3e} in C_{r}")
-        total -= c_r.real * u ** r / r
+        total -= _real(traces[r], 1e-12, f"C_{r}") * u ** r / r
     tail = 2 * coin.dim_d * abs(u) ** (r_max + 1) / ((r_max + 1) * (1.0 - abs(u)))
     return total, tail
 

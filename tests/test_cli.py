@@ -151,6 +151,24 @@ def test_verify_constants_suite(capsys):
         assert report["passed"] is True
 
 
+def test_verify_unknown_suite_names_every_group(capsys):
+    code, out, err = run_cli(["verify", "--suite", "bogus"], capsys)
+    assert code == 2
+    assert out == ""
+    for group in ("all", "qw1d", "grover", "rw", "trees", "transience", "smyth",
+                  "constants"):
+        assert f"'{group}'" in err
+
+
+def test_mahler_grid_over_budget_exit_1(capsys):
+    # the first grid, 512^3 = 2^27 nodes, is over the 2^26 budget
+    code, out, err = run_cli(
+        ["mahler", "--poly", "X1 + X2 + X3 + 1", "--grid", "1024"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "grid 512^3" in err and "cap" in err
+
+
 def test_verify_tol_file(tmp_path, capsys):
     tol_file = tmp_path / "tols.json"
     tol_file.write_text(json.dumps({"catalan": 0.0}))

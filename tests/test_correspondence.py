@@ -9,6 +9,7 @@ from mahlerzeta import (
     build_coin,
     central_binomial_weight,
     closed_walk_count,
+    default_suite_params,
     green_series_estimate,
     log_zeta,
     qw_validity_interval,
@@ -22,6 +23,7 @@ from mahlerzeta import (
     verify_grover,
     verify_rw,
 )
+from mahlerzeta.correspondence import SUITE_CHECKS, SUITE_GROUPS
 
 
 # --------------------------------------------------------------------------
@@ -298,3 +300,22 @@ def test_run_suite_empty_params():
 def test_run_suite_unknown_tolerance_key():
     with pytest.raises(ValueError, match="unknown tolerance"):
         run_suite(tolerances={"bogus": 1.0}, params=[])
+
+
+def test_suite_registry_groups_partition_the_grid():
+    full = default_suite_params()
+    assert set(SUITE_CHECKS) == set(DEFAULT_TOLERANCES)
+    assert {kind for kind, _ in full} == set(DEFAULT_TOLERANCES)
+    by_group = {group: default_suite_params(group) for group in SUITE_GROUPS}
+    for kind in DEFAULT_TOLERANCES:
+        owners = [g for g, params in by_group.items() if any(k == kind for k, _ in params)]
+        assert owners == [SUITE_CHECKS[kind][0]]
+    merged = [item for params in by_group.values() for item in params]
+    assert sorted(map(repr, merged)) == sorted(map(repr, full))
+
+
+def test_suite_unknown_group_and_check():
+    with pytest.raises(ValueError, match="unknown suite group 'bogus'"):
+        default_suite_params("bogus")
+    with pytest.raises(ValueError, match="unknown suite check 'bogus'"):
+        run_suite(params=[("bogus", {})])
