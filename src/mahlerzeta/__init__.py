@@ -56,6 +56,7 @@ from .mahler import (
     mahler_closed_ftype,
     mahler_closed_mtype,
     mahler_quadrature,
+    mahler_reduced,
     mahler_square_lattice,
     mahler_univariate,
     mahler_walk_1d,

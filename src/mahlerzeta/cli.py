@@ -36,7 +36,13 @@ from .correspondence import (
 )
 from .errors import ComputationError
 from .laurent import LaurentSyntaxError, parse_laurent
-from .mahler import mahler_quadrature, mahler_univariate, hyper_pfq, zeta_mahler
+from .mahler import (
+    hyper_pfq,
+    mahler_quadrature,
+    mahler_reduced,
+    mahler_univariate,
+    zeta_mahler,
+)
 from .quadrature import QuadratureSpec, set_thread_count
 from .walk import delta_state, evolve, total_measure, uniform_state
 from .zeta import (
@@ -308,7 +314,9 @@ def _cmd_mahler(args):
     if args.s is not None:
         value = zeta_mahler(poly, args.s, quad)
         return inputs, value, {"route": "zeta_mahler"}
-    if args.method == "jensen" or (args.method == "auto" and poly.n_vars == 1):
+    if args.method == "jensen":
+        res = mahler_reduced(poly, quad)
+    elif args.method == "auto" and poly.n_vars == 1:
         res = mahler_univariate(poly)
     else:
         res = mahler_quadrature(poly, quad)
@@ -373,17 +381,22 @@ _COMMANDS = {
 }
 
 
+def _default_threads() -> int:
+    text = os.environ.get("MZC_THREADS", "0")
+    try:
+        return int(text) or os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"MZC_THREADS must be an integer, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MZC_THREADS", "0")) or os.cpu_count() or 1
     try:
-        set_thread_count(threads)
+        set_thread_count(args.threads if args.threads is not None else _default_threads())
         start = time.perf_counter()
         out = _COMMANDS[args.command](args)
         if out is None:
@@ -410,3 +423,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -6,7 +6,9 @@ average of log|f| over the unit torus,
     m(f) = integral over [0, 2*pi)^n of log|f(e^{i th_1}, ..., e^{i th_n})|
 
 with the uniform measure.  Routes implemented here: midpoint torus quadrature
-(any n), Jensen's formula through polynomial roots (n = 1), closed forms for
+(any n), Jensen's formula through polynomial roots (n = 1), the Jensen-reduced
+route (any n: one variable integrated out exactly at each node of the
+remaining (n-1)-torus, which goes on the midpoint ladder), closed forms for
 the families X -+ X^-1 + c, and the four-variable-free hypergeometric form of
 m(X1 + X1^-1 + X2 + X2^-1 + c) for c > 4.
 """
@@ -29,6 +31,7 @@ __all__ = [
     "MahlerResult",
     "mahler_quadrature",
     "mahler_univariate",
+    "mahler_reduced",
     "mahler_closed_mtype",
     "mahler_closed_ftype",
     "mahler_walk_1d",
@@ -48,7 +51,7 @@ class MahlerResult:
 
     ``singular_on_torus`` is set when the minimum of |f| over the sampling
     grid drops below 1e-6 (quadrature) or a root sits that close to the unit
-    circle (Jensen).
+    circle (Jensen, and the fiber roots of the Jensen-reduced route).
     """
 
     value: float
@@ -142,6 +145,123 @@ def mahler_univariate(poly: LaurentPolynomial) -> MahlerResult:
         )
     value = math.log(abs(coeffs[0])) + float(np.sum(np.log(np.maximum(moduli, 1.0))))
     return MahlerResult(value, "jensen", degree * 5e-15, bool(np.any(near < _SINGULAR_MIN)))
+
+
+# largest degree in the eliminated variable: the companion solve costs ~D^3
+# per node and its stack ~D^2 per node
+_MAX_FIBER_DEGREE = 32
+
+
+def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jensen's formula on a stack of one-variable polynomials.
+
+    Row i of ``a`` holds the coefficients of x^0 .. x^D of one fiber.  Returns
+    the Mahler measure of each row and its singularity statistic: the smaller
+    of min_k ||root_k| - 1| and max_k |a_k|.
+    """
+    mags = np.abs(a)
+    scale = mags.max(axis=1)
+    # x^D f(1/x) has the same measure; taking the larger end coefficient as
+    # the leading one keeps a vanishing leading coefficient harmless
+    a = np.where((mags[:, 0] > mags[:, -1])[:, None], a[:, ::-1], a)
+    degree = a.shape[1] - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if degree == 1:
+            lead, tail = np.abs(a[:, 1]), np.abs(a[:, 0])
+            return np.log(lead), np.fmin(np.abs(tail / lead - 1.0), scale)
+        if degree == 2:
+            a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+            root = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
+            # the sign that avoids cancellation in a1 +- root
+            root = np.where((a1.conj() * root).real >= 0.0, root, -root)
+            big = np.abs(0.5 * (a1 + root))
+            # roots q / a2 and a0 / q with q = -(a1 + root) / 2; q = 0 only
+            # when a1 = a0 = 0, where the fiber is a2 x^2
+            small = np.where(big > 0.0, np.abs(a0) / big, 0.0)
+            values = np.log(np.maximum(np.abs(a2), big)) + np.log(np.maximum(small, 1.0))
+            gap = np.fmin(np.abs(big / np.abs(a2) - 1.0), np.abs(small - 1.0))
+            return values, np.fmin(gap, scale)
+        lead = a[:, -1]
+        monic = a[:, :-1] / lead[:, None]
+    values = np.empty(len(a))
+    gap = np.empty(len(a))
+    ok = np.all(np.isfinite(monic), axis=1)
+    comp = np.zeros((int(ok.sum()), degree, degree), dtype=np.complex128)
+    comp[:, 0, :] = -monic[ok, ::-1]
+    comp[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+    moduli = np.abs(np.linalg.eigvals(comp))
+    values[ok] = np.log(np.abs(lead[ok])) + np.log(np.maximum(moduli, 1.0)).sum(axis=1)
+    gap[ok] = np.abs(moduli - 1.0).min(axis=1)
+    # both end coefficients vanish (or the quotient overflows): trim the
+    # zero ends and solve those rare fibers one at a time
+    for i in np.flatnonzero(~ok):
+        row = np.trim_zeros(a[i])
+        if row.size == 0:
+            values[i], gap[i] = -math.inf, math.inf
+            continue
+        moduli = np.abs(np.roots(row[::-1]))
+        values[i] = math.log(abs(row[-1])) + float(np.log(np.maximum(moduli, 1.0)).sum())
+        gap[i] = float(np.abs(moduli - 1.0).min()) if moduli.size else math.inf
+    return values, np.fmin(gap, scale)
+
+
+def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) -> MahlerResult:
+    """Mahler measure with one variable integrated out exactly by Jensen's formula.
+
+    Variables that do not occur are dropped; the one of least positive degree
+    span (the highest index on ties) is eliminated.  At each node of the
+    remaining torus its fiber polynomial has the exact measure
+
+        log|leading coefficient| + sum_k log max(|root_k|, 1),
+
+    and the torus average of that runs on the midpoint ladder, with the
+    default spec of the remaining dimension.  One variable in all is handed
+    to ``mahler_univariate``.  ``singular_on_torus`` is set when a fiber root
+    comes within 1e-6 of the unit circle or a whole fiber nearly vanishes.
+    """
+    if poly.n_vars == 1:
+        return mahler_univariate(poly)
+    terms = poly.terms
+    exps = np.array(list(terms), dtype=np.int64)
+    coeffs = np.array(list(terms.values()), dtype=np.complex128)
+    low = exps.min(axis=0)
+    span = exps.max(axis=0) - low
+    used = [int(j) for j in np.flatnonzero(span)]
+    if len(used) <= 1:
+        column = exps[:, used[0]] if used else np.zeros(len(exps), dtype=np.int64)
+        return mahler_univariate(
+            LaurentPolynomial(1, {(int(e),): c for e, c in zip(column, coeffs)}))
+    var = min(used, key=lambda j: (span[j], -j))
+    rest = [j for j in used if j != var]
+    degree = int(span[var])
+    if degree > _MAX_FIBER_DEGREE:
+        raise ComputationError(
+            f"every variable has degree span above {_MAX_FIBER_DEGREE}; "
+            f"the reduced route would eliminate one of span {degree}")
+    # fiber coefficient k at a node = sum over the rows of ``table[:, k]``
+    # weighted by exp(i nodes . outer_row)
+    outer, row = np.unique(exps[:, rest], axis=0, return_inverse=True)
+    table = np.zeros((len(outer), degree + 1), dtype=np.complex128)
+    table[row.ravel(), exps[:, var] - low[var]] = coeffs
+    outer = outer.astype(np.float64)
+
+    def fn(nodes):
+        values, gap = _fiber_measures(np.exp(1j * (nodes @ outer.T)) @ table)
+        return values, float(gap.min())
+
+    d = len(rest)
+    spec = quad or _default_spec(d)
+    block = (1 << 20) // degree ** 2
+    min_stat = math.inf
+
+    def eval_at(points):
+        nonlocal min_stat
+        mean, stat = grid_mean(fn, d, points, spec.node_shift, max_block=block)
+        min_stat = min(min_stat, stat)
+        return mean.real
+
+    res = refine_to_tol(eval_at, spec)
+    return MahlerResult(res.value, "jensen_reduced", res.delta, min_stat < _SINGULAR_MIN)
 
 
 def mahler_closed_mtype(c: float) -> float:

@@ -13,6 +13,7 @@ in the package runs through it, with or without Richardson extrapolation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,12 +41,16 @@ def set_thread_count(n: int) -> None:
     """Set the worker-thread count used for grid evaluation.
 
     Chunk boundaries and reduction order are fixed, so the computed values do
-    not depend on this setting.
+    not depend on this setting.  A pool starts one thread per pending block
+    up to this count, so more than 4 per CPU is rejected.
     """
     global _threads
     n = int(n)
     if n < 1:
         raise ValueError(f"thread count must be >= 1, got {n}")
+    limit = 4 * (os.cpu_count() or 1)
+    if n > limit:
+        raise ValueError(f"thread count {n} exceeds 4 per CPU ({limit})")
     _threads = n
 
 

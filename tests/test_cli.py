@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from mahlerzeta import special_constants
 from mahlerzeta.cli import main
 
 
@@ -38,6 +43,16 @@ def test_mahler_quadrature_route(capsys):
     assert abs(payload["result"] - math.log(2)) < 1e-10
     assert payload["diagnostics"]["route"] == "quadrature"
     assert payload["diagnostics"]["singular_on_torus"] is False
+
+
+def test_mahler_jensen_several_variables(capsys):
+    code, out, _ = run_cli(
+        ["mahler", "--poly", "X1 + X2 + X3 + 1", "--method", "jensen"], capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["diagnostics"]["route"] == "jensen_reduced"
+    target = 7 * special_constants()["zeta3"] / (2 * math.pi ** 2)
+    assert abs(payload["result"] - target) < 1e-8
 
 
 def test_mahler_zeta_mode(capsys):
@@ -212,3 +227,34 @@ def test_evolve_with_field(capsys):
     assert field[0]["site"] == [0, 0]
     assert field[1]["site"] == [1, 0]
     assert field[3]["site"] == [0, 1]
+
+
+def test_module_entry_point_prints_main_output(capsys):
+    args = ["mahler", "--poly", "X1 + 2"]
+    _, expected, _ = run_cli(args, capsys)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "mahlerzeta.cli", *args],
+                         capture_output=True, env=env, timeout=120)
+    assert out.returncode == 0
+    assert out.stdout == expected.encode()
+
+
+def test_thread_count_from_environment_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("MZC_THREADS", "abc")
+    code, out, err = run_cli(["mahler", "--poly", "X1 + 2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "MZC_THREADS" in err and "'abc'" in err
+
+
+def test_thread_count_above_budget_exit_2(capsys, monkeypatch):
+    # only rejected values here: an accepted large count would start that
+    # many threads
+    code, out, err = run_cli(["mahler", "--poly", "X1 + 2", "--threads", str(10 ** 6)],
+                             capsys)
+    assert code == 2 and out == "" and "per CPU" in err
+    monkeypatch.setenv("MZC_THREADS", str(10 ** 6))
+    code, out, err = run_cli(["mahler", "--poly", "X1 + 2"], capsys)
+    assert code == 2 and out == "" and "per CPU" in err

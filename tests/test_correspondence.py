@@ -12,6 +12,7 @@ from mahlerzeta import (
     default_suite_params,
     green_series_estimate,
     log_zeta,
+    mahler_quadrature,
     qw_validity_interval,
     return_probability,
     run_suite,
@@ -23,7 +24,13 @@ from mahlerzeta import (
     verify_grover,
     verify_rw,
 )
-from mahlerzeta.correspondence import SUITE_CHECKS, SUITE_GROUPS
+from mahlerzeta.correspondence import (
+    SUITE_CHECKS,
+    SUITE_GROUPS,
+    _grover_spec,
+    _lattice_polynomial,
+    _rw_spec,
+)
 
 
 # --------------------------------------------------------------------------
@@ -116,6 +123,19 @@ def test_grover_range_validation():
         verify_grover(2, 0.5)
     with pytest.raises(ValueError, match="positive integer"):
         verify_grover(0, -0.5)
+
+
+@pytest.mark.parametrize("verify, spec_of, d", [
+    (verify_grover, _grover_spec, 2),
+    (verify_grover, _grover_spec, 3),
+    (verify_rw, _rw_spec, 2),
+])
+def test_mahler_term_is_jensen_reduced(verify, spec_of, d):
+    # the rhs no longer runs the lhs integrand; full quadrature stays the oracle
+    rep = verify(d, -0.8)
+    assert rep.diagnostics["mahler_route"] == "jensen_reduced"
+    oracle = mahler_quadrature(_lattice_polynomial(d, rep.diagnostics["c"]), spec_of(d))
+    assert abs(rep.diagnostics["mahler_value"] - oracle.value) <= 1e-9
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mahlerzeta import (
+    ComputationError,
     LaurentPolynomial,
     QuadratureSpec,
     hyper_pfq,
@@ -12,6 +14,7 @@ from mahlerzeta import (
     mahler_closed_mtype,
     mahler_walk_1d,
     mahler_quadrature,
+    mahler_reduced,
     mahler_square_lattice,
     mahler_univariate,
     parse_laurent,
@@ -112,6 +115,82 @@ def test_jensen_vs_quadrature_random(rng):
         jensen = mahler_univariate(poly)
         quad = mahler_quadrature(poly, spec)
         assert abs(jensen.value - quad.value) < 1e-8
+
+
+# --------------------------------------------------------------------------
+# Jensen-reduced route
+
+def test_reduced_degree_one():
+    # X2 (a tie on span 1, so the higher index) is integrated out
+    res = mahler_reduced(parse_laurent("X1 + 2*X2 + 5"))
+    assert res.method == "jensen_reduced"
+    assert abs(res.value - math.log(5)) < 1e-14
+    assert not res.singular_on_torus
+    smyth = mahler_reduced(parse_laurent("X1 + X2 + X3 + 1"))
+    assert abs(smyth.value - 7 * special_constants()["zeta3"] / (2 * math.pi ** 2)) < 1e-8
+    assert smyth.singular_on_torus
+
+
+def test_reduced_degree_two_against_hypergeometric():
+    res = mahler_reduced(parse_laurent("X1 + X1^-1 + X2 + X2^-1 + 5"))
+    assert abs(res.value - mahler_square_lattice(5.0)) < 1e-13
+
+
+def test_reduced_degree_three_eigenvalue_path():
+    # m(X1^3 + X2^3 + 3) = m(X1 + X2 + 3) = log 3
+    res = mahler_reduced(parse_laurent("X1^3 + X2^3 + 3"))
+    assert abs(res.value - math.log(3)) < 1e-14
+
+
+def test_reduced_drops_variables_that_do_not_occur():
+    poly = LaurentPolynomial(2, {(0, 1): 1.0, (0, 0): 3.0})
+    assert poly.n_vars == 2
+    assert abs(mahler_reduced(poly).value - math.log(3)) < 1e-15
+    res = mahler_reduced(parse_laurent("X1 + X3 + 3"))
+    assert res.method == "jensen_reduced"
+    assert abs(res.value - math.log(3)) < 1e-14
+
+
+def test_reduced_leading_coefficient_zero_at_a_node():
+    # node_shift 0 puts theta_1 = 0 on the grid, where 1 - X1^2 is exactly 0;
+    # |(1 - X1^2) X2^2 + X2| <= 3 < 4 on the torus, so m = log 4
+    spec = QuadratureSpec(16, 0.0, 1e-12, 2)
+    res = mahler_reduced(parse_laurent("X2^2 - X1^2*X2^2 + X2 + 4"), spec)
+    assert abs(res.value - math.log(4)) < 1e-14
+    # both end coefficients vanish there: the fiber drops to X2^2 + 6 X2
+    poly = parse_laurent("X2^3 + 1 - X1^3*X2^3 - X1^3 + X2^2 + 6*X2")
+    res = mahler_reduced(poly, spec)
+    quad = mahler_quadrature(poly, QuadratureSpec(64, 0.5, 1e-12, 2))
+    assert math.isfinite(res.value)
+    assert abs(res.value - quad.value) < 1e-10
+
+
+def test_reduced_one_variable_delegates_to_jensen():
+    poly = parse_laurent("X1^2 + 3*X1 - 1")
+    assert mahler_reduced(poly) == mahler_univariate(poly)
+
+
+def test_reduced_degree_budget():
+    with pytest.raises(ComputationError, match="span above 32"):
+        mahler_reduced(parse_laurent("X1^40 + X2^40 + 3"))
+
+
+_TERM = st.tuples(st.tuples(*[st.integers(-2, 2)] * 3),
+                  st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_vars=st.sampled_from([2, 3]), terms=st.lists(_TERM, min_size=1, max_size=5))
+def test_reduced_matches_quadrature(n_vars, terms):
+    # a dominant constant term keeps f off zero on the torus, so both routes
+    # converge geometrically
+    table = {}
+    for exps, coeff in terms:
+        table[exps[:n_vars]] = coeff
+    table[(0,) * n_vars] = 1.0 + 4.0 * sum(abs(c) for c in table.values())
+    poly = LaurentPolynomial(n_vars, table)
+    spec = QuadratureSpec(32 if poly.n_vars == 3 else 64, 0.5, 1e-12, 1)
+    assert abs(mahler_reduced(poly, spec).value - mahler_quadrature(poly, spec).value) < 1e-10
 
 
 # --------------------------------------------------------------------------
