@@ -333,4 +333,6 @@ def _exponent_matrix(poly: LaurentPolynomial) -> tuple[np.ndarray, np.ndarray]:
 def eval_on_nodes(poly: LaurentPolynomial, nodes: np.ndarray) -> np.ndarray:
     """Vectorized unit-torus evaluation on an (n, n_vars) block of angles."""
     exps, coeffs = _exponent_matrix(poly)
-    return np.exp(1j * (nodes @ exps.T)) @ coeffs
+    phases = 1j * (nodes @ exps.T)
+    np.exp(phases, out=phases)
+    return phases @ coeffs

@@ -110,6 +110,17 @@ def mahler_quadrature(poly: LaurentPolynomial, quad: QuadratureSpec | None = Non
     return MahlerResult(res.value, "quadrature", res.delta, min_stat < _SINGULAR_MIN)
 
 
+def _drop_negligible_lead(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients (highest power first) without leading ones below 1e-300 of the largest.
+
+    Such a coefficient would overflow the companion matrix.  Its roots lie
+    beyond 1e300, and the measure is that of the polynomial without it, to
+    double precision.
+    """
+    mags = np.abs(coeffs)
+    return coeffs[int(np.argmax(mags > mags.max() * 1e-300)):]
+
+
 def mahler_univariate(poly: LaurentPolynomial) -> MahlerResult:
     """Univariate Mahler measure through Jensen's formula.
 
@@ -131,6 +142,7 @@ def mahler_univariate(poly: LaurentPolynomial) -> MahlerResult:
     coeffs = np.zeros(degree + 1, dtype=np.complex128)
     for (e,), c in terms.items():
         coeffs[high - e] = c
+    coeffs = _drop_negligible_lead(coeffs)
     try:
         roots = np.roots(coeffs)
     except np.linalg.LinAlgError as exc:
@@ -165,7 +177,7 @@ def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the leading one keeps a vanishing leading coefficient harmless
     a = np.where((mags[:, 0] > mags[:, -1])[:, None], a[:, ::-1], a)
     degree = a.shape[1] - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if degree == 1:
             lead, tail = np.abs(a[:, 1]), np.abs(a[:, 0])
             return np.log(lead), np.fmin(np.abs(tail / lead - 1.0), scale)
@@ -193,14 +205,16 @@ def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values[ok] = np.log(np.abs(lead[ok])) + np.log(np.maximum(moduli, 1.0)).sum(axis=1)
     gap[ok] = np.abs(moduli - 1.0).min(axis=1)
     # both end coefficients vanish (or the quotient overflows): trim the
-    # zero ends and solve those rare fibers one at a time
+    # zero ends and any negligible leading ones, and solve those rare fibers
+    # one at a time
     for i in np.flatnonzero(~ok):
         row = np.trim_zeros(a[i])
         if row.size == 0:
             values[i], gap[i] = -math.inf, math.inf
             continue
-        moduli = np.abs(np.roots(row[::-1]))
-        values[i] = math.log(abs(row[-1])) + float(np.log(np.maximum(moduli, 1.0)).sum())
+        row = _drop_negligible_lead(row[::-1])
+        moduli = np.abs(np.roots(row))
+        values[i] = math.log(abs(row[0])) + float(np.log(np.maximum(moduli, 1.0)).sum())
         gap[i] = float(np.abs(moduli - 1.0).min()) if moduli.size else math.inf
     return values, np.fmin(gap, scale)
 

@@ -2,9 +2,17 @@
 
 Uniform tensor grids on [0, 2*pi)^d, midpoint-shifted by default.  For smooth
 periodic integrands the periodic trapezoid/midpoint rule converges
-geometrically, so refinement doubles the per-axis node count.  Grid sums are
-accumulated block by block in a fixed order with ``math.fsum``, which makes
-every result bit-reproducible and independent of the worker thread count.
+geometrically, so refinement doubles the per-axis node count.
+
+``grid_mean`` builds every node from one per-axis angle vector and cuts the
+grid into product-set blocks: a block fixes the leading axes, takes a run of
+indices on one axis and spans every later axis in full.  An integrand sees a
+block either as an (n, d) angle array (the default) or, with ``axes=True``,
+as the open mesh of d per-axis angle arrays, so that an integrand which
+depends on each axis separately (a sum of cosines) can work on per-axis
+tables and broadcast them.  Block sums are accumulated in a fixed order with
+``math.fsum``, which makes every result bit-reproducible and independent of
+the worker thread count.
 
 ``refine_to_tol`` is the one refinement ladder: every refined torus average
 in the package runs through it, with or without Richardson extrapolation.
@@ -12,6 +20,7 @@ in the package runs through it, with or without Richardson extrapolation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -86,47 +95,87 @@ class QuadratureSpec:
             raise ValueError(f"max_refinements must be >= 0, got {self.max_refinements}")
 
 
-def _angle_block(d: int, points: int, shift: float, i0: int, i1: int) -> np.ndarray:
-    """Rows i0..i1 of the flattened M^d tensor grid, as an (n, d) angle array."""
-    idx = np.arange(i0, i1, dtype=np.int64)
-    out = np.empty((i1 - i0, d), dtype=np.float64)
-    scale = 2.0 * math.pi / points
-    for j in range(d):
-        div = points ** (d - 1 - j)
-        out[:, j] = ((idx // div) % points + shift) * scale
-    return out
+def _blocks(d: int, points: int, max_block: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The product-set blocks of the M^d grid, in row-major order.
+
+    With k the smallest axis count such that M^(d-k) <= ``max_block``, a
+    block ``(outer, j0, j1)`` fixes the indices ``outer`` of axes 0..k-2,
+    takes the run [j0, j1) of at most max_block // M^(d-k) indices on axis
+    k-1, and spans every later axis in full.
+    """
+    k = 1
+    while points ** (d - k) > max_block:
+        k += 1
+    run = max_block // points ** (d - k)
+    return [(outer, j0, min(j0 + run, points))
+            for outer in itertools.product(range(points), repeat=k - 1)
+            for j0 in range(0, points, run)]
+
+
+def _open_mesh(axis: np.ndarray, d: int, block) -> tuple[np.ndarray, ...]:
+    """Per-axis angle arrays of one block, each shaped to broadcast over it."""
+    outer, j0, j1 = block
+    parts = [axis[i:i + 1] for i in outer] + [axis[j0:j1]]
+    parts += [axis] * (d - len(parts))
+    mesh = []
+    for j, part in enumerate(parts):
+        shape = [1] * d
+        shape[j] = part.size
+        mesh.append(part.reshape(shape))
+    return tuple(mesh)
+
+
+def _dense(mesh: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The block's nodes as an (n, d) angle array, rows in row-major order."""
+    shape = np.broadcast_shapes(*(a.shape for a in mesh))
+    out = np.empty(shape + (len(mesh),), dtype=np.float64)
+    for j, a in enumerate(mesh):
+        out[..., j] = a
+    return out.reshape(-1, len(mesh))
 
 
 def grid_mean(fn, d: int, points: int, shift: float, *, max_block: int | None = None,
-              threads: int | None = None) -> tuple[complex, float | None]:
+              threads: int | None = None, axes: bool = False) -> tuple[complex, float | None]:
     """Average ``fn`` over the tensor grid with M = ``points`` nodes per axis.
 
-    ``fn`` receives an (n, d) block of angles and returns ``(values, stat)``
-    where ``values`` is a 1-D array (real or complex) and ``stat`` is a float
-    minimum statistic or None.  Returns ``(mean, min_stat)``.  A grid of more
-    than 2^26 nodes raises ``ComputationError`` before ``fn`` is called.
+    The grid is cut into product-set blocks of at most ``max_block`` nodes
+    (default 2^20): a block fixes the leading axes, takes a run of indices
+    on one axis and spans every later axis in full.  When M and
+    ``max_block`` are powers of two the blocks are runs of the flattened
+    row-major index.  ``fn`` is called once per block and returns
+    ``(values, stat)`` where ``values`` is a 1-D array (real or complex) over
+    the block's nodes in row-major order and ``stat`` is a float minimum
+    statistic or None.  By default ``fn`` receives the block as an (n, d)
+    angle array.  With ``axes=True`` it receives the open mesh instead: a
+    tuple of d angle arrays, axis j of shape 1 except along dimension j, which
+    broadcast together to the block's shape.  Returns ``(mean, min_stat)``.
+    A grid of more than 2^26 nodes raises ``ComputationError`` before ``fn``
+    is called.
     """
     if max_block is None:
         max_block = 1 << 20
+    if d < 1 or max_block < 1:
+        raise ValueError(f"need d >= 1 and max_block >= 1, got d={d}, max_block={max_block}")
     total = points ** d
     if total > _MAX_GRID_NODES:
         raise ComputationError(
             f"grid {points}^{d} = {total} nodes exceeds the cap of {_MAX_GRID_NODES} (2^26)"
         )
-    ranges = [(i, min(i + max_block, total)) for i in range(0, total, max_block)]
+    axis = (np.arange(points) + shift) * (2.0 * math.pi / points)
+    blocks = _blocks(d, points, max_block)
 
-    def work(rng):
-        i0, i1 = rng
-        values, stat = fn(_angle_block(d, points, shift, i0, i1))
+    def work(block):
+        mesh = _open_mesh(axis, d, block)
+        values, stat = fn(mesh if axes else _dense(mesh))
         s = complex(np.sum(values))
         return s.real, s.imag, stat
 
     nthreads = threads if threads is not None else _threads
-    if nthreads > 1 and len(ranges) > 1:
+    if nthreads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(pool.map(work, ranges))
+            parts = list(pool.map(work, blocks))
     else:
-        parts = [work(rng) for rng in ranges]
+        parts = [work(block) for block in blocks]
 
     mean = complex(math.fsum(p[0] for p in parts) / total,
                    math.fsum(p[1] for p in parts) / total)

@@ -304,11 +304,16 @@ def log_zeta_series(coin: CoinMatrix, u: float, r_max: int) -> tuple[float, floa
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     if abs(u) >= 1.0:
         raise ValueError(f"|u| must be below 1 for the series route, got u={u}")
-    traces = matrix_weight_traces(coin, r_max)
+    return _series_sum(matrix_weight_traces(coin, r_max), u, coin.dim_d)
+
+
+def _series_sum(traces, u: float, d: int) -> tuple[float, float]:
+    """``log_zeta_series`` from the traces for r = 0..r_max of a d-dimensional coin."""
+    r_max = len(traces) - 1
     total = 0.0
     for r in range(1, r_max + 1):
         total -= _real(traces[r], 1e-12, f"C_{r}") * u ** r / r
-    tail = 2 * coin.dim_d * abs(u) ** (r_max + 1) / ((r_max + 1) * (1.0 - abs(u)))
+    tail = 2 * d * abs(u) ** (r_max + 1) / ((r_max + 1) * (1.0 - abs(u)))
     return total, tail
 
 

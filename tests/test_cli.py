@@ -201,6 +201,14 @@ def test_byte_identical_output(capsys):
     assert out1 == out2
 
 
+def test_cos_sum_output_independent_of_thread_count(capsys):
+    for args in (["verify", "--suite", "transience"], ["lambda", "--d", "3"]):
+        code1, out1, _ = run_cli(args + ["--threads", "1"], capsys)
+        code2, out2, _ = run_cli(args + ["--threads", "2"], capsys)
+        assert (code1, code2) == (0, 0)
+        assert out1 == out2
+
+
 def test_timing_flag_adds_diagnostic(capsys):
     args = ["logzeta", "--coin", "rw", "--d", "1", "--u", "-0.5", "--grid", "64"]
     _, out, _ = run_cli(args + ["--timing"], capsys)

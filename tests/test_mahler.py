@@ -165,6 +165,16 @@ def test_reduced_leading_coefficient_zero_at_a_node():
     assert abs(res.value - quad.value) < 1e-10
 
 
+def test_subnormal_leading_coefficient_is_dropped():
+    # the companion quotient 1 / 2.2e-311 overflows; m(tiny X2 + 1) = m(1) = 0
+    tiny = 2.225073858507e-311
+    assert mahler_reduced(LaurentPolynomial(2, {(0, 1): tiny, (0, 0): 1.0})).value == 0.0
+    # a cubic fiber in X2 with both end coefficients subnormal: X2^2 + 0.3 X2
+    poly = LaurentPolynomial(2, {(0, 3): tiny, (0, 2): 1.0, (0, 1): 0.3, (3, 0): tiny})
+    assert mahler_reduced(poly, QuadratureSpec(8, 0.5, 1e-12, 1)).value == pytest.approx(
+        0.0, abs=1e-15)
+
+
 def test_reduced_one_variable_delegates_to_jensen():
     poly = parse_laurent("X1^2 + 3*X1 - 1")
     assert mahler_reduced(poly) == mahler_univariate(poly)

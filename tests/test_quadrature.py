@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
 from mahlerzeta import ComputationError, QuadratureSpec
+from mahlerzeta.correspondence import _cos_log_grid
 from mahlerzeta.quadrature import grid_mean, refine_to_tol
 
 
@@ -109,3 +113,86 @@ def test_grid_mean_rejects_oversized_grid_before_any_work(d, points):
     with pytest.raises(ComputationError, match=f"grid {points}\\^{d}.*cap"):
         grid_mean(fn, d, points, 0.5)
     assert called == []
+
+
+@pytest.mark.parametrize("d, points", [(3, 512), (8, 16)])
+def test_grid_mean_axes_view_rejects_oversized_grid_before_any_work(d, points):
+    called = []
+
+    def fn(mesh):
+        called.append(len(mesh))
+        return mesh[0].ravel(), None
+
+    with pytest.raises(ComputationError, match=f"grid {points}\\^{d}.*cap"):
+        grid_mean(fn, d, points, 0.5, axes=True)
+    assert called == []
+
+
+# --------------------------------------------------------------------------
+# product-set blocks
+
+def _cos_log_dense(d, points, shift, transform, max_block=None):
+    def fn(nodes):
+        return np.log(transform(np.sum(np.cos(nodes), axis=1))), None
+
+    return grid_mean(fn, d, points, shift, max_block=max_block)[0].real
+
+
+@pytest.mark.parametrize("d, points", [(1, 4096), (2, 1024), (3, 128), (4, 32), (5, 12),
+                                       (7, 6), (8, 4), (9, 3)])
+def test_cos_sum_axes_view_matches_dense_view(d, points):
+    # up to 2^20 nodes a grid is one block; (3, 128) is two.  Below 8 axes
+    # both views add a row's cosines left to right; numpy adds longer rows
+    # pairwise, so from 8 axes on they agree to rounding only
+    transform = lambda s: 1.0 - (0.9 / d) * s
+    for shift in (0.5, 0.0):
+        axes = _cos_log_grid(d, points, shift, transform)
+        dense = _cos_log_dense(d, points, shift, transform)
+        if d < 8:
+            assert axes == dense
+        else:
+            assert axes == pytest.approx(dense, rel=1e-14, abs=1e-16)
+
+
+def test_small_block_covers_every_node_once_in_row_major_order():
+    # 16^2 > 100: each block fixes axis 0 and takes at most 6 indices of axis 1
+    d, points = 3, 16
+    seen = []
+
+    def fn(nodes):
+        assert nodes.shape[0] <= 100
+        seen.append(nodes)
+        a, b, c = nodes.T
+        values = 2.0 + np.cos(a) * np.cos(2 * b) + np.sin(3 * c) + np.cos(a + b - 5 * c)
+        return values, None
+
+    mean, _ = grid_mean(fn, d, points, 0.5, max_block=100)
+    assert len(seen) == 16 * 3
+    rows = np.concatenate(seen)
+    idx = np.arange(points ** d)
+    axis = (np.arange(points) + 0.5) * (2.0 * math.pi / points)
+    expected = np.stack([axis[idx // 256], axis[(idx // 16) % 16], axis[idx % 16]], axis=1)
+    assert np.array_equal(rows, expected)
+    assert mean.real == pytest.approx(2.0, abs=1e-14)
+
+
+def test_small_block_axes_view_matches_dense_view():
+    transform = lambda s: 2.0 - s / 3.0
+    dense = _cos_log_dense(3, 16, 0.5, transform, max_block=100)
+
+    def fn(mesh):
+        assert sum(a.size for a in mesh) <= 1 + 6 + 16
+        s = np.cos(mesh[0]) + np.cos(mesh[1]) + np.cos(mesh[2])
+        return np.log(transform(s)).ravel(), None
+
+    assert grid_mean(fn, 3, 16, 0.5, max_block=100, axes=True)[0].real == dense
+
+
+def test_axes_view_same_at_one_and_two_threads():
+    def fn(mesh):
+        s = np.cos(mesh[0]) + np.cos(mesh[1]) + np.cos(mesh[2])
+        return np.log(1.0 - 0.3 * s).ravel(), None
+
+    one = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12, axes=True, threads=1)
+    two = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12, axes=True, threads=2)
+    assert one == two
