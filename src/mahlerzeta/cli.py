@@ -7,7 +7,8 @@ Every subcommand prints one JSON object::
 
 Numbers carry 17 significant digits; complex entries appear as [re, im]
 pairs.  Exit codes: 0 success, 1 computation failure (non-convergence,
-singular factor, a grid over the work budget), 2 usage or parse error.
+singular factor, a grid over the work budget, a linear-algebra, floating-point
+or memory error), 2 usage or parse error.
 Output is byte-identical for identical inputs; pass --timing to add wall
 time to the diagnostics.
 """
@@ -46,6 +47,7 @@ from .mahler import (
 from .quadrature import QuadratureSpec, set_thread_count
 from .walk import delta_state, evolve, total_measure, uniform_state
 from .zeta import (
+    _real,
     compute_series,
     log_zeta_refined,
     log_zeta_series,
@@ -269,12 +271,8 @@ def _cmd_zeta_finite(args):
     if args.dense:
         return inputs, zeta_finite_dense(coin, args.N, args.u), {"route": "dense"}
     mean = zeta_finite_log_mean(coin, args.N, args.u)
-    if abs(mean.imag) >= 1e-10:
-        raise ComputationError(
-            f"imaginary residual {abs(mean.imag):.3e} of the log-determinant sum exceeds 1e-10"
-        )
-    return inputs, math.exp(-mean.real), {"route": "factorized",
-                                          "imag_residual": abs(mean.imag)}
+    value = math.exp(-_real(mean, 1e-10, "the log-determinant sum"))
+    return inputs, value, {"route": "factorized", "imag_residual": abs(mean.imag)}
 
 
 def _cmd_cr(args):
@@ -410,6 +408,10 @@ def main(argv=None) -> int:
     except LaurentSyntaxError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
+    # LinAlgError subclasses ValueError, but it is a numerical failure, not a usage error
+    except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
+        sys.stderr.write(f"computation failed: {exc}\n")
+        return 1
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

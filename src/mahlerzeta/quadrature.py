@@ -241,8 +241,7 @@ def refine_to_tol(eval_at, spec: QuadratureSpec, order=None) -> RefineResult:
 def det_stack(mats: np.ndarray) -> np.ndarray:
     """Determinants of a stack of square matrices (..., n, n).
 
-    Closed forms for n in {1, 2}, cofactor expansion for n = 4 (the sizes that
-    dominate quadrature inner loops), LU with partial pivoting otherwise.
+    Closed forms for n in {1, 2}, LU with partial pivoting otherwise.
     """
     n = mats.shape[-1]
     if n == 1:
@@ -250,19 +249,4 @@ def det_stack(mats: np.ndarray) -> np.ndarray:
     if n == 2:
         return (mats[..., 0, 0] * mats[..., 1, 1]
                 - mats[..., 0, 1] * mats[..., 1, 0])
-    if n == 4:
-        m = mats
-        s0 = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-        s1 = m[..., 0, 0] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 0]
-        s2 = m[..., 0, 0] * m[..., 1, 3] - m[..., 0, 3] * m[..., 1, 0]
-        s3 = m[..., 0, 1] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 1]
-        s4 = m[..., 0, 1] * m[..., 1, 3] - m[..., 0, 3] * m[..., 1, 1]
-        s5 = m[..., 0, 2] * m[..., 1, 3] - m[..., 0, 3] * m[..., 1, 2]
-        c5 = m[..., 2, 2] * m[..., 3, 3] - m[..., 2, 3] * m[..., 3, 2]
-        c4 = m[..., 2, 1] * m[..., 3, 3] - m[..., 2, 3] * m[..., 3, 1]
-        c3 = m[..., 2, 1] * m[..., 3, 2] - m[..., 2, 2] * m[..., 3, 1]
-        c2 = m[..., 2, 0] * m[..., 3, 3] - m[..., 2, 3] * m[..., 3, 0]
-        c1 = m[..., 2, 0] * m[..., 3, 2] - m[..., 2, 2] * m[..., 3, 0]
-        c0 = m[..., 2, 0] * m[..., 3, 1] - m[..., 2, 1] * m[..., 3, 0]
-        return s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
     return np.linalg.det(mats)

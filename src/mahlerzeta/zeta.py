@@ -14,7 +14,11 @@ the logarithmic zeta function
 
     L(A, u) = integral over [0, 2*pi)^d of log det(I - u M_hat(Theta)),
 
-with the uniform measure, and the coefficients C_r of
+with the uniform measure.  Row 2j of M_hat carries z_j = e^(i Theta_j) and
+row 2j+1 carries 1/z_j, so det(I - u M_hat) is a Laurent polynomial P_u in
+z_1..z_d with every exponent in {-1, 0, 1}, and L(A, u) is its logarithmic
+Mahler measure m(P_u).  Both torus averages above evaluate P_u from its 3^d
+coefficients on per-axis tables of z_j.  The coefficients C_r of
 log zeta = sum_r C_r u^r / r are averaged traces of powers of M_hat, equal to
 the trace of the step-r return weight on Z^d.
 """
@@ -49,6 +53,8 @@ __all__ = [
 
 _DENSE_CAP = 4096
 _GRID_CAP = 1 << 26
+# coefficients of det(I - u M_hat), one per exponent vector in {-1, 0, 1}^d
+_CHAR_POLY_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -87,27 +93,75 @@ def _momentum_stack(coin: CoinMatrix, nodes: np.ndarray) -> np.ndarray:
     return phases[:, :, None] * coin.entries[None, :, :]
 
 
-def _log_det_block(coin: CoinMatrix, u: float, eye: np.ndarray, require_positive: bool):
-    def fn(nodes):
-        mats = eye - u * _momentum_stack(coin, nodes)
-        dets = det_stack(mats)
+def _char_poly(coin: CoinMatrix, u: float) -> np.ndarray:
+    """Coefficients of det(I - u M_hat(Theta)) in z_j = e^(i Theta_j), shape (3,)*d.
+
+    Entry [e_1 + 1, ..., e_d + 1] is the coefficient of z_1^e_1 ... z_d^e_d.
+    Every exponent lies in {-1, 0, 1}, so the determinants at the 3^d nodes
+    Theta_j in {0, 2pi/3, 4pi/3} fix the polynomial: their discrete Fourier
+    transform holds exponent e at index e mod 3.
+    """
+    d = coin.dim_d
+    if 3 ** d > _CHAR_POLY_CAP:
+        raise ComputationError(
+            f"det(I - u M_hat) of a d={d} coin has 3^{d} = {3 ** d} coefficients, "
+            f"above the cap of {_CHAR_POLY_CAP} (2^20)"
+        )
+    axis = np.arange(3) * (2.0 * math.pi / 3)
+    nodes = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    eye = np.eye(2 * d, dtype=np.complex128)
+    step = _matrix_block_cap(d)
+    dets = np.concatenate([det_stack(eye - u * _momentum_stack(coin, nodes[i:i + step]))
+                           for i in range(0, nodes.shape[0], step)])
+    coeffs = np.fft.fftn(dets.reshape((3,) * d)) / 3 ** d
+    return coeffs[np.ix_(*[[2, 0, 1]] * d)]
+
+
+def _eval_char_poly(coeffs: np.ndarray, mesh) -> np.ndarray:
+    """``_char_poly`` coefficients evaluated on an open mesh of angles.
+
+    Contracts one axis at a time against the per-axis table of z_j; the
+    result has the mesh's broadcast shape.  Contracting an axis of n nodes
+    scales the array by n/3, so taking the axes with fewest nodes first (ties:
+    last axis first) keeps every intermediate within the larger of 3^d and
+    the block size.
+    """
+    d = len(mesh)
+    order = sorted(range(d), key=lambda j: (mesh[j].size, -j))
+    # the axis contracted next is the last coefficient axis
+    out = coeffs.transpose(order[::-1])
+    for t, j in enumerate(order):
+        z = np.exp(1j * mesh[j]).reshape(mesh[j].shape + (1,) * (d - 1 - t))
+        out = out[..., 0] * np.conj(z) + out[..., 1] + out[..., 2] * z
+    return out
+
+
+def _log_det_block(coin: CoinMatrix, u: float, require_positive: bool):
+    """``grid_mean`` integrand (``axes=True``) of log det(I - u M_hat)."""
+    coeffs = _char_poly(coin, u)
+
+    def fn(mesh):
+        dets = _eval_char_poly(coeffs, mesh)
+
+        def node(mask):
+            where = np.unravel_index(int(np.argmax(mask)), dets.shape)
+            return tuple(float(np.broadcast_to(a, dets.shape)[where]) for a in mesh)
+
         if require_positive:
             bad = dets.real <= 0.0
             if bad.any():
-                where = int(np.argmax(bad))
                 raise ComputationError(
                     "integrand determinant has non-positive real part at "
-                    f"Theta={tuple(float(a) for a in nodes[where])} (u={u})"
+                    f"Theta={node(bad)} (u={u})"
                 )
         else:
             tiny = np.abs(dets) < 1e-13
             if tiny.any():
-                where = int(np.argmax(tiny))
                 raise ComputationError(
                     f"singular factor: det(I - u M_hat) vanishes at "
-                    f"k={tuple(float(a) for a in nodes[where])} (u={u})"
+                    f"k={node(tiny)} (u={u})"
                 )
-        return np.log(dets), None
+        return np.log(dets.ravel()), None
 
     return fn
 
@@ -123,9 +177,8 @@ def zeta_finite_log_mean(coin: CoinMatrix, N: int, u: float) -> complex:
     d = coin.dim_d
     if 2 * d * N ** d > _GRID_CAP:
         raise ComputationError(f"momentum grid 2d*N^d = {2 * d * N ** d} exceeds cap {_GRID_CAP}")
-    eye = np.eye(2 * d, dtype=np.complex128)
-    fn = _log_det_block(coin, u, eye, require_positive=False)
-    mean, _ = grid_mean(fn, d, N, 0.0, max_block=_matrix_block_cap(d))
+    fn = _log_det_block(coin, u, require_positive=False)
+    mean, _ = grid_mean(fn, d, N, 0.0, axes=True)
     return mean
 
 
@@ -200,15 +253,19 @@ def cr_finite(coin: CoinMatrix, N: int, r: int) -> float:
     return _real(mean, 1e-10, f"the finite-torus C_{r}")
 
 
-def _refined_mean(fn, d: int, spec: QuadratureSpec, what: str):
-    """Refined torus mean of a matrix integrand, as a ``RefineResult``.
+def _refined_mean(fn, d: int, spec: QuadratureSpec, what: str, axes: bool = False):
+    """Refined torus mean of a momentum-space integrand, as a ``RefineResult``.
 
-    Raises unless the ladder converges with an imaginary residual below 1e-9.
+    An ``axes=True`` integrand gets the open mesh and works on per-axis
+    tables, so it runs on ``grid_mean``'s default blocks; any other one gets
+    the node array and builds matrix stacks, so its blocks are capped by
+    ``_matrix_block_cap``.  Raises unless the ladder converges with an
+    imaginary residual below 1e-9.
     """
+    max_block = None if axes else _matrix_block_cap(d)
 
     def eval_at(points):
-        mean, _ = grid_mean(fn, d, points, spec.node_shift,
-                            max_block=_matrix_block_cap(d))
+        mean, _ = grid_mean(fn, d, points, spec.node_shift, max_block=max_block, axes=axes)
         return mean
 
     res = refine_to_tol(eval_at, spec)
@@ -276,10 +333,8 @@ def cr_closed_1d_qw(xi: float, l: int, shift_type: str) -> float:
 def log_zeta_refined(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = None):
     """Like ``log_zeta`` but returning the full refinement record."""
     spec = quad or QuadratureSpec()
-    d = coin.dim_d
-    eye = np.eye(2 * d, dtype=np.complex128)
-    fn = _log_det_block(coin, u, eye, require_positive=True)
-    return _refined_mean(fn, d, spec, "log-zeta quadrature")
+    fn = _log_det_block(coin, u, require_positive=True)
+    return _refined_mean(fn, coin.dim_d, spec, "log-zeta quadrature", axes=True)
 
 
 def log_zeta(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = None) -> float:

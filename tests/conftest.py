@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
 
+from mahlerzeta.quadrature import get_thread_count, set_thread_count
+
 
 def random_unitary(rng: np.random.Generator, n: int = 2) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
+
+
+@pytest.fixture(autouse=True)
+def _restore_thread_count():
+    # mzc's main() sets the process-wide thread count; keep it from leaking
+    # into later tests, whose integrand callbacks would then run in pool order
+    saved = get_thread_count()
+    yield
+    set_thread_count(saved)
 
 
 @pytest.fixture

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from mahlerzeta import special_constants
+import numpy as np
+import pytest
+
+from mahlerzeta import cli, special_constants
 from mahlerzeta.cli import main
 
 
@@ -220,6 +223,33 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(["logzeta", "--coin", "hadamard"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("exc", [
+    np.linalg.LinAlgError("Singular matrix"),
+    FloatingPointError("overflow encountered in multiply"),
+    MemoryError("unable to allocate 8.00 GiB"),
+])
+def test_numerical_failures_exit_1(monkeypatch, capsys, exc):
+    # LinAlgError is a ValueError, yet it is a failed computation, not a usage error
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "hyper", fail)
+    code, out, err = run_cli(["hyper", "--a", "1", "--b", "2", "--x", "0.5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"computation failed: {exc}\n"
+
+
+def test_zeta_finite_imaginary_residual_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "zeta_finite_log_mean", lambda coin, N, u: complex(0.1, 2e-10))
+    code, out, err = run_cli(
+        ["zeta-finite", "--coin", "rw", "--d", "1", "--N", "2", "--u", "0.5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("computation failed: imaginary residual 2.000e-10 of the "
+                   "log-determinant sum exceeds 1e-10\n")
 
 
 def test_evolve_with_field(capsys):

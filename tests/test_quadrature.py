@@ -5,7 +5,7 @@ import pytest
 
 from mahlerzeta import ComputationError, QuadratureSpec
 from mahlerzeta.correspondence import _cos_log_grid
-from mahlerzeta.quadrature import grid_mean, refine_to_tol
+from mahlerzeta.quadrature import det_stack, grid_mean, refine_to_tol
 
 
 def _recording(model):
@@ -196,3 +196,16 @@ def test_axes_view_same_at_one_and_two_threads():
     one = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12, axes=True, threads=1)
     two = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12, axes=True, threads=2)
     assert one == two
+
+
+# --------------------------------------------------------------------------
+# batched determinants
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_det_stack_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    mats = rng.normal(size=(2, 7, n, n)) + 1j * rng.normal(size=(2, 7, n, n))
+    got = det_stack(mats)
+    assert got.shape == (2, 7)
+    np.testing.assert_allclose(got, np.linalg.det(mats), rtol=1e-12, atol=0)

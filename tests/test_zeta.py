@@ -12,14 +12,18 @@ from mahlerzeta import (
     cr_finite,
     cr_limit,
     cr_limit_pathsum,
+    custom_coin,
     dense_walk_matrix,
     flip_flop,
     hyper_pfq,
     log_zeta,
+    log_zeta_refined,
     log_zeta_series,
     zeta_finite,
     zeta_finite_dense,
 )
+from mahlerzeta.quadrature import det_stack, get_thread_count, set_thread_count
+from mahlerzeta.zeta import _char_poly, _eval_char_poly, _momentum_stack
 
 
 def hadamard(xi=math.pi / 4, shift="m"):
@@ -244,3 +248,101 @@ def test_compute_series_validation():
         compute_series(build_coin("grover", 2), 4, "closed_form")
     with pytest.raises(ValueError, match="method"):
         compute_series(hadamard(), 4, "magic")
+
+
+# --------------------------------------------------------------------------
+# the characteristic Laurent polynomial det(I - u M_hat) behind both log-det means
+
+def _char_poly_coins():
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    cols = rng.uniform(0.1, 1.0, size=(4, 4))
+    coins = [hadamard(0.7), hadamard(0.7, "f"), custom_coin(q), custom_coin(cols / cols.sum(axis=0))]
+    for d in (1, 2, 3):
+        grover = build_coin("grover", d)
+        coins += [grover, flip_flop(grover), build_coin("simple_rw", d)]
+    return coins
+
+
+@pytest.mark.parametrize("coin", _char_poly_coins(), ids=repr)
+def test_char_poly_matches_momentum_determinant(coin):
+    rng = np.random.default_rng(11)
+    d = coin.dim_d
+    eye = np.eye(2 * d, dtype=np.complex128)
+    for u in (-0.8, 0.35):
+        # an open mesh of random angles, 5, 1 and 3 on the axes, so that the
+        # axes are not contracted in index order
+        mesh = []
+        for j, n in enumerate((5, 1, 3)[:d]):
+            shape = [1] * d
+            shape[j] = n
+            mesh.append(rng.uniform(0.0, 2 * math.pi, size=n).reshape(shape))
+        got = _eval_char_poly(_char_poly(coin, u), tuple(mesh)).ravel()
+        nodes = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, d)
+        expected = det_stack(eye - u * _momentum_stack(coin, nodes))
+        assert np.max(np.abs(got - expected) / np.abs(expected)) < 1e-13
+
+
+def _coefficients(d, center, edge):
+    """(3,)*d coefficients of center + edge * sum_j (z_j + 1/z_j)."""
+    out = np.zeros((3,) * d, dtype=np.complex128)
+    out[(1,) * d] = center
+    for j in range(d):
+        for e in (0, 2):
+            idx = [1] * d
+            idx[j] = e
+            out[tuple(idx)] = edge
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_char_poly_closed_forms(d):
+    for u in (-0.8, -0.3, 0.45):
+        # flip-flop Grover: (1 - u^2)^(d-1) (1 - (2u/d) sum cos Theta_j + u^2)
+        scale = (1 - u * u) ** (d - 1)
+        grover = _char_poly(flip_flop(build_coin("grover", d)), u)
+        np.testing.assert_allclose(grover, _coefficients(d, scale * (1 + u * u), -scale * u / d),
+                                   rtol=0, atol=1e-15)
+        # the rank-one random-walk coin: 1 - (u/d) sum cos Theta_j
+        rw = _char_poly(build_coin("simple_rw", d), u)
+        np.testing.assert_allclose(rw, _coefficients(d, 1.0, -u / (2 * d)), rtol=0, atol=1e-15)
+
+
+def test_char_poly_coefficient_cap():
+    # 3^13 coefficients exceed the cap of 2^20; the check runs before any determinant
+    with pytest.raises(ComputationError, match=r"3\^13 = 1594323 coefficients"):
+        zeta_finite(build_coin("grover", 13), 1, 0.3)
+    with pytest.raises(ComputationError, match="coefficients"):
+        log_zeta(build_coin("simple_rw", 13), -0.5)
+
+
+def test_non_positive_determinant_names_the_node():
+    # (1 - u^2)(1 - u(cos a + cos b) + u^2) < 0 everywhere at u = 3; the first
+    # grid of the ladder is 16^2 and the first node is reported
+    first = float(0.5 * 2 * math.pi / 16)
+    with pytest.raises(ComputationError, match="non-positive real part") as err:
+        log_zeta(build_coin("simple_rw", 2), 3.0, QuadratureSpec(32))
+    assert f"Theta=({first}, {first}) (u=3.0)" in str(err.value)
+
+
+def test_singular_factor_names_the_node():
+    # (1 + z1)(1 + 1/z1)(1 + z2)(1 + 1/z2) at u = -1 vanishes first at k = (0, pi)
+    coin = custom_coin(np.eye(4))
+    with pytest.raises(ComputationError, match="singular factor") as err:
+        zeta_finite(coin, 4, -1.0)
+    assert f"k=(0.0, {math.pi}) (u=-1.0)" in str(err.value)
+
+
+def test_log_zeta_same_at_one_and_two_threads():
+    # 128^3 nodes are two grid_mean blocks, so the second thread has work
+    coin = flip_flop(build_coin("grover", 3))
+    spec = QuadratureSpec(128, 0.5, 1e-10, 0)
+    saved = get_thread_count()
+    try:
+        set_thread_count(1)
+        one = log_zeta_refined(coin, -0.5, spec)
+        set_thread_count(2)
+        two = log_zeta_refined(coin, -0.5, spec)
+    finally:
+        set_thread_count(saved)
+    assert one == two
