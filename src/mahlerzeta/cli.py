@@ -7,8 +7,8 @@ Every subcommand prints one JSON object::
 
 Numbers carry 17 significant digits; complex entries appear as [re, im]
 pairs.  Exit codes: 0 success, 1 computation failure (non-convergence,
-singular factor, a grid over the work budget, a linear-algebra, floating-point
-or memory error), 2 usage or parse error.
+singular factor, a grid over the work budget, a linear-algebra, arithmetic
+(floating-point, overflow) or memory error), 2 usage or parse error.
 Output is byte-identical for identical inputs; pass --timing to add wall
 time to the diagnostics.
 """
@@ -48,6 +48,7 @@ from .quadrature import QuadratureSpec, set_thread_count
 from .walk import delta_state, evolve, total_measure, uniform_state
 from .zeta import (
     _real,
+    _site_coords,
     compute_series,
     log_zeta_refined,
     log_zeta_series,
@@ -254,13 +255,8 @@ def _cmd_evolve(args):
               "N": args.N, "steps": args.steps, "p": args.p, "initial": args.initial}
     result = {"time": final.time, "total_measure": total_measure(final, args.p)}
     if args.emit_field:
-        sites = []
-        N, d = args.N, args.d
-        for flat in range(N ** d):
-            coords = tuple((flat // N ** j) % N for j in range(d))
-            sites.append({"site": list(coords),
-                          "vector": [complex(v) for v in final.field[coords]]})
-        result["field"] = sites
+        result["field"] = [{"site": list(c), "vector": [complex(v) for v in final.field[c]]}
+                           for c in _site_coords(args.N, args.d)]
     return inputs, result, {"initial_measure": total_measure(state, args.p)}
 
 
@@ -408,8 +404,8 @@ def main(argv=None) -> int:
     except LaurentSyntaxError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    # LinAlgError subclasses ValueError, but it is a numerical failure, not a usage error
-    except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
+    # a LinAlgError (a ValueError) or an ArithmeticError is a failed computation
+    except (np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
         sys.stderr.write(f"computation failed: {exc}\n")
         return 1
     except ValueError as exc:

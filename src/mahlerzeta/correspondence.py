@@ -151,7 +151,7 @@ def _cos_log_grid(d: int, points: int, shift: float, transform) -> float:
             s = s + np.cos(theta)
         return np.log(transform(s)).ravel(), None
 
-    mean, _ = grid_mean(fn, d, points, shift, axes=True)
+    mean, _ = grid_mean(fn, d, points, shift)
     return mean.real
 
 
@@ -522,7 +522,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "transience": 2e-2,
     "smyth_2var": 1e-9,
     "smyth_3var": 1e-8,
-    "catalan": 1e-5,
+    "catalan": 1e-14,
     "zeta3": 1e-13,
     "l_chi3": 1e-13,
 }
@@ -646,7 +646,7 @@ _REFERENCE_CONSTANTS = {
     # independently published decimal expansions
     "zeta3": ("zeta(3)", 1.2020569031595943, "zeta3"),
     "l_chi3": ("L(chi_-3, 2)", 0.7813024128964864, "L_chi3_2"),
-    "catalan": ("catalan constant (5-digit display)", 0.91596, "catalan_G"),
+    "catalan": ("catalan constant", 0.915965594177219015, "catalan_G"),
 }
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "parse_laurent",
     "format_laurent",
     "eval_laurent",
+    "mesh_evaluator",
 ]
 
 MAX_VAR_INDEX = 32
@@ -325,7 +326,7 @@ def eval_laurent(poly: LaurentPolynomial, point) -> complex:
 def _exponent_matrix(poly: LaurentPolynomial) -> tuple[np.ndarray, np.ndarray]:
     """Term exponents as an (n_terms, n_vars) int matrix plus the coefficients."""
     items = sorted(poly._terms.items(), key=lambda kv: _term_key(kv[0]), reverse=True)
-    exps = np.array([e for e, _ in items], dtype=np.float64).reshape(len(items), poly.n_vars)
+    exps = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), poly.n_vars)
     coeffs = np.array([c for _, c in items], dtype=np.complex128)
     return exps, coeffs
 
@@ -333,6 +334,58 @@ def _exponent_matrix(poly: LaurentPolynomial) -> tuple[np.ndarray, np.ndarray]:
 def eval_on_nodes(poly: LaurentPolynomial, nodes: np.ndarray) -> np.ndarray:
     """Vectorized unit-torus evaluation on an (n, n_vars) block of angles."""
     exps, coeffs = _exponent_matrix(poly)
-    phases = 1j * (nodes @ exps.T)
+    phases = 1j * (nodes @ exps.T.astype(np.float64))
     np.exp(phases, out=phases)
     return phases @ coeffs
+
+
+def mesh_evaluator(exps, coeffs):
+    """Plan sum_t c_t z^e_t, z_j = exp(i theta_j), for evaluation on open meshes.
+
+    ``exps`` is a (T, d) matrix of distinct integer exponent rows; ``coeffs``
+    has T rows, whose trailing axes are carried into the result.  The returned
+    function maps an open mesh (d broadcastable angle arrays of d dimensions)
+    to values of shape (mesh shape) + coeffs.shape[1:].  It contracts the axes
+    last to first against per-axis tables of z_j^e, merging terms that share
+    their exponents on the axes still left; that grouping is planned here.
+    """
+    order = np.lexsort(np.asarray(exps).T[::-1])
+    exps = np.asarray(exps, dtype=np.int64)[order]
+    coeffs = np.asarray(coeffs, dtype=np.complex128)[order]
+    d, trail = exps.shape[1], coeffs.ndim - 1
+    plan = []
+    for j in range(d - 1, -1, -1):
+        # the rows are sorted, so those that share exps[:, :j] are consecutive
+        first = np.concatenate([[True], np.any(exps[1:, :j] != exps[:-1, :j], axis=1)])
+        group = np.cumsum(first) - 1
+        parts = []
+        for e in sorted(set(exps[:, j].tolist())):
+            rows = np.flatnonzero(exps[:, j] == e)
+            src = np.full(group[-1] + 1, len(exps))  # a group without this exponent reads a zero
+            src[group[rows]] = rows
+            parts.append((e, src))
+        plan.append((j, parts))
+        exps = exps[first, :j]
+
+    def evaluate(mesh):
+        # axis 0 of ``out`` runs over the groups, the mesh axes follow
+        out = coeffs.reshape(coeffs.shape[:1] + (1,) * d + coeffs.shape[1:])
+        for j, parts in plan:
+            out = np.concatenate([out, np.zeros_like(out[:1])])
+            theta = np.reshape(mesh[j], np.shape(mesh[j]) + (1,) * trail)
+            tables = {k: np.exp(1j * k * theta) for k in {abs(e) for e, _ in parts} - {0}}
+            acc = None
+            for e, src in parts:  # ascending e; terms are new arrays, shaped as acc but on axis j
+                term = out[src]
+                if e:
+                    term = term * (tables[e] if e > 0 else np.conj(tables[-e]))
+                if acc is not None and acc.size >= term.size:
+                    acc += term
+                else:
+                    acc = term if acc is None else acc + term
+            out = acc
+        # an axis on which every exponent is 0 is broadcast here, as a read-only view
+        shape = np.broadcast_shapes(*(np.shape(a) for a in mesh)) + coeffs.shape[1:]
+        return out[0] if out[0].shape == shape else np.broadcast_to(out[0], shape)
+
+    return evaluate

@@ -24,7 +24,8 @@ import numpy as np
 
 from .coins import F_TYPE, M_TYPE
 from .errors import ComputationError
-from .laurent import LaurentPolynomial, eval_on_nodes
+# eval_on_nodes stays for mahler_quadrature, the route independent of mesh_evaluator
+from .laurent import LaurentPolynomial, _exponent_matrix, eval_on_nodes, mesh_evaluator
 from .quadrature import QuadratureSpec, grid_mean, refine_to_tol
 
 __all__ = [
@@ -73,7 +74,8 @@ def _default_spec(n_vars: int) -> QuadratureSpec:
 
 
 def _log_abs_block(poly: LaurentPolynomial):
-    def fn(nodes):
+    def fn(mesh):
+        nodes = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, len(mesh))
         mags = np.abs(eval_on_nodes(poly, nodes))
         with np.errstate(divide="ignore"):
             return np.log(mags), float(mags.min()) if mags.size else None
@@ -235,9 +237,7 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     """
     if poly.n_vars == 1:
         return mahler_univariate(poly)
-    terms = poly.terms
-    exps = np.array(list(terms), dtype=np.int64)
-    coeffs = np.array(list(terms.values()), dtype=np.complex128)
+    exps, coeffs = _exponent_matrix(poly)
     low = exps.min(axis=0)
     span = exps.max(axis=0) - low
     used = [int(j) for j in np.flatnonzero(span)]
@@ -252,15 +252,14 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
         raise ComputationError(
             f"every variable has degree span above {_MAX_FIBER_DEGREE}; "
             f"the reduced route would eliminate one of span {degree}")
-    # fiber coefficient k at a node = sum over the rows of ``table[:, k]``
-    # weighted by exp(i nodes . outer_row)
+    # column k of ``table``: fiber coefficient k as a polynomial in the other variables
     outer, row = np.unique(exps[:, rest], axis=0, return_inverse=True)
     table = np.zeros((len(outer), degree + 1), dtype=np.complex128)
     table[row.ravel(), exps[:, var] - low[var]] = coeffs
-    outer = outer.astype(np.float64)
+    evaluate = mesh_evaluator(outer, table)
 
-    def fn(nodes):
-        values, gap = _fiber_measures(np.exp(1j * (nodes @ outer.T)) @ table)
+    def fn(mesh):
+        values, gap = _fiber_measures(evaluate(mesh).reshape(-1, degree + 1))
         return values, float(gap.min())
 
     d = len(rest)
@@ -421,9 +420,10 @@ def zeta_mahler(poly: LaurentPolynomial, s: float, quad: QuadratureSpec | None =
     """Torus average of |f|^s (the zeta Mahler measure at real s)."""
     spec = quad or _default_spec(poly.n_vars)
     d = poly.n_vars
+    evaluate = mesh_evaluator(*_exponent_matrix(poly))
 
-    def fn(nodes):
-        return np.abs(eval_on_nodes(poly, nodes)) ** s, None
+    def fn(mesh):
+        return np.abs(evaluate(mesh)).ravel() ** s, None
 
     def eval_at(points):
         mean, _ = grid_mean(fn, d, points, spec.node_shift)

@@ -7,12 +7,11 @@ geometrically, so refinement doubles the per-axis node count.
 ``grid_mean`` builds every node from one per-axis angle vector and cuts the
 grid into product-set blocks: a block fixes the leading axes, takes a run of
 indices on one axis and spans every later axis in full.  An integrand sees a
-block either as an (n, d) angle array (the default) or, with ``axes=True``,
-as the open mesh of d per-axis angle arrays, so that an integrand which
-depends on each axis separately (a sum of cosines) can work on per-axis
-tables and broadcast them.  Block sums are accumulated in a fixed order with
-``math.fsum``, which makes every result bit-reproducible and independent of
-the worker thread count.
+block as its open mesh, d per-axis angle arrays that broadcast together, so
+it can work on per-axis tables (cosines, powers of e^(i theta_j)) and build
+per-node rows only where it needs them.  Block sums are accumulated in a
+fixed order with ``math.fsum``, which makes every result bit-reproducible and
+independent of the worker thread count.
 
 ``refine_to_tol`` is the one refinement ladder: every refined torus average
 in the package runs through it, with or without Richardson extrapolation.
@@ -117,38 +116,24 @@ def _open_mesh(axis: np.ndarray, d: int, block) -> tuple[np.ndarray, ...]:
     outer, j0, j1 = block
     parts = [axis[i:i + 1] for i in outer] + [axis[j0:j1]]
     parts += [axis] * (d - len(parts))
-    mesh = []
-    for j, part in enumerate(parts):
-        shape = [1] * d
-        shape[j] = part.size
-        mesh.append(part.reshape(shape))
-    return tuple(mesh)
-
-
-def _dense(mesh: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The block's nodes as an (n, d) angle array, rows in row-major order."""
-    shape = np.broadcast_shapes(*(a.shape for a in mesh))
-    out = np.empty(shape + (len(mesh),), dtype=np.float64)
-    for j, a in enumerate(mesh):
-        out[..., j] = a
-    return out.reshape(-1, len(mesh))
+    return tuple(part.reshape([part.size if k == j else 1 for k in range(d)])
+                 for j, part in enumerate(parts))
 
 
 def grid_mean(fn, d: int, points: int, shift: float, *, max_block: int | None = None,
-              threads: int | None = None, axes: bool = False) -> tuple[complex, float | None]:
+              threads: int | None = None) -> tuple[complex, float | None]:
     """Average ``fn`` over the tensor grid with M = ``points`` nodes per axis.
 
     The grid is cut into product-set blocks of at most ``max_block`` nodes
     (default 2^20): a block fixes the leading axes, takes a run of indices
     on one axis and spans every later axis in full.  When M and
     ``max_block`` are powers of two the blocks are runs of the flattened
-    row-major index.  ``fn`` is called once per block and returns
-    ``(values, stat)`` where ``values`` is a 1-D array (real or complex) over
-    the block's nodes in row-major order and ``stat`` is a float minimum
-    statistic or None.  By default ``fn`` receives the block as an (n, d)
-    angle array.  With ``axes=True`` it receives the open mesh instead: a
-    tuple of d angle arrays, axis j of shape 1 except along dimension j, which
-    broadcast together to the block's shape.  Returns ``(mean, min_stat)``.
+    row-major index.  ``fn`` is called once per block with its open
+    mesh: a tuple of d angle arrays, axis j of shape 1 except along dimension
+    j, which broadcast together to the block's shape.  It returns ``(values,
+    stat)`` where ``values`` is a 1-D array (real or complex) over the
+    block's nodes in row-major order and ``stat`` is a float minimum
+    statistic or None.  Returns ``(mean, min_stat)``.
     A grid of more than 2^26 nodes raises ``ComputationError`` before ``fn``
     is called.
     """
@@ -165,8 +150,7 @@ def grid_mean(fn, d: int, points: int, shift: float, *, max_block: int | None = 
     blocks = _blocks(d, points, max_block)
 
     def work(block):
-        mesh = _open_mesh(axis, d, block)
-        values, stat = fn(mesh if axes else _dense(mesh))
+        values, stat = fn(_open_mesh(axis, d, block))
         s = complex(np.sum(values))
         return s.real, s.imag, stat
 

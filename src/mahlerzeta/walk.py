@@ -109,11 +109,15 @@ def uniform_state(dim_d: int, side_N: int) -> WalkState:
     return WalkState(dim_d, side_N, field, 0)
 
 
-def _phases(coin: CoinMatrix, angles: np.ndarray) -> np.ndarray:
-    p = np.empty(2 * coin.dim_d, dtype=np.complex128)
-    p[0::2] = np.exp(1j * angles)
-    p[1::2] = np.exp(-1j * angles)
-    return p
+def _momentum_stack(coin: CoinMatrix, mesh) -> np.ndarray:
+    """Momentum matrices on d broadcastable angle arrays, from per-axis phases."""
+    shape = np.broadcast_shapes(*(np.shape(theta) for theta in mesh))
+    phases = np.empty(shape + (2 * coin.dim_d,), dtype=np.complex128)
+    for j, theta in enumerate(mesh):
+        z = np.exp(1j * theta)
+        phases[..., 2 * j] = z
+        phases[..., 2 * j + 1] = np.conj(z)
+    return phases[..., :, None] * coin.entries
 
 
 def momentum_matrix(coin: CoinMatrix, k) -> np.ndarray:
@@ -126,7 +130,7 @@ def momentum_matrix(coin: CoinMatrix, k) -> np.ndarray:
     angles = np.asarray(k.angles if isinstance(k, MomentumPoint) else list(k), dtype=np.float64)
     if angles.shape != (coin.dim_d,):
         raise ValueError(f"momentum must have {coin.dim_d} components, got {angles.shape}")
-    return _phases(coin, angles)[:, None] * coin.entries
+    return _momentum_stack(coin, tuple(angles))
 
 
 def evolve(state: WalkState, coin: CoinMatrix, steps: int) -> WalkState:

@@ -18,9 +18,9 @@ with the uniform measure.  Row 2j of M_hat carries z_j = e^(i Theta_j) and
 row 2j+1 carries 1/z_j, so det(I - u M_hat) is a Laurent polynomial P_u in
 z_1..z_d with every exponent in {-1, 0, 1}, and L(A, u) is its logarithmic
 Mahler measure m(P_u).  Both torus averages above evaluate P_u from its 3^d
-coefficients on per-axis tables of z_j.  The coefficients C_r of
-log zeta = sum_r C_r u^r / r are averaged traces of powers of M_hat, equal to
-the trace of the step-r return weight on Z^d.
+coefficients with ``laurent.mesh_evaluator``, as the Mahler routes evaluate
+theirs.  The coefficients C_r of log zeta = sum_r C_r u^r / r are averaged
+traces of powers of M_hat, equal to the trace of the step-r return weight.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ import numpy as np
 
 from .coins import CoinMatrix, F_TYPE, HADAMARD, M_TYPE
 from .errors import ComputationError
+from .laurent import mesh_evaluator
 from .quadrature import QuadratureSpec, det_stack, grid_mean, refine_to_tol
-from .walk import matrix_weight_origin, matrix_weight_traces
+from .walk import _momentum_stack, matrix_weight_origin, matrix_weight_traces
 
 __all__ = [
     "SeriesCoefficients",
@@ -85,19 +86,11 @@ def _matrix_block_cap(d: int) -> int:
     return max(4096, (1 << 22) // ((2 * d) ** 2))
 
 
-def _momentum_stack(coin: CoinMatrix, nodes: np.ndarray) -> np.ndarray:
-    """Momentum matrices for a block of nodes, shape (n, 2d, 2d)."""
-    phases = np.empty((nodes.shape[0], 2 * coin.dim_d), dtype=np.complex128)
-    phases[:, 0::2] = np.exp(1j * nodes)
-    phases[:, 1::2] = np.conj(phases[:, 0::2])
-    return phases[:, :, None] * coin.entries[None, :, :]
+def _char_poly(coin: CoinMatrix, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """det(I - u M_hat(Theta)) in z_j = e^(i Theta_j): exponent matrix and coefficients.
 
-
-def _char_poly(coin: CoinMatrix, u: float) -> np.ndarray:
-    """Coefficients of det(I - u M_hat(Theta)) in z_j = e^(i Theta_j), shape (3,)*d.
-
-    Entry [e_1 + 1, ..., e_d + 1] is the coefficient of z_1^e_1 ... z_d^e_d.
-    Every exponent lies in {-1, 0, 1}, so the determinants at the 3^d nodes
+    The (3^d, d) exponent matrix lists {-1, 0, 1}^d in lexicographic order.
+    With every exponent in {-1, 0, 1}, the determinants at the 3^d nodes
     Theta_j in {0, 2pi/3, 4pi/3} fix the polynomial: their discrete Fourier
     transform holds exponent e at index e mod 3.
     """
@@ -107,41 +100,22 @@ def _char_poly(coin: CoinMatrix, u: float) -> np.ndarray:
             f"det(I - u M_hat) of a d={d} coin has 3^{d} = {3 ** d} coefficients, "
             f"above the cap of {_CHAR_POLY_CAP} (2^20)"
         )
-    axis = np.arange(3) * (2.0 * math.pi / 3)
-    nodes = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    index = np.indices((3,) * d).reshape(d, -1).T
+    nodes = index * (2.0 * math.pi / 3)
     eye = np.eye(2 * d, dtype=np.complex128)
     step = _matrix_block_cap(d)
-    dets = np.concatenate([det_stack(eye - u * _momentum_stack(coin, nodes[i:i + step]))
+    dets = np.concatenate([det_stack(eye - u * _momentum_stack(coin, nodes[i:i + step].T))
                            for i in range(0, nodes.shape[0], step)])
     coeffs = np.fft.fftn(dets.reshape((3,) * d)) / 3 ** d
-    return coeffs[np.ix_(*[[2, 0, 1]] * d)]
-
-
-def _eval_char_poly(coeffs: np.ndarray, mesh) -> np.ndarray:
-    """``_char_poly`` coefficients evaluated on an open mesh of angles.
-
-    Contracts one axis at a time against the per-axis table of z_j; the
-    result has the mesh's broadcast shape.  Contracting an axis of n nodes
-    scales the array by n/3, so taking the axes with fewest nodes first (ties:
-    last axis first) keeps every intermediate within the larger of 3^d and
-    the block size.
-    """
-    d = len(mesh)
-    order = sorted(range(d), key=lambda j: (mesh[j].size, -j))
-    # the axis contracted next is the last coefficient axis
-    out = coeffs.transpose(order[::-1])
-    for t, j in enumerate(order):
-        z = np.exp(1j * mesh[j]).reshape(mesh[j].shape + (1,) * (d - 1 - t))
-        out = out[..., 0] * np.conj(z) + out[..., 1] + out[..., 2] * z
-    return out
+    return index - 1, coeffs[np.ix_(*[[2, 0, 1]] * d)].ravel()
 
 
 def _log_det_block(coin: CoinMatrix, u: float, require_positive: bool):
-    """``grid_mean`` integrand (``axes=True``) of log det(I - u M_hat)."""
-    coeffs = _char_poly(coin, u)
+    """``grid_mean`` integrand of log det(I - u M_hat), from its Laurent coefficients."""
+    evaluate = mesh_evaluator(*_char_poly(coin, u))
 
     def fn(mesh):
-        dets = _eval_char_poly(coeffs, mesh)
+        dets = evaluate(mesh)
 
         def node(mask):
             where = np.unravel_index(int(np.argmax(mask)), dets.shape)
@@ -161,7 +135,7 @@ def _log_det_block(coin: CoinMatrix, u: float, require_positive: bool):
                     f"singular factor: det(I - u M_hat) vanishes at "
                     f"k={node(tiny)} (u={u})"
                 )
-        return np.log(dets.ravel()), None
+        return np.log(dets, out=dets).ravel(), None
 
     return fn
 
@@ -178,7 +152,7 @@ def zeta_finite_log_mean(coin: CoinMatrix, N: int, u: float) -> complex:
     if 2 * d * N ** d > _GRID_CAP:
         raise ComputationError(f"momentum grid 2d*N^d = {2 * d * N ** d} exceeds cap {_GRID_CAP}")
     fn = _log_det_block(coin, u, require_positive=False)
-    mean, _ = grid_mean(fn, d, N, 0.0, axes=True)
+    mean, _ = grid_mean(fn, d, N, 0.0)
     return mean
 
 
@@ -205,12 +179,8 @@ def dense_walk_matrix(coin: CoinMatrix, N: int) -> np.ndarray:
     for coords in _site_coords(N, d):
         s = sum(coords[j] * N ** j for j in range(d))
         for j in range(d):
-            up = list(coords)
-            up[j] = (up[j] + 1) % N
-            dn = list(coords)
-            dn[j] = (dn[j] - 1) % N
-            s_up = sum(up[jj] * N ** jj for jj in range(d))
-            s_dn = sum(dn[jj] * N ** jj for jj in range(d))
+            s_up = s + ((coords[j] + 1) % N - coords[j]) * N ** j
+            s_dn = s + ((coords[j] - 1) % N - coords[j]) * N ** j
             # component 2j (0-based) reads from x + e_j, component 2j+1 from x - e_j
             mat[2 * d * s + 2 * j, 2 * d * s_up: 2 * d * s_up + 2 * d] = a[2 * j]
             mat[2 * d * s + 2 * j + 1, 2 * d * s_dn: 2 * d * s_dn + 2 * d] = a[2 * j + 1]
@@ -231,8 +201,8 @@ def zeta_finite_dense(coin: CoinMatrix, N: int, u: float) -> float:
 
 
 def _trace_power_block(coin: CoinMatrix, r: int):
-    def fn(nodes):
-        mats = _momentum_stack(coin, nodes)
+    def fn(mesh):
+        mats = _momentum_stack(coin, mesh).reshape(-1, 2 * coin.dim_d, 2 * coin.dim_d)
         power = mats
         for _ in range(r - 1):
             power = power @ mats
@@ -253,19 +223,11 @@ def cr_finite(coin: CoinMatrix, N: int, r: int) -> float:
     return _real(mean, 1e-10, f"the finite-torus C_{r}")
 
 
-def _refined_mean(fn, d: int, spec: QuadratureSpec, what: str, axes: bool = False):
-    """Refined torus mean of a momentum-space integrand, as a ``RefineResult``.
-
-    An ``axes=True`` integrand gets the open mesh and works on per-axis
-    tables, so it runs on ``grid_mean``'s default blocks; any other one gets
-    the node array and builds matrix stacks, so its blocks are capped by
-    ``_matrix_block_cap``.  Raises unless the ladder converges with an
-    imaginary residual below 1e-9.
-    """
-    max_block = None if axes else _matrix_block_cap(d)
+def _refined_mean(fn, d: int, spec: QuadratureSpec, what: str, max_block: int | None = None):
+    """Refined torus mean on blocks of at most ``max_block``; raises unless converged and real."""
 
     def eval_at(points):
-        mean, _ = grid_mean(fn, d, points, spec.node_shift, max_block=max_block, axes=axes)
+        mean, _ = grid_mean(fn, d, points, spec.node_shift, max_block=max_block)
         return mean
 
     res = refine_to_tol(eval_at, spec)
@@ -287,7 +249,8 @@ def cr_limit(coin: CoinMatrix, r: int, quad: QuadratureSpec | None = None) -> fl
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     spec = quad or QuadratureSpec(points_per_dim=max(32, 2 * r + 2), max_refinements=4)
-    res = _refined_mean(_trace_power_block(coin, r), coin.dim_d, spec, f"C_{r} quadrature")
+    res = _refined_mean(_trace_power_block(coin, r), coin.dim_d, spec, f"C_{r} quadrature",
+                        _matrix_block_cap(coin.dim_d))
     return res.value.real
 
 
@@ -334,7 +297,7 @@ def log_zeta_refined(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = N
     """Like ``log_zeta`` but returning the full refinement record."""
     spec = quad or QuadratureSpec()
     fn = _log_det_block(coin, u, require_positive=True)
-    return _refined_mean(fn, coin.dim_d, spec, "log-zeta quadrature", axes=True)
+    return _refined_mean(fn, coin.dim_d, spec, "log-zeta quadrature")
 
 
 def log_zeta(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = None) -> float:

@@ -146,8 +146,8 @@ def test_criterion_05_mahler_oracles(capsys, rng):
         poly = LaurentPolynomial(1, {(1,): 1, (-1,): 1, (0,): c})
         assert abs(mahler_quadrature(poly).value - mahler_closed_ftype(c)) < 1e-8
     for r in (0.0, 0.3, 0.6, 0.9):
-        def fn(nodes, r=r):
-            return np.log(1.0 - r * np.cos(nodes[:, 0])), None
+        def fn(mesh, r=r):
+            return np.log(1.0 - r * np.cos(mesh[0])), None
 
         mean, _ = grid_mean(fn, 1, 2048, 0.5)
         assert abs(mean.real - log_cos_identity(r)) < 1e-10

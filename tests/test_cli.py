@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mahlerzeta import cli, special_constants
 from mahlerzeta.cli import main
@@ -212,6 +215,44 @@ def test_cos_sum_output_independent_of_thread_count(capsys):
         assert out1 == out2
 
 
+def _coin_flags(coin, d):
+    return ["--coin", "hadamard", "--xi", "0.5"] if coin == "hadamard" else [
+        "--coin", coin, "--d", str(d)]
+
+
+_COINS = st.tuples(st.sampled_from(["hadamard", "grover", "rw"]), st.integers(1, 3))
+_U = st.sampled_from(["-0.5", "-0.2", "0.3"])
+_POLY_GRID = st.sampled_from([("X1 + X2 + 1", 64), ("X1*X2^-1 + 2*X2 - 3", 32),
+                              ("X1^2 + X1^-1*X2 + 3", 64), ("X1 + X2 + X3 + 1", 16)])
+# every grid_mean integrand that reads the open mesh, on grids of at most 64 per axis
+_CALLS = st.one_of(
+    st.builds(lambda c, shift, u, grid: ["logzeta", *_coin_flags(*c), "--shift", shift,
+                                         "--u", u, "--grid", str(grid), "--tol", "1e-4"],
+              _COINS, st.sampled_from(["m", "f"]), _U, st.sampled_from([8, 16, 32, 64])),
+    st.builds(lambda c, n, u: ["zeta-finite", *_coin_flags(*c), "--N", str(n), "--u", u],
+              _COINS, st.integers(1, 5), _U),
+    st.builds(lambda pg, route: ["mahler", "--poly", pg[0], "--grid", str(pg[1]),
+                                 "--tol", "1e-4", *route],
+              _POLY_GRID, st.sampled_from([["--method", "jensen"], ["--s", "2"],
+                                           ["--method", "quadrature"]])),
+    st.builds(lambda c, r: ["cr", *_coin_flags(*c), "--r-max", str(r), "--method", "quad_limit"],
+              _COINS, st.integers(1, 4)),
+)
+
+
+def _run_captured(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_CALLS)
+def test_output_independent_of_thread_count(argv):
+    assert _run_captured(argv + ["--threads", "1"]) == _run_captured(argv + ["--threads", "2"])
+
+
 def test_timing_flag_adds_diagnostic(capsys):
     args = ["logzeta", "--coin", "rw", "--d", "1", "--u", "-0.5", "--grid", "64"]
     _, out, _ = run_cli(args + ["--timing"], capsys)
@@ -240,6 +281,15 @@ def test_numerical_failures_exit_1(monkeypatch, capsys, exc):
     assert code == 1
     assert out == ""
     assert err == f"computation failed: {exc}\n"
+
+
+def test_closed_form_overflow_exit_1(capsys):
+    # C(l-1, m-1)^2 of the closed form's sum overflows a float for large r
+    code, out, err = run_cli(["cr", "--coin", "hadamard", "--xi", "0.5", "--r-max", "2000",
+                              "--method", "closed_form"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "computation failed: int too large to convert to float\n"
 
 
 def test_zeta_finite_imaginary_residual_exit_1(monkeypatch, capsys):

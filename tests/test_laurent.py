@@ -11,6 +11,7 @@ from mahlerzeta import (
     format_laurent,
     parse_laurent,
 )
+from mahlerzeta.laurent import mesh_evaluator
 
 
 # --------------------------------------------------------------------------
@@ -194,3 +195,42 @@ def test_unit_torus_modulus():
         mono = LaurentPolynomial(1, {(a,): 1.0})
         for theta in np.linspace(0.0, 6.2, 10):
             assert abs(abs(eval_laurent(mono, [theta])) - 1.0) < 1e-14
+
+
+# --------------------------------------------------------------------------
+# per-axis evaluation on open meshes
+
+@st.composite
+def mesh_cases(draw):
+    d = draw(st.integers(1, 4))
+    exps = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=7,
+                         unique=True))
+    trailing = draw(st.sampled_from([(), (2,)]))
+    sizes = draw(st.tuples(*[st.integers(1, 4)] * d))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (len(exps),) + trailing
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    mesh = tuple(rng.uniform(0.0, 2 * math.pi, size=n).reshape([n if k == j else 1
+                                                                  for k in range(d)])
+                 for j, n in enumerate(sizes))
+    return np.array(exps), coeffs, mesh
+
+
+@given(mesh_cases())
+@settings(max_examples=100, deadline=None)
+def test_mesh_evaluator_matches_eval_laurent(case):
+    # unsorted rows, exponents that are 0 on a whole axis, mesh axes of one
+    # node and a trailing coefficient axis all occur in the draws
+    exps, coeffs, mesh = case
+    d = exps.shape[1]
+    got = mesh_evaluator(exps, coeffs)(mesh)
+    shape = tuple(a.size for a in mesh)
+    assert got.shape == shape + coeffs.shape[1:]
+    nodes = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, d)
+    flat_c = coeffs.reshape(len(exps), -1)
+    got = got.reshape(len(nodes), -1)
+    for k in range(flat_c.shape[1]):
+        poly = LaurentPolynomial(d, dict(zip(map(tuple, exps), flat_c[:, k])))
+        expected = [eval_laurent(poly, node[:poly.n_vars]) for node in nodes]
+        scale = np.abs(flat_c[:, k]).sum()
+        assert np.max(np.abs(got[:, k] - expected)) <= 1e-13 * scale

@@ -348,8 +348,8 @@ def test_log_cos_identity_values():
 
 def test_log_cos_identity_vs_quadrature():
     for r in (0.0, 0.3, 0.6, 0.9):
-        def fn(nodes, r=r):
-            return np.log(1.0 - r * np.cos(nodes[:, 0])), None
+        def fn(mesh, r=r):
+            return np.log(1.0 - r * np.cos(mesh[0])), None
 
         mean, _ = grid_mean(fn, 1, 2048, 0.5)
         assert abs(mean.real - log_cos_identity(r)) < 1e-10
@@ -359,11 +359,11 @@ def test_log_sin_and_cos_agree():
     # sine and cosine versions of the same circle average coincide
     r = 0.7
 
-    def fn_sin(nodes):
-        return np.log(1.0 - r * np.sin(nodes[:, 0])), None
+    def fn_sin(mesh):
+        return np.log(1.0 - r * np.sin(mesh[0])), None
 
-    def fn_cos(nodes):
-        return np.log(1.0 - r * np.cos(nodes[:, 0])), None
+    def fn_cos(mesh):
+        return np.log(1.0 - r * np.cos(mesh[0])), None
 
     sin_mean, _ = grid_mean(fn_sin, 1, 2048, 0.5)
     cos_mean, _ = grid_mean(fn_cos, 1, 2048, 0.5)

@@ -106,9 +106,9 @@ def test_ladder_stops_on_nan():
 def test_grid_mean_rejects_oversized_grid_before_any_work(d, points):
     called = []
 
-    def fn(nodes):
-        called.append(nodes.shape)
-        return nodes[:, 0], None
+    def fn(mesh):
+        called.append(len(mesh))
+        return mesh[0].ravel(), None
 
     with pytest.raises(ComputationError, match=f"grid {points}\\^{d}.*cap"):
         grid_mean(fn, d, points, 0.5)
@@ -123,17 +123,23 @@ def test_grid_mean_axes_view_rejects_oversized_grid_before_any_work(d, points):
         called.append(len(mesh))
         return mesh[0].ravel(), None
 
+    # with one-row blocks the cap still comes before any block is built
     with pytest.raises(ComputationError, match=f"grid {points}\\^{d}.*cap"):
-        grid_mean(fn, d, points, 0.5, axes=True)
+        grid_mean(fn, d, points, 0.5, max_block=points)
     assert called == []
 
 
 # --------------------------------------------------------------------------
 # product-set blocks
 
+def _rows(mesh):
+    """The block's nodes as an (n, d) angle array, rows in row-major order."""
+    return np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, len(mesh))
+
+
 def _cos_log_dense(d, points, shift, transform, max_block=None):
-    def fn(nodes):
-        return np.log(transform(np.sum(np.cos(nodes), axis=1))), None
+    def fn(mesh):
+        return np.log(transform(np.sum(np.cos(_rows(mesh)), axis=1))), None
 
     return grid_mean(fn, d, points, shift, max_block=max_block)[0].real
 
@@ -141,9 +147,10 @@ def _cos_log_dense(d, points, shift, transform, max_block=None):
 @pytest.mark.parametrize("d, points", [(1, 4096), (2, 1024), (3, 128), (4, 32), (5, 12),
                                        (7, 6), (8, 4), (9, 3)])
 def test_cos_sum_axes_view_matches_dense_view(d, points):
-    # up to 2^20 nodes a grid is one block; (3, 128) is two.  Below 8 axes
-    # both views add a row's cosines left to right; numpy adds longer rows
-    # pairwise, so from 8 axes on they agree to rounding only
+    # per-axis cosine tables against per-node rows built from the mesh.  Up
+    # to 2^20 nodes a grid is one block; (3, 128) is two.  Below 8 axes both
+    # add a row's cosines left to right; numpy adds longer rows pairwise, so
+    # from 8 axes on they agree to rounding only
     transform = lambda s: 1.0 - (0.9 / d) * s
     for shift in (0.5, 0.0):
         axes = _cos_log_grid(d, points, shift, transform)
@@ -159,7 +166,8 @@ def test_small_block_covers_every_node_once_in_row_major_order():
     d, points = 3, 16
     seen = []
 
-    def fn(nodes):
+    def fn(mesh):
+        nodes = _rows(mesh)
         assert nodes.shape[0] <= 100
         seen.append(nodes)
         a, b, c = nodes.T
@@ -185,7 +193,7 @@ def test_small_block_axes_view_matches_dense_view():
         s = np.cos(mesh[0]) + np.cos(mesh[1]) + np.cos(mesh[2])
         return np.log(transform(s)).ravel(), None
 
-    assert grid_mean(fn, 3, 16, 0.5, max_block=100, axes=True)[0].real == dense
+    assert grid_mean(fn, 3, 16, 0.5, max_block=100)[0].real == dense
 
 
 def test_axes_view_same_at_one_and_two_threads():
@@ -193,8 +201,8 @@ def test_axes_view_same_at_one_and_two_threads():
         s = np.cos(mesh[0]) + np.cos(mesh[1]) + np.cos(mesh[2])
         return np.log(1.0 - 0.3 * s).ravel(), None
 
-    one = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12, axes=True, threads=1)
-    two = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12, axes=True, threads=2)
+    one = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12, threads=1)
+    two = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12, threads=2)
     assert one == two
 
 

@@ -23,7 +23,9 @@ from mahlerzeta import (
     zeta_finite_dense,
 )
 from mahlerzeta.quadrature import det_stack, get_thread_count, set_thread_count
-from mahlerzeta.zeta import _char_poly, _eval_char_poly, _momentum_stack
+from mahlerzeta.laurent import mesh_evaluator
+from mahlerzeta.walk import _momentum_stack
+from mahlerzeta.zeta import _char_poly
 
 
 def hadamard(xi=math.pi / 4, shift="m"):
@@ -270,16 +272,15 @@ def test_char_poly_matches_momentum_determinant(coin):
     d = coin.dim_d
     eye = np.eye(2 * d, dtype=np.complex128)
     for u in (-0.8, 0.35):
-        # an open mesh of random angles, 5, 1 and 3 on the axes, so that the
-        # axes are not contracted in index order
+        # an open mesh of random angles, 5, 1 and 3 on the axes (one axis of
+        # a single node, as in a block that fixes the leading axes)
         mesh = []
         for j, n in enumerate((5, 1, 3)[:d]):
             shape = [1] * d
             shape[j] = n
             mesh.append(rng.uniform(0.0, 2 * math.pi, size=n).reshape(shape))
-        got = _eval_char_poly(_char_poly(coin, u), tuple(mesh)).ravel()
-        nodes = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, d)
-        expected = det_stack(eye - u * _momentum_stack(coin, nodes))
+        got = mesh_evaluator(*_char_poly(coin, u))(tuple(mesh)).ravel()
+        expected = det_stack(eye - u * _momentum_stack(coin, mesh)).reshape(-1)
         assert np.max(np.abs(got - expected) / np.abs(expected)) < 1e-13
 
 
@@ -300,11 +301,11 @@ def test_char_poly_closed_forms(d):
     for u in (-0.8, -0.3, 0.45):
         # flip-flop Grover: (1 - u^2)^(d-1) (1 - (2u/d) sum cos Theta_j + u^2)
         scale = (1 - u * u) ** (d - 1)
-        grover = _char_poly(flip_flop(build_coin("grover", d)), u)
+        grover = _char_poly(flip_flop(build_coin("grover", d)), u)[1].reshape((3,) * d)
         np.testing.assert_allclose(grover, _coefficients(d, scale * (1 + u * u), -scale * u / d),
                                    rtol=0, atol=1e-15)
         # the rank-one random-walk coin: 1 - (u/d) sum cos Theta_j
-        rw = _char_poly(build_coin("simple_rw", d), u)
+        rw = _char_poly(build_coin("simple_rw", d), u)[1].reshape((3,) * d)
         np.testing.assert_allclose(rw, _coefficients(d, 1.0, -u / (2 * d)), rtol=0, atol=1e-15)
 
 
