@@ -2,9 +2,9 @@
 
 Every verifier compares two computation paths that share no code beyond
 complex arithmetic (a determinant quadrature against a Mahler decomposition,
-a hypergeometric form against a torus integral, a finite-difference derivative
-against an exact path-count series), so agreement at the stated tolerance is
-evidence rather than tautology.
+a hypergeometric form against a torus integral, the return (Green) function as
+a torus mean against an exact path-count series), so agreement at the stated
+tolerance is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def verify_1d_qw(xi: float, u: float, shift_type: str,
     )
 
 
-def _cos_log_grid(d: int, points: int, shift: float, transform) -> float:
-    """Average of log(transform(sum_j cos theta_j)) over one M^d grid.
+def _cos_sum_grid(d: int, points: int, shift: float, integrand) -> float:
+    """Average of integrand(sum_j cos theta_j) over one M^d grid.
 
     The block's cosine sum is broadcast from the per-axis cosines and added
     left to right, the order in which ``np.sum(..., axis=1)`` adds a row of
@@ -149,7 +149,7 @@ def _cos_log_grid(d: int, points: int, shift: float, transform) -> float:
         s = np.cos(mesh[0])
         for theta in mesh[1:]:
             s = s + np.cos(theta)
-        return np.log(transform(s)).ravel(), None
+        return integrand(s).ravel(), None
 
     mean, _ = grid_mean(fn, d, points, shift)
     return mean.real
@@ -162,7 +162,8 @@ def _cos_log_mean(d: int, spec: QuadratureSpec, transform, ratio: float | None =
     ladder extrapolates at that fixed error ratio and its last extrapolant is
     returned as it stands.
     """
-    res = refine_to_tol(lambda points: _cos_log_grid(d, points, spec.node_shift, transform),
+    integrand = lambda s: np.log(transform(s))
+    res = refine_to_tol(lambda points: _cos_sum_grid(d, points, spec.node_shift, integrand),
                         spec, None if ratio is None else (lambda: ratio))
     if ratio is None and not res.converged:
         raise ComputationError(
@@ -411,7 +412,8 @@ def green_series_estimate(d: int, u: float, n_exact: int = 60) -> float:
 # --------------------------------------------------------------------------
 # transience probe
 
-_PROBE_H = 1e-5
+# the capped probe grids resolve the Green function up to this u
+_PROBE_U_MAX = 0.9999
 
 
 @dataclass(frozen=True)
@@ -431,9 +433,9 @@ class TransienceProbe:
 
 
 def _rw_probe_points(d: int, u: float) -> int:
-    # resolution set by the analyticity strip of log(1 - (u/d) sum cos);
-    # the central difference amplifies the quadrature error by roughly
-    # M * dstrip/du, which the extra margin in the 19 covers
+    # resolution set by the analyticity strip of 1/(1 - (u/d) sum cos): the
+    # midpoint rule's error falls like exp(-M * strip), and 19/strip nodes
+    # put it near e^-19 of the value until the cap binds
     strip = math.acosh(d / u - (d - 1))
     points = int(math.ceil(19.0 / strip))
     size = 64
@@ -443,14 +445,16 @@ def _rw_probe_points(d: int, u: float) -> int:
 
 
 def transience_probe(d: int, u_values) -> TransienceProbe:
-    """Estimate u d/du of the random-walk log zeta along u_values -> 1.
+    """u d/du of the random-walk log zeta along u_values -> 1.
 
-    Central differences with h = 1e-5 on the scalar random-walk integrand;
-    the walk is judged recurrent (divergent derivative) unless the last two
-    increments shrink by better than a factor of two.  For d = 3 the Green
-    values are extrapolated in sqrt(1-u).  The partial return series
-    sum_{n<=12} P_n u^n rides along as a diagnostic cross-check of
-    1 - u dL/du, with its geometric truncation bound.
+    With L(u) the torus mean of log(1 - (u/d) sum_j cos theta_j), exactly
+    u dL/du = 1 - G(u), where the Green function G(u) is the torus mean of
+    1/(1 - (u/d) sum_j cos theta_j); G is taken on one grid per u, sized by
+    the integrand's analyticity strip.  The walk is judged recurrent
+    (divergent derivative) unless the last two increments shrink by better
+    than a factor of two.  For d = 3 the Green values are extrapolated in
+    sqrt(1-u).  The partial return series sum_{n<=12} P_n u^n rides along
+    as a diagnostic cross-check of G, with its geometric truncation bound.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
@@ -461,22 +465,14 @@ def transience_probe(d: int, u_values) -> TransienceProbe:
         raise ValueError("u values must be strictly ascending")
     if us[0] <= 0.0 or us[-1] >= 1.0:
         raise ValueError("u values must lie in (0, 1)")
-    if us[-1] > 1.0 - 10 * _PROBE_H:
+    if us[-1] > _PROBE_U_MAX:
         raise ValueError(
-            f"u={us[-1]} too close to 1 for stable differencing (limit {1.0 - 10 * _PROBE_H})"
+            f"u={us[-1]} too close to 1 for the probe grids (limit {_PROBE_U_MAX})"
         )
-
-    def rw_log_zeta(v: float, points: int) -> float:
-        # one grid, no ladder: the probe sets its own resolution
-        return _cos_log_grid(d, points, 0.5, lambda s: 1.0 - (v / d) * s)
-
-    derivs = []
-    for u in us:
-        points = _rw_probe_points(d, u)
-        up = rw_log_zeta(u + _PROBE_H, points)
-        dn = rw_log_zeta(u - _PROBE_H, points)
-        derivs.append(u * (up - dn) / (2.0 * _PROBE_H))
-    greens = [1.0 - g for g in derivs]
+    # one grid per u, no ladder: the probe sets its own resolution
+    greens = [_cos_sum_grid(d, _rw_probe_points(d, u), 0.5,
+                            lambda s, u=u: 1.0 / (1.0 - (u / d) * s)) for u in us]
+    derivs = [1.0 - g for g in greens]
     increments = [abs(b - a) for a, b in zip(derivs, derivs[1:])]
     bounded = len(increments) >= 2 and increments[-1] * 2.0 < increments[-2]
     extrapolated = None

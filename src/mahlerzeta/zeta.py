@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 _DENSE_CAP = 4096
-_GRID_CAP = 1 << 26
 # coefficients of det(I - u M_hat), one per exponent vector in {-1, 0, 1}^d
 _CHAR_POLY_CAP = 1 << 20
 
@@ -144,15 +143,13 @@ def zeta_finite_log_mean(coin: CoinMatrix, N: int, u: float) -> complex:
     """Grid mean of log det(I - u M_hat(k)) over the N^d momentum lattice.
 
     The imaginary part is the residual left after conjugate momenta cancel;
-    callers requiring a real zeta value must check it.
+    callers requiring a real zeta value must check it.  ``grid_mean``'s
+    2^26-node budget is the only cap on N^d.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    d = coin.dim_d
-    if 2 * d * N ** d > _GRID_CAP:
-        raise ComputationError(f"momentum grid 2d*N^d = {2 * d * N ** d} exceeds cap {_GRID_CAP}")
     fn = _log_det_block(coin, u, require_positive=False)
-    mean, _ = grid_mean(fn, d, N, 0.0)
+    mean, _ = grid_mean(fn, coin.dim_d, N, 0.0)
     return mean
 
 
@@ -213,45 +210,24 @@ def _trace_power_block(coin: CoinMatrix, r: int):
 
 def cr_finite(coin: CoinMatrix, N: int, r: int) -> float:
     """C_r on the finite torus: the grid average of Tr(M_hat(k)^r)."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     d = coin.dim_d
     mean, _ = grid_mean(_trace_power_block(coin, r), d, N, 0.0,
                         max_block=_matrix_block_cap(d))
     return _real(mean, 1e-10, f"the finite-torus C_{r}")
 
 
-def _refined_mean(fn, d: int, spec: QuadratureSpec, what: str, max_block: int | None = None):
-    """Refined torus mean on blocks of at most ``max_block``; raises unless converged and real."""
+def cr_limit(coin: CoinMatrix, r: int) -> float:
+    """Infinite-lattice C_r: the torus integral of Tr(M_hat(Theta)^r).
 
-    def eval_at(points):
-        mean, _ = grid_mean(fn, d, points, spec.node_shift, max_block=max_block)
-        return mean
-
-    res = refine_to_tol(eval_at, spec)
-    if not res.converged:
-        raise ComputationError(
-            f"{what} did not converge after {spec.max_refinements} refinements "
-            f"(last delta {res.delta:.3e})"
-        )
-    _real(res.value, 1e-9, f"the {what}")
-    return res
-
-
-def cr_limit(coin: CoinMatrix, r: int, quad: QuadratureSpec | None = None) -> float:
-    """Infinite-lattice C_r by torus quadrature of Tr(M_hat(Theta)^r).
-
-    The integrand is a trigonometric polynomial of per-axis degree r, so the
-    periodic rule is exact once the grid exceeds r points per axis.
+    The integrand is a trigonometric polynomial of per-axis degree r (a
+    closed walk of r steps cannot wrap a torus of side r + 1), so its mean
+    on the (r+1)^d grid is the integral itself.
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    spec = quad or QuadratureSpec(points_per_dim=max(32, 2 * r + 2), max_refinements=4)
-    res = _refined_mean(_trace_power_block(coin, r), coin.dim_d, spec, f"C_{r} quadrature",
-                        _matrix_block_cap(coin.dim_d))
-    return res.value.real
+    return cr_finite(coin, r + 1, r)
 
 
 def cr_limit_pathsum(coin: CoinMatrix, r: int) -> float:
@@ -297,7 +273,15 @@ def log_zeta_refined(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = N
     """Like ``log_zeta`` but returning the full refinement record."""
     spec = quad or QuadratureSpec()
     fn = _log_det_block(coin, u, require_positive=True)
-    return _refined_mean(fn, coin.dim_d, spec, "log-zeta quadrature")
+    res = refine_to_tol(lambda points: grid_mean(fn, coin.dim_d, points, spec.node_shift)[0],
+                        spec)
+    if not res.converged:
+        raise ComputationError(
+            f"log-zeta quadrature did not converge after {spec.max_refinements} refinements "
+            f"(last delta {res.delta:.3e})"
+        )
+    _real(res.value, 1e-9, "the log-zeta quadrature")
+    return res
 
 
 def log_zeta(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = None) -> float:
@@ -339,9 +323,13 @@ _METHODS = ("trace_finite", "quad_limit", "path_sum", "closed_form")
 
 
 def compute_series(coin: CoinMatrix, r_max: int, method: str,
-                   N: int | None = None,
-                   quad: QuadratureSpec | None = None) -> SeriesCoefficients:
-    """C_r for r = 1..r_max by the requested route."""
+                   N: int | None = None) -> SeriesCoefficients:
+    """C_r for r = 1..r_max by the requested route.
+
+    ``trace_finite`` averages Tr(M_hat^r) on the N^d torus, ``quad_limit``
+    on the exact (r+1)^d grid of ``cr_limit``, ``path_sum`` traces the
+    return weights, and ``closed_form`` is the one-dimensional formula.
+    """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if r_max < 1:
@@ -352,7 +340,7 @@ def compute_series(coin: CoinMatrix, r_max: int, method: str,
             raise ValueError("trace_finite needs the torus size N")
         values = [(r, cr_finite(coin, N, r)) for r in range(1, r_max + 1)]
     elif method == "quad_limit":
-        values = [(r, cr_limit(coin, r, quad)) for r in range(1, r_max + 1)]
+        values = [(r, cr_limit(coin, r)) for r in range(1, r_max + 1)]
     elif method == "path_sum":
         traces = matrix_weight_traces(coin, r_max)
         values = [(r, traces[r].real) for r in range(1, r_max + 1)]

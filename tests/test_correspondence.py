@@ -252,7 +252,20 @@ def test_probe_d1_divergent_with_exact_derivative():
     for u, got in zip(probe.u_values, probe.u_dlog):
         s = math.sqrt(1 - u * u)
         exact = -u * u / (s * (1 + s))
-        assert abs(got - exact) < 1e-3
+        assert abs(got - exact) < 1e-7
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_probe_green_matches_bessel_integral(d):
+    # sum_n P_n u^n = int_0^inf e^-t I_0(u t / d)^d dt (Montroll)
+    mp = pytest.importorskip("mpmath")
+    us = (0.9, 0.99, 0.999)
+    probe = transience_probe(d, us)
+    with mp.workdps(20):
+        for u, got in zip(us, probe.green_values):
+            exact = mp.quad(lambda t: mp.exp(-t) * mp.besseli(0, mp.mpf(u) * t / d) ** d,
+                            [0, 1, 10, 100, 1000, 10000, 100000, mp.inf])
+            assert abs(got - float(exact)) < 1e-9
 
 
 def test_probe_d2_divergent():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mahlerzeta import (
     ComputationError,
@@ -60,6 +61,18 @@ def test_zeta_finite_vs_dense_rw():
     a = zeta_finite(coin, 2, -0.5)
     b = zeta_finite_dense(coin, 2, -0.5)
     assert abs(a - b) < 1e-12
+
+
+def test_zeta_finite_large_torus_matches_limit():
+    # 2d*N^d = 6*224^3 is above 2^26, N^d = 224^3 is below it
+    coin = build_coin("simple_rw", 3)
+    assert zeta_finite(coin, 224, 0.5) == pytest.approx(math.exp(-log_zeta(coin, 0.5)),
+                                                       rel=1e-13)
+
+
+def test_zeta_finite_grid_cap():
+    with pytest.raises(ComputationError, match=r"exceeds the cap of 67108864 \(2\^26\)"):
+        zeta_finite(build_coin("simple_rw", 3), 407, 0.5)
 
 
 def test_zeta_finite_dense_n1():
@@ -122,6 +135,23 @@ def test_cr_routes_agree():
     for coin in coins:
         for r in range(1, 9):
             assert abs(cr_limit(coin, r) - cr_limit_pathsum(coin, r)) < 1e-9
+
+
+def _random_custom_coin(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "orthogonal":
+        q, _ = np.linalg.qr(rng.normal(size=(2 * d, 2 * d)))
+        return custom_coin(q)
+    cols = rng.uniform(0.05, 1.0, size=(2 * d, 2 * d))
+    return custom_coin(cols / cols.sum(axis=0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+       st.sampled_from(["orthogonal", "stochastic"]), st.integers(1, 8))
+def test_cr_limit_matches_pathsum_for_random_coins(seed, d, kind, r):
+    coin = _random_custom_coin(seed, d, kind)
+    assert abs(cr_limit(coin, r) - cr_limit_pathsum(coin, r)) < 1e-12
 
 
 def test_cr_finite_converges_to_limit():
