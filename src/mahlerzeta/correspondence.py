@@ -435,13 +435,15 @@ class TransienceProbe:
 def _rw_probe_points(d: int, u: float) -> int:
     # resolution set by the analyticity strip of 1/(1 - (u/d) sum cos): the
     # midpoint rule's error falls like exp(-M * strip), and 19/strip nodes
-    # put it near e^-19 of the value until the cap binds
+    # put it near e^-19 of the value; a grid past the per-d cap is refused,
+    # since a clamped one would return G off by far more with no warning
     strip = math.acosh(d / u - (d - 1))
     points = int(math.ceil(19.0 / strip))
-    size = 64
-    while size < points:
-        size *= 2
-    return min(size, 4096 if d == 1 else (1024 if d == 2 else 256))
+    cap = 4096 if d == 1 else (1024 if d == 2 else 256)
+    if points > cap:
+        raise ValueError(f"u={u} too close to 1 for the probe grids "
+                         f"(d={d} needs {points} nodes per axis, cap {cap})")
+    return max(64, 1 << (points - 1).bit_length())
 
 
 def transience_probe(d: int, u_values) -> TransienceProbe:
@@ -582,11 +584,7 @@ def _check_stgf_shift(d: int, u: float, tol: float) -> CorrespondenceReport:
 def _check_trees_lambda2(tol: float) -> CorrespondenceReport:
     lam = spanning_tree_constant(2)
     target = 4.0 * special_constants()["catalan_G"] / math.pi
-    alt = stgf(2, 1.0)
-    return _report(
-        "spanning tree constant (d=2)", lam, target, tol,
-        {"d": 2}, {"stgf_at_1": alt, "lambda_minus_stgf": lam - alt},
-    )
+    return _report("spanning tree constant (d=2)", lam, target, tol, {"d": 2}, {})
 
 
 def _check_transience(d: int, tol: float) -> CorrespondenceReport:

@@ -140,7 +140,7 @@ def mahler_univariate(poly: LaurentPolynomial) -> MahlerResult:
     degree = high - low
     if degree == 0:
         only = abs(terms[(high,)])
-        return MahlerResult(math.log(only), "jensen", 0.0, abs(only - 1.0) < _SINGULAR_MIN)
+        return MahlerResult(math.log(only), "jensen", 0.0, only < _SINGULAR_MIN)
     coeffs = np.zeros(degree + 1, dtype=np.complex128)
     for (e,), c in terms.items():
         coeffs[high - e] = c

@@ -5,6 +5,9 @@ One step sends component 2j-1 (1-based) one site in the -x_j direction and
 component 2j one site in the +x_j direction, after the coin has mixed the
 components at every site.  Sites are enumerated with x_1 varying fastest
 wherever an ordering is exposed.
+
+The return weights on Z^d take the same step on the torus of side r_max + 1,
+which no closed walk of r_max steps can wrap.
 """
 
 from __future__ import annotations
@@ -133,6 +136,19 @@ def momentum_matrix(coin: CoinMatrix, k) -> np.ndarray:
     return _momentum_stack(coin, tuple(angles))
 
 
+def _step(field: np.ndarray, entries_t: np.ndarray, dim_d: int) -> np.ndarray:
+    """One periodic step of a field with d leading spatial axes, a trailing
+    component axis and any batch axes between: the coin mixes the components
+    at every site, then component 2j (0-based) moves in from x + e_j and
+    component 2j+1 from x - e_j."""
+    mixed = field @ entries_t
+    nxt = np.empty_like(mixed)
+    for j in range(dim_d):
+        nxt[..., 2 * j] = np.roll(mixed[..., 2 * j], -1, axis=j)
+        nxt[..., 2 * j + 1] = np.roll(mixed[..., 2 * j + 1], 1, axis=j)
+    return nxt
+
+
 def evolve(state: WalkState, coin: CoinMatrix, steps: int) -> WalkState:
     """Advance the state ``steps`` steps with periodic wraparound."""
     if coin.dim_d != state.dim_d:
@@ -142,12 +158,7 @@ def evolve(state: WalkState, coin: CoinMatrix, steps: int) -> WalkState:
     field = state.field
     entries_t = coin.entries.T
     for _ in range(steps):
-        mixed = field @ entries_t
-        nxt = np.empty_like(mixed)
-        for j in range(state.dim_d):
-            nxt[..., 2 * j] = np.roll(mixed[..., 2 * j], -1, axis=j)
-            nxt[..., 2 * j + 1] = np.roll(mixed[..., 2 * j + 1], 1, axis=j)
-        field = nxt
+        field = _step(field, entries_t, state.dim_d)
     return WalkState(state.dim_d, state.side_N, field, state.time + steps)
 
 
@@ -173,8 +184,9 @@ class MatrixWeight:
 
 
 def _check_window(dim_d: int, r: int) -> None:
-    side = 2 * r + 1
-    need = 2 * (side ** dim_d) * (2 * dim_d) ** 2 * 16
+    # a step holds three fields at once: the field, its coin mix and the next
+    side = r + 1
+    need = 3 * (side ** dim_d) * (2 * dim_d) ** 2 * 16
     if need > _MAX_WEIGHT_BYTES:
         raise ComputationError(
             f"step count {r} needs a {side}^{dim_d} window "
@@ -182,39 +194,25 @@ def _check_window(dim_d: int, r: int) -> None:
         )
 
 
-def _step_window(entries: np.ndarray, window: np.ndarray, dim_d: int) -> np.ndarray:
-    """One step of the weight recursion on a zero-boundary window."""
-    mixed = np.matmul(entries, window)
-    out = np.zeros_like(window)
-    n = window.shape[0]
-    for j in range(dim_d):
-        for comp, step in ((2 * j, 1), (2 * j + 1, -1)):
-            dst = [slice(None)] * window.ndim
-            src = [slice(None)] * window.ndim
-            if step == 1:
-                dst[j], src[j] = slice(0, n - 1), slice(1, n)
-            else:
-                dst[j], src[j] = slice(1, n), slice(0, n - 1)
-            dst[dim_d], src[dim_d] = comp, comp
-            out[tuple(dst)] = mixed[tuple(src)]
-    return out
-
-
 def _origin_weights(coin: CoinMatrix, r_max: int):
     """Yield the origin return weight after 0, 1, ..., r_max steps on Z^d.
 
-    Forward dynamic programming over the window [-r_max, r_max]^d with zero
-    boundary.  Each yielded matrix is a view into the current window.
+    Row k of the (r_max+1)^d torus field holds the state started from
+    component k at the origin.  The torus is exact: a closed walk of r <= r_max
+    steps keeps |x_j| <= r < r_max + 1, so of the lattice sites folding onto
+    the origin only x = 0 is reachable, and the others hold exact zeros.  Each
+    yielded matrix views that step's field, which later steps replace.
     """
     d = coin.dim_d
     _check_window(d, r_max)
-    window = np.zeros((2 * r_max + 1,) * d + (2 * d, 2 * d), dtype=np.complex128)
-    center = (r_max,) * d
-    window[center] = np.eye(2 * d)
-    yield window[center]
+    field = np.zeros((r_max + 1,) * d + (2 * d, 2 * d), dtype=np.complex128)
+    origin = (0,) * d
+    field[origin] = np.eye(2 * d)
+    entries_t = coin.entries.T
+    yield field[origin].T
     for _ in range(r_max):
-        window = _step_window(coin.entries, window, d)
-        yield window[center]
+        field = _step(field, entries_t, d)
+        yield field[origin].T
 
 
 def matrix_weight_origin(coin: CoinMatrix, r: int) -> MatrixWeight:
@@ -224,7 +222,7 @@ def matrix_weight_origin(coin: CoinMatrix, r: int) -> MatrixWeight:
     """
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
-    # a plain loop keeps one window alive at a time
+    # a plain loop keeps one field alive at a time
     for weight in _origin_weights(coin, r):
         pass
     return MatrixWeight(coin.dim_d, r, weight)

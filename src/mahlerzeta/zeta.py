@@ -248,6 +248,12 @@ def cr_closed_1d_qw(xi: float, l: int, shift_type: str) -> float:
     and for the flip-flop model the same sum with (-cot^2 xi)^m scaled by
     2l (sin xi)^{2l}.  Valid for xi strictly inside (0, pi/2); the odd
     coefficients vanish identically.
+
+    The sum cancels badly as l grows (3.6e-3 off at l = 60) and overflows a
+    float by l = 1000, so the equal Jacobi form is evaluated instead, by its
+    three-term recurrence, stable on [-1, 1]: C_{2l} is
+    2 (-1)^{l-1} sin^2 xi P^{(1,0)}_{l-1}(cos 2 xi) for the moving shift and
+    -2 cos^2 xi P^{(1,0)}_{l-1}(-cos 2 xi) for the flip-flop.
     """
     if not 0.0 < xi < math.pi / 2:
         raise ValueError(f"xi must lie strictly inside (0, pi/2), got {xi}")
@@ -255,18 +261,16 @@ def cr_closed_1d_qw(xi: float, l: int, shift_type: str) -> float:
         raise ValueError(f"l must be >= 1, got {l}")
     if shift_type not in (M_TYPE, F_TYPE):
         raise ValueError(f"shift_type must be {M_TYPE!r} or {F_TYPE!r}")
-    cos2 = math.cos(xi) ** 2
-    sin2 = math.sin(xi) ** 2
     if shift_type == M_TYPE:
-        y = -sin2 / cos2
-        scale = 2 * l * (-cos2) ** l
+        x, scale = math.cos(2 * xi), 2 * (-1) ** (l - 1) * math.sin(xi) ** 2
     else:
-        y = -cos2 / sin2
-        scale = 2 * l * sin2 ** l
-    total = 0.0
-    for m in range(1, l + 1):
-        total += (1.0 / m) * math.comb(l - 1, m - 1) ** 2 * y ** m
-    return scale * total
+        x, scale = -math.cos(2 * xi), -2 * math.cos(xi) ** 2
+    # P^{(1,0)}_{l-1}(x) from P_0 = 1 and P_1 = (3x + 1)/2
+    prev, cur = 1.0, (3 * x + 1) / 2
+    for n in range(2, l):
+        prev, cur = cur, ((((4 * n * n - 1) * x + 1) * cur - (n - 1) * (2 * n + 1) * prev)
+                          / ((n + 1) * (2 * n - 1)))
+    return scale * (cur if l > 1 else prev)
 
 
 def log_zeta_refined(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = None):
@@ -334,7 +338,6 @@ def compute_series(coin: CoinMatrix, r_max: int, method: str,
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    values: list[tuple[int, float]] = []
     if method == "trace_finite":
         if N is None:
             raise ValueError("trace_finite needs the torus size N")
@@ -347,7 +350,6 @@ def compute_series(coin: CoinMatrix, r_max: int, method: str,
     else:
         if coin.kind != HADAMARD or coin.xi is None:
             raise ValueError("closed_form is available for the hadamard family only")
-        for r in range(1, r_max + 1):
-            val = 0.0 if r % 2 else cr_closed_1d_qw(coin.xi, r // 2, coin.shift_type)
-            values.append((r, val))
+        values = [(r, 0.0 if r % 2 else cr_closed_1d_qw(coin.xi, r // 2, coin.shift_type))
+                  for r in range(1, r_max + 1)]
     return SeriesCoefficients(repr(coin), tuple(values), method)

@@ -270,6 +270,7 @@ def test_usage_error_exit_2(capsys):
     np.linalg.LinAlgError("Singular matrix"),
     FloatingPointError("overflow encountered in multiply"),
     MemoryError("unable to allocate 8.00 GiB"),
+    OverflowError("int too large to convert to float"),
 ])
 def test_numerical_failures_exit_1(monkeypatch, capsys, exc):
     # LinAlgError is a ValueError, yet it is a failed computation, not a usage error
@@ -283,13 +284,19 @@ def test_numerical_failures_exit_1(monkeypatch, capsys, exc):
     assert err == f"computation failed: {exc}\n"
 
 
-def test_closed_form_overflow_exit_1(capsys):
-    # C(l-1, m-1)^2 of the closed form's sum overflows a float for large r
-    code, out, err = run_cli(["cr", "--coin", "hadamard", "--xi", "0.5", "--r-max", "2000",
-                              "--method", "closed_form"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err == "computation failed: int too large to convert to float\n"
+def test_closed_form_large_r_matches_path_sum(capsys):
+    # the Jacobi recurrence neither cancels nor overflows where the paper's
+    # alternating binomial sum did
+    code, out, _ = run_cli(["cr", "--coin", "hadamard", "--xi", "0.5", "--r-max", "2000",
+                            "--method", "closed_form"], capsys)
+    assert code == 0
+    closed = dict(json.loads(out)["result"]["values"])
+    code, out, _ = run_cli(["cr", "--coin", "hadamard", "--xi", "0.5", "--r-max", "240",
+                            "--method", "path_sum"], capsys)
+    assert code == 0
+    path = dict(json.loads(out)["result"]["values"])
+    for r in (100, 120, 240):
+        assert abs(closed[r] - path[r]) < 1e-12
 
 
 def test_zeta_finite_imaginary_residual_exit_1(monkeypatch, capsys):

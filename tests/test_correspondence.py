@@ -288,6 +288,16 @@ def test_probe_series_cross_check_small_u():
         assert abs(green - partial) <= bound + 1e-6
 
 
+def test_probe_refuses_grid_past_the_cap():
+    # d = 3 at u = 0.9999 wants 1024 nodes per axis; a grid clamped to 256
+    # misses G_3 by about 2e-5, so the probe refuses instead
+    with pytest.raises(ValueError, match="too close to 1 for the probe grids"):
+        transience_probe(3, (0.99, 0.999, 0.9999))
+    # d = 1 and d = 2 still fit their caps there
+    for d in (1, 2):
+        assert len(transience_probe(d, (0.99, 0.999, 0.9999)).green_values) == 3
+
+
 def test_probe_validation():
     with pytest.raises(ValueError, match="three"):
         transience_probe(1, (0.5, 0.9))

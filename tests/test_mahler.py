@@ -84,6 +84,17 @@ def test_jensen_degree_zero():
     assert abs(res.value - math.log(3)) < 1e-15
 
 
+@pytest.mark.parametrize("text,singular", [("1", False), ("0.0000001", True)])
+def test_constant_singular_flag_agrees_across_routes(text, singular):
+    # a constant c vanishes nowhere on the torus unless |c| is below the
+    # singularity threshold; |c - 1| has nothing to do with it
+    poly = parse_laurent(text)
+    jensen = mahler_univariate(poly)
+    quad = mahler_quadrature(poly)
+    assert jensen.singular_on_torus is singular
+    assert quad.singular_on_torus is singular
+
+
 def test_jensen_balanced_difference():
     with pytest.warns(UserWarning, match="unit circle"):
         res = mahler_univariate(parse_laurent("X1 - X1^-1"))

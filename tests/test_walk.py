@@ -15,6 +15,7 @@ from mahlerzeta import (
     matrix_weight_origin,
     matrix_weight_traces,
     momentum_matrix,
+    return_probability,
     total_measure,
     uniform_state,
 )
@@ -194,15 +195,26 @@ def test_weight_r2_hadamard_closed_value():
     assert abs(np.trace(w.matrix) - 2 * math.sin(xi) ** 2) < 1e-14
 
 
+def _test_coin(kind, d, xi):
+    """A named coin, or a seeded random unitary or column-stochastic custom one."""
+    if kind == "random_unitary":
+        return custom_coin(random_unitary(np.random.default_rng(100 + d), 2 * d))
+    if kind == "random_stochastic":
+        m = np.random.default_rng(200 + d).random((2 * d, 2 * d))
+        return custom_coin(m / m.sum(axis=0))
+    return build_coin(kind, d, xi)
+
+
 @pytest.mark.parametrize("kind,d,xi,r", [
     ("hadamard", 1, 0.8, 2),
     ("hadamard", 1, 0.8, 4),
     ("simple_rw", 1, None, 3),
     ("grover", 2, None, 2),
     ("grover", 2, None, 3),
-])
+] + [(kind, d, None, r) for kind in ("random_unitary", "random_stochastic")
+     for d in (1, 2, 3) for r in (2, 4)])
 def test_weight_matches_brute_force(kind, d, xi, r):
-    coin = build_coin(kind, d, xi)
+    coin = _test_coin(kind, d, xi)
     got = matrix_weight_origin(coin, r).matrix
     expected = brute_force_weight(coin, r)
     np.testing.assert_allclose(got, expected, atol=1e-13)
@@ -222,6 +234,14 @@ def test_weight_trace_real_for_even_steps():
         for r in (2, 4, 6):
             tr = np.trace(matrix_weight_origin(coin, r).matrix)
             assert abs(tr.imag) < 1e-12
+
+
+def test_weight_traces_rw_d4_exact():
+    # the (R+1)^d torus fits d = 4 at R = 11; the simple walk's traces are
+    # its return probabilities, dyadic rationals the DP reproduces exactly
+    traces = matrix_weight_traces(build_coin("simple_rw", 4), 11)
+    for r in range(1, 12):
+        assert traces[r] == float(return_probability(4, r))
 
 
 def test_weight_memory_cap():
