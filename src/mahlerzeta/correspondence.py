@@ -20,13 +20,9 @@ import numpy as np
 from .coins import F_TYPE, M_TYPE, SIMPLE_RW, build_coin, flip_flop
 from .errors import ComputationError
 from .laurent import LaurentPolynomial
-from .mahler import (
-    hyper_pfq,
-    mahler_walk_1d,
-    mahler_quadrature,
-    mahler_reduced,
-    special_constants,
-)
+from .mahler import hyper_pfq, mahler_reduced, mahler_walk_1d, special_constants
+# perfbench's tracer wraps mahler_quadrature in every module that imports it
+from .mahler import mahler_quadrature  # noqa: F401
 from .quadrature import QuadratureSpec, grid_mean, refine_to_tol
 from .walk import matrix_weight_traces
 from .zeta import _series_sum, log_zeta
@@ -518,7 +514,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "trees_lambda2": 1e-4,
     "stgf_shift": 1e-8,
     "transience": 2e-2,
-    "smyth_2var": 1e-9,
+    "smyth_2var": 1e-13,
     "smyth_3var": 1e-8,
     "catalan": 1e-14,
     "zeta3": 1e-13,
@@ -614,7 +610,7 @@ def _check_smyth(n_vars: int, tol: float) -> CorrespondenceReport:
     consts = special_constants()
     if n_vars == 2:
         poly = _lattice_smyth(2)
-        result = mahler_quadrature(poly, QuadratureSpec(2048, 0.5, 1e-6, 1))
+        result = mahler_reduced(poly, QuadratureSpec(64, 0.5, 1e-14, 2))
         target = 3.0 * math.sqrt(3.0) / (4.0 * math.pi) * consts["L_chi3_2"]
         name = "smyth: m(X1+X2+1)"
     else:

@@ -8,9 +8,13 @@ average of log|f| over the unit torus,
 with the uniform measure.  Routes implemented here: midpoint torus quadrature
 (any n), Jensen's formula through polynomial roots (n = 1), the Jensen-reduced
 route (any n: one variable integrated out exactly at each node of the
-remaining (n-1)-torus, which goes on the midpoint ladder), closed forms for
-the families X -+ X^-1 + c, and the four-variable-free hypergeometric form of
-m(X1 + X1^-1 + X2 + X2^-1 + c) for c > 4.
+remaining (n-1)-torus, which goes on the midpoint ladder; for n = 2 the
+remaining circle is cut at the toric points and each arc between them is
+integrated by tanh-sinh, which reaches rounding level where the ladder
+converges algebraically), closed forms for the families X -+ X^-1 + c, and
+the four-variable-free hypergeometric form of m(X1 + X1^-1 + X2 + X2^-1 + c)
+for c > 4.  The Cassaigne-Maillot closed form of m(a + bX + cY), the exact
+oracle for the n = 2 route, lives in the tests.
 """
 
 from __future__ import annotations
@@ -166,23 +170,31 @@ def mahler_univariate(poly: LaurentPolynomial) -> MahlerResult:
 _MAX_FIBER_DEGREE = 32
 
 
-def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jensen's formula on a stack of one-variable polynomials.
 
     Row i of ``a`` holds the coefficients of x^0 .. x^D of one fiber.  Returns
-    the Mahler measure of each row and its singularity statistic: the smaller
-    of min_k ||root_k| - 1| and max_k |a_k|.
+    the Mahler measure of each row, its singularity statistic (the smaller
+    of min_k ||root_k| - 1| and max_k |a_k|) and the number of its roots
+    inside the unit disc, a root at 0 included and one at infinity (a
+    vanishing x^D coefficient) not.
     """
     mags = np.abs(a)
     scale = mags.max(axis=1)
     # x^D f(1/x) has the same measure; taking the larger end coefficient as
-    # the leading one keeps a vanishing leading coefficient harmless
-    a = np.where((mags[:, 0] > mags[:, -1])[:, None], a[:, ::-1], a)
+    # the leading one keeps a vanishing leading coefficient harmless.  It
+    # maps the roots inside the disc to those outside, which the count undoes.
+    flip = mags[:, 0] > mags[:, -1]
+    a = np.where(flip[:, None], a[:, ::-1], a)
     degree = a.shape[1] - 1
+
+    def done(values, gap, inside):
+        return values, np.fmin(gap, scale), np.where(flip, degree - inside, inside)
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if degree == 1:
             lead, tail = np.abs(a[:, 1]), np.abs(a[:, 0])
-            return np.log(lead), np.fmin(np.abs(tail / lead - 1.0), scale)
+            return done(np.log(lead), np.abs(tail / lead - 1.0), (tail < lead).astype(int))
         if degree == 2:
             a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
             root = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
@@ -194,11 +206,13 @@ def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             small = np.where(big > 0.0, np.abs(a0) / big, 0.0)
             values = np.log(np.maximum(np.abs(a2), big)) + np.log(np.maximum(small, 1.0))
             gap = np.fmin(np.abs(big / np.abs(a2) - 1.0), np.abs(small - 1.0))
-            return values, np.fmin(gap, scale)
+            inside = (big < np.abs(a2)).astype(int) + (small < 1.0)
+            return done(values, gap, inside)
         lead = a[:, -1]
         monic = a[:, :-1] / lead[:, None]
     values = np.empty(len(a))
     gap = np.empty(len(a))
+    inside = np.zeros(len(a), dtype=int)
     ok = np.all(np.isfinite(monic), axis=1)
     comp = np.zeros((int(ok.sum()), degree, degree), dtype=np.complex128)
     comp[:, 0, :] = -monic[ok, ::-1]
@@ -206,19 +220,158 @@ def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     moduli = np.abs(np.linalg.eigvals(comp))
     values[ok] = np.log(np.abs(lead[ok])) + np.log(np.maximum(moduli, 1.0)).sum(axis=1)
     gap[ok] = np.abs(moduli - 1.0).min(axis=1)
+    inside[ok] = (moduli < 1.0).sum(axis=1)
     # both end coefficients vanish (or the quotient overflows): trim the
     # zero ends and any negligible leading ones, and solve those rare fibers
     # one at a time
     for i in np.flatnonzero(~ok):
-        row = np.trim_zeros(a[i])
-        if row.size == 0:
+        nonzero = np.flatnonzero(a[i])
+        if nonzero.size == 0:
             values[i], gap[i] = -math.inf, math.inf
             continue
-        row = _drop_negligible_lead(row[::-1])
+        row = _drop_negligible_lead(a[i, nonzero[0]:nonzero[-1] + 1][::-1])
         moduli = np.abs(np.roots(row))
         values[i] = math.log(abs(row[0])) + float(np.log(np.maximum(moduli, 1.0)).sum())
         gap[i] = float(np.abs(moduli - 1.0).min()) if moduli.size else math.inf
-    return values, np.fmin(gap, scale)
+        # the trimmed low powers are roots at 0
+        inside[i] = nonzero[0] + int((moduli < 1.0).sum())
+    return done(values, gap, inside)
+
+
+# tanh-sinh nodes t = -T + (k + shift) h on [-T, T], h = 2T / points: at
+# |t| = T the weight is ~1e-21 of the arc, below rounding even against a
+# log singularity at its end
+_TANH_SINH_T = 3.5
+# a search round samples _SECTIONS + 1 points across each bracket and keeps
+# one or two of its sections, so a bracket of two cells reaches rounding in
+# about a dozen rounds, each one fiber evaluation for every bracket at once
+_SECTIONS = 32
+_MAX_ROUNDS = 64  # a backstop: each round shrinks a bracket at least 16-fold
+# samples at cell / 2^j, j = 1..40, either side of a touch of the circle
+_TOUCH_RINGS = 40
+# breakpoints closer than this are one (a root crossing the circle is also a
+# minimum of the gap statistic, found by both searches)
+_BREAK_MERGE = 1e-9
+
+
+def _narrow(lo: np.ndarray, hi: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink the brackets [lo, hi] to a few rounding units each.
+
+    ``pick(x)`` gets the rows x[i] = lo[i] .. hi[i] of evenly spaced points,
+    ends included, and returns the column indices j0 < j1 of each row's
+    sub-bracket [x[j0], x[j1]] to keep.
+    """
+    frac = np.arange(_SECTIONS + 1) / _SECTIONS
+    rows = np.arange(lo.size)
+    for _ in range(_MAX_ROUNDS):
+        if not np.any(hi - lo > 4.0 * np.spacing(np.fmax(np.abs(lo), np.abs(hi)))):
+            break
+        x = lo[:, None] + (hi - lo)[:, None] * frac
+        x[:, -1] = hi
+        j0, j1 = pick(x)
+        lo, hi = x[rows, j0], x[rows, j1]
+    return lo, hi
+
+
+def _breakpoints(fibers, spec: QuadratureSpec) -> np.ndarray | None:
+    """Sorted angles in [0, 2 pi) where a one-variable reduced integrand is not analytic.
+
+    ``fibers(theta)`` is ``_fiber_measures`` of the fibers at the angles
+    ``theta``, which are first sampled on the midpoint grid of ``spec``.
+
+    - Each local minimum of the gap statistic is refined over its two
+      neighbouring cells and kept if the gap drops below 1e-6 there: a fiber
+      root on the circle (crossing it, or touching it as a double root does)
+      or a fiber whose coefficients all vanish.  A minimum that no neighbour
+      exceeds by 1e-6 of its value is rounding noise on a flat gap (a root
+      of constant modulus) and is skipped.
+    - Samples at cell / 2, cell / 4, ..., cell / 2^40 on either side of each
+      kept point join the grid.  Wherever the count of roots inside the disc
+      changes between neighbouring samples (cyclically) a root crosses the
+      circle, and the crossing is pinned down to rounding.  The extra
+      samples catch a second crossing in the cell of a first one, as
+      near-degenerate triangles a + bX + cY have.
+
+    Both searches cut every bracket into 32 sections per round, so a round
+    is one fiber evaluation and a dozen rounds reach rounding, where golden
+    section and bisection would take about 65 and 50 evaluations in turn.
+
+    Returns None when the gap is below 1e-6 at more than 1/16 of the nodes
+    (and at more than two): a fiber root then stays on the circle along
+    whole arcs, as when P vanishes on a curve of the torus (X1^4 + X2^3,
+    or X1 + X1^-1 + X2 + X2^-1 + c for |c| < 4).  There the gap and the
+    count of roots inside are rounding noise, which would put a breakpoint
+    at nearly every node at great cost.
+    """
+    points = spec.points_per_dim
+    cell = 2.0 * math.pi / points
+    theta = (np.arange(points) + spec.node_shift) * cell
+    _, gap, inside = fibers(theta)
+    if np.count_nonzero(gap < _SINGULAR_MIN) > max(2, points // 16):
+        return None
+
+    def lowest(x):
+        j = np.argmin(fibers(x.ravel())[1].reshape(x.shape), axis=1)
+        return np.maximum(j - 1, 0), np.minimum(j + 1, _SECTIONS)
+
+    # a flat gap (a root of constant modulus) has rounding-noise minima
+    before, after = np.roll(gap, 1), np.roll(gap, -1)
+    rise = np.fmax(before, after) - gap > 1e-6 * gap
+    k = np.flatnonzero((gap < before) & (gap <= after) & rise)
+    touch = theta[k]
+    if k.size:
+        a, b = _narrow(touch - cell, touch + cell, lowest)
+        touch = 0.5 * (a + b)
+        touch = touch[fibers(touch)[1] < _SINGULAR_MIN]
+        if touch.size:
+            near = cell * 0.5 ** np.arange(1, _TOUCH_RINGS + 1)
+            near = (touch[:, None] + np.concatenate([-near, near])).ravel()
+            theta = np.concatenate([theta, near])
+            inside = np.concatenate([inside, fibers(near)[2]])
+
+    order = np.argsort(np.mod(theta, 2.0 * math.pi), kind="stable")
+    theta, inside = np.mod(theta, 2.0 * math.pi)[order], inside[order]
+    k = np.flatnonzero(inside != np.roll(inside, -1))
+    lo, hi, side = theta[k], np.roll(theta, -1)[k], inside[k]
+    hi[k == theta.size - 1] += 2.0 * math.pi
+
+    def first_change(x):
+        count = fibers(x[:, 1:-1].ravel())[2].reshape(x.shape[0], -1)
+        # the upper end counts as changed, as it did when the bracket was made
+        changed = np.column_stack([count != side[:, None], np.ones(len(x), dtype=bool)])
+        j = np.argmax(changed, axis=1) + 1
+        return j - 1, j
+
+    if k.size:
+        lo, hi = _narrow(lo, hi, first_change)
+
+    found = np.mod(np.concatenate([hi, touch]), 2.0 * math.pi)
+    found = np.sort(np.where(found < 2.0 * math.pi, found, 0.0))  # -1e-17 mods to 2 pi
+    keep = np.diff(found, prepend=-math.inf) > _BREAK_MERGE
+    if found.size > 1 and found[0] + 2.0 * math.pi - found[-1] <= _BREAK_MERGE:
+        keep[-1] = False
+    return found[keep]
+
+
+def _arc_mean(fibers, breaks: np.ndarray, points: int, shift: float) -> float:
+    """Torus mean of a reduced integrand, by tanh-sinh between its breakpoints.
+
+    Each arc between neighbouring breakpoints (cyclically) gets ``points``
+    nodes at t = -T + (k + shift) h, h = 2T / points, mapped to the arc by
+    x = tanh((pi/2) sinh t), which crowds them toward its ends.  A node
+    that rounds onto an end is dropped.
+    """
+    h = 2.0 * _TANH_SINH_T / points
+    t = (np.arange(points) + shift) * h - _TANH_SINH_T
+    s = 0.5 * math.pi * np.sinh(np.abs(t))
+    near = 1.0 / (1.0 + np.exp(2.0 * s))  # distance to the nearer end, in arc lengths
+    weight = 0.25 * math.pi * h * np.cosh(t) / np.cosh(s) ** 2
+    ends = np.append(breaks, breaks[0] + 2.0 * math.pi)
+    a, b = ends[:-1, None], ends[1:, None]
+    x = np.where(t < 0.0, a + (b - a) * near, b - (b - a) * near)
+    inner = (x != a) & (x != b)
+    values = fibers(x[inner])[0]
+    return math.fsum(((b - a) * weight)[inner] * values) / (2.0 * math.pi)
 
 
 def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) -> MahlerResult:
@@ -234,6 +387,17 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     default spec of the remaining dimension.  One variable in all is handed
     to ``mahler_univariate``.  ``singular_on_torus`` is set when a fiber root
     comes within 1e-6 of the unit circle or a whole fiber nearly vanishes.
+
+    With one variable left (two in all) the reduced integrand is analytic
+    except at breakpoints: the toric points, where a fiber root crosses or
+    touches the circle, and angles where the whole fiber vanishes.  There it
+    has kinks and log singularities, on which the midpoint ladder converges
+    only algebraically.  ``_breakpoints`` finds them from the midpoint grid
+    of the spec.  If there are none the ladder runs as above.  Otherwise
+    every arc between neighbouring breakpoints is integrated by tanh-sinh
+    (``_arc_mean``), which converges geometrically up to such end points;
+    the rungs of ``refine_to_tol`` take ``points_per_dim`` as the node count
+    per arc and halve the step, and ``singular_on_torus`` is set.
     """
     if poly.n_vars == 1:
         return mahler_univariate(poly)
@@ -258,12 +422,25 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     table[row.ravel(), exps[:, var] - low[var]] = coeffs
     evaluate = mesh_evaluator(outer, table)
 
-    def fn(mesh):
-        values, gap = _fiber_measures(evaluate(mesh).reshape(-1, degree + 1))
-        return values, float(gap.min())
+    def fibers(mesh):
+        return _fiber_measures(evaluate(mesh).reshape(-1, degree + 1))
 
     d = len(rest)
     spec = quad or _default_spec(d)
+    if d == 1:
+        def circle(theta):
+            return fibers((theta,))
+
+        breaks = _breakpoints(circle, spec)
+        if breaks is not None and breaks.size:
+            res = refine_to_tol(
+                lambda points: _arc_mean(circle, breaks, points, spec.node_shift), spec)
+            return MahlerResult(res.value, "jensen_reduced", res.delta, True)
+
+    def fn(mesh):
+        values, gap, _ = fibers(mesh)
+        return values, float(gap.min())
+
     block = (1 << 20) // degree ** 2
     min_stat = math.inf
 

@@ -19,8 +19,10 @@ row 2j+1 carries 1/z_j, so det(I - u M_hat) is a Laurent polynomial P_u in
 z_1..z_d with every exponent in {-1, 0, 1}, and L(A, u) is its logarithmic
 Mahler measure m(P_u).  Both torus averages above evaluate P_u from its 3^d
 coefficients with ``laurent.mesh_evaluator``, as the Mahler routes evaluate
-theirs.  The coefficients C_r of log zeta = sum_r C_r u^r / r are averaged
-traces of powers of M_hat, equal to the trace of the step-r return weight.
+theirs; only a finite torus of side N < 3, with fewer nodes than P_u has
+coefficients, takes its N^d determinants directly.  The coefficients C_r of
+log zeta = sum_r C_r u^r / r are averaged traces of powers of M_hat, equal to
+the trace of the step-r return weight.
 """
 
 from __future__ import annotations
@@ -109,9 +111,20 @@ def _char_poly(coin: CoinMatrix, u: float) -> tuple[np.ndarray, np.ndarray]:
     return index - 1, coeffs[np.ix_(*[[2, 0, 1]] * d)].ravel()
 
 
-def _log_det_block(coin: CoinMatrix, u: float, require_positive: bool):
-    """``grid_mean`` integrand of log det(I - u M_hat), from its Laurent coefficients."""
-    evaluate = mesh_evaluator(*_char_poly(coin, u))
+def _log_det_block(coin: CoinMatrix, u: float, require_positive: bool, direct: bool = False):
+    """``grid_mean`` integrand of log det(I - u M_hat), from its Laurent coefficients.
+
+    With ``direct`` it takes the determinants of the momentum matrices at the
+    nodes instead, which is cheaper on a grid of fewer nodes than the 3^d
+    coefficients.
+    """
+    if direct:
+        eye = np.eye(2 * coin.dim_d)
+
+        def evaluate(mesh):
+            return det_stack(eye - u * _momentum_stack(coin, mesh))
+    else:
+        evaluate = mesh_evaluator(*_char_poly(coin, u))
 
     def fn(mesh):
         dets = evaluate(mesh)
@@ -144,12 +157,16 @@ def zeta_finite_log_mean(coin: CoinMatrix, N: int, u: float) -> complex:
 
     The imaginary part is the residual left after conjugate momenta cancel;
     callers requiring a real zeta value must check it.  ``grid_mean``'s
-    2^26-node budget is the only cap on N^d.
+    2^26-node budget is the only cap on N^d.  For N < 3 the N^d
+    determinants are taken directly, fewer than the 3^d it takes to find
+    the coefficients of det(I - u M_hat).
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    fn = _log_det_block(coin, u, require_positive=False)
-    mean, _ = grid_mean(fn, coin.dim_d, N, 0.0)
+    d = coin.dim_d
+    direct = N < 3
+    fn = _log_det_block(coin, u, require_positive=False, direct=direct)
+    mean, _ = grid_mean(fn, d, N, 0.0, max_block=_matrix_block_cap(d) if direct else None)
     return mean
 
 
@@ -255,22 +272,29 @@ def cr_closed_1d_qw(xi: float, l: int, shift_type: str) -> float:
     2 (-1)^{l-1} sin^2 xi P^{(1,0)}_{l-1}(cos 2 xi) for the moving shift and
     -2 cos^2 xi P^{(1,0)}_{l-1}(-cos 2 xi) for the flip-flop.
     """
+    return _cr_closed_values(xi, l, shift_type)[-1]
+
+
+def _cr_closed_values(xi: float, l_max: int, shift_type: str) -> list[float]:
+    """``cr_closed_1d_qw(xi, l, shift_type)`` for l = 1..l_max, from one pass of the recurrence."""
     if not 0.0 < xi < math.pi / 2:
         raise ValueError(f"xi must lie strictly inside (0, pi/2), got {xi}")
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+    if l_max < 1:
+        raise ValueError(f"l must be >= 1, got {l_max}")
     if shift_type not in (M_TYPE, F_TYPE):
         raise ValueError(f"shift_type must be {M_TYPE!r} or {F_TYPE!r}")
     if shift_type == M_TYPE:
-        x, scale = math.cos(2 * xi), 2 * (-1) ** (l - 1) * math.sin(xi) ** 2
+        x = math.cos(2 * xi)
+        scales = [2 * (-1) ** (l - 1) * math.sin(xi) ** 2 for l in range(1, l_max + 1)]
     else:
-        x, scale = -math.cos(2 * xi), -2 * math.cos(xi) ** 2
-    # P^{(1,0)}_{l-1}(x) from P_0 = 1 and P_1 = (3x + 1)/2
-    prev, cur = 1.0, (3 * x + 1) / 2
-    for n in range(2, l):
-        prev, cur = cur, ((((4 * n * n - 1) * x + 1) * cur - (n - 1) * (2 * n + 1) * prev)
-                          / ((n + 1) * (2 * n - 1)))
-    return scale * (cur if l > 1 else prev)
+        x = -math.cos(2 * xi)
+        scales = [-2 * math.cos(xi) ** 2] * l_max
+    # P^{(1,0)}_n(x) for n = 0..l_max-1, from P_0 = 1 and P_1 = (3x + 1)/2
+    jacobi = [1.0, (3 * x + 1) / 2]
+    for n in range(2, l_max):
+        jacobi.append((((4 * n * n - 1) * x + 1) * jacobi[-1]
+                       - (n - 1) * (2 * n + 1) * jacobi[-2]) / ((n + 1) * (2 * n - 1)))
+    return [scale * p for scale, p in zip(scales, jacobi)]
 
 
 def log_zeta_refined(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = None):
@@ -350,6 +374,6 @@ def compute_series(coin: CoinMatrix, r_max: int, method: str,
     else:
         if coin.kind != HADAMARD or coin.xi is None:
             raise ValueError("closed_form is available for the hadamard family only")
-        values = [(r, 0.0 if r % 2 else cr_closed_1d_qw(coin.xi, r // 2, coin.shift_type))
-                  for r in range(1, r_max + 1)]
+        even = _cr_closed_values(coin.xi, r_max // 2, coin.shift_type) if r_max > 1 else []
+        values = [(r, 0.0 if r % 2 else even[r // 2 - 1]) for r in range(1, r_max + 1)]
     return SeriesCoefficients(repr(coin), tuple(values), method)

@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mahlerzeta.quadrature import get_thread_count, set_thread_count
+
+# CI runs (GitHub Actions sets CI) draw the same examples on every run and
+# print the blob that replays a failure with @reproduce_failure
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_unitary(rng: np.random.Generator, n: int = 2) -> np.ndarray:

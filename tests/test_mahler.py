@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mahlerzeta import (
     ComputationError,
@@ -194,6 +194,69 @@ def test_reduced_one_variable_delegates_to_jensen():
 def test_reduced_degree_budget():
     with pytest.raises(ComputationError, match="span above 32"):
         mahler_reduced(parse_laurent("X1^40 + X2^40 + 3"))
+
+
+def _maillot(a: float, b: float, c: float) -> float:
+    """Cassaigne-Maillot: m(a + bX + cY) in closed form, in 30-digit mpmath.
+
+    If |a|, |b|, |c| are the sides of a triangle with opposite angles alpha,
+    beta, gamma, pi m = D(|b/c| e^(i alpha)) + alpha log|a| + beta log|b| +
+    gamma log|c|, with D the Bloch-Wigner dilogarithm; otherwise m is the log
+    of the largest of them.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    a, b, c = abs(a), abs(b), abs(c)
+    if 2 * max(a, b, c) >= a + b + c:
+        return math.log(max(a, b, c))
+    with mpmath.workdps(30):
+        a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        alpha = mpmath.acos((b * b + c * c - a * a) / (2 * b * c))
+        beta = mpmath.acos((a * a + c * c - b * b) / (2 * a * c))
+        gamma = mpmath.pi - alpha - beta
+        z = b / c * mpmath.expj(alpha)
+        bloch_wigner = mpmath.im(mpmath.polylog(2, z)) + mpmath.arg(1 - z) * mpmath.log(abs(z))
+        total = bloch_wigner + alpha * mpmath.log(a) + beta * mpmath.log(b) + gamma * mpmath.log(c)
+        return float(total / mpmath.pi)
+
+
+def test_maillot_oracle_gives_smyth():
+    smyth = 3 * math.sqrt(3) / (4 * math.pi) * special_constants()["L_chi3_2"]
+    assert abs(_maillot(1.0, 1.0, 1.0) - smyth) < 1e-15
+
+
+_SIDE = st.tuples(st.floats(0.05, 3.0), st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_SIDE, b=_SIDE, c=_SIDE)
+@example(a=(1.0, 1.0), b=(1.0, 1.0), c=(1.0, 1.0))    # a triangle: Smyth's value
+@example(a=(0.5, 1.0), b=(2.0, -1.0), c=(1.0, 1.0))   # not one
+@example(a=(1.0, 1.0), b=(1.0, -1.0), c=(2.0, 1.0))   # degenerate: one toric point
+def test_reduced_matches_maillot(a, b, c):
+    # m(a + b X1 + c X2) by tanh-sinh between the toric points, against the
+    # closed form; the polynomial vanishes on the torus exactly when |a|, |b|,
+    # |c| form a (possibly degenerate) triangle
+    a, b, c = (size * sign for size, sign in (a, b, c))
+    res = mahler_reduced(LaurentPolynomial(2, {(0, 0): a, (1, 0): b, (0, 1): c}))
+    assert abs(res.value - _maillot(a, b, c)) < 1e-13
+    excess = 2 * max(abs(a), abs(b), abs(c)) / (abs(a) + abs(b) + abs(c)) - 1
+    if abs(excess) > 1e-3:
+        assert res.singular_on_torus == (excess < 0)
+
+
+def test_reduced_flags_double_root_on_the_circle():
+    # at theta_1 = 0 the X1-fiber is (X1 + 1)^2: a double root touching the
+    # circle without crossing it, so the count of roots inside never changes
+    res = mahler_reduced(parse_laurent("X1*X2^2 + 3*X2 - 1 + X1^-1*X2^-1"))
+    assert res.singular_on_torus
+    assert abs(res.value - math.log(3)) < 1e-12
+
+
+def test_reduced_flags_vanishing_fiber():
+    # (1 + X1)(X2 - 3): the whole X2-fiber vanishes at theta_1 = pi
+    res = mahler_reduced(parse_laurent("X2 - 3 + X1*X2 - 3*X1"))
+    assert res.singular_on_torus
+    assert abs(res.value - math.log(3)) < 1e-12
 
 
 _TERM = st.tuples(st.tuples(*[st.integers(-2, 2)] * 3),

@@ -23,10 +23,11 @@ from mahlerzeta import (
     zeta_finite,
     zeta_finite_dense,
 )
-from mahlerzeta.quadrature import det_stack, get_thread_count, set_thread_count
+import mahlerzeta.zeta as zeta_module
+from mahlerzeta.quadrature import det_stack, get_thread_count, grid_mean, set_thread_count
 from mahlerzeta.laurent import mesh_evaluator
 from mahlerzeta.walk import _momentum_stack
-from mahlerzeta.zeta import _char_poly
+from mahlerzeta.zeta import _char_poly, _log_det_block, zeta_finite_log_mean
 
 
 def hadamard(xi=math.pi / 4, shift="m"):
@@ -73,6 +74,28 @@ def test_zeta_finite_large_torus_matches_limit():
 def test_zeta_finite_grid_cap():
     with pytest.raises(ComputationError, match=r"exceeds the cap of 67108864 \(2\^26\)"):
         zeta_finite(build_coin("simple_rw", 3), 407, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["grover", "simple_rw", "flip_flop"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_zeta_finite_small_torus_takes_direct_determinants(kind, d, n):
+    # below 3 nodes per axis the N^d determinants are taken directly; they
+    # agree with the 3^d-coefficient polynomial on the same nodes
+    coin = flip_flop(build_coin("grover", d)) if kind == "flip_flop" else build_coin(kind, d)
+    for u in (-0.4, 0.3):
+        direct = zeta_finite_log_mean(coin, n, u)
+        poly, _ = grid_mean(_log_det_block(coin, u, require_positive=False), d, n, 0.0)
+        assert abs(direct - poly) < 1e-12
+
+
+def test_zeta_finite_small_torus_builds_no_char_poly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_char_poly called")
+
+    monkeypatch.setattr(zeta_module, "_char_poly", refuse)
+    value = zeta_finite(flip_flop(build_coin("grover", 12)), 2, -0.2)
+    assert math.isfinite(value) and value > 0.0
 
 
 def test_zeta_finite_dense_n1():
@@ -273,6 +296,16 @@ def test_compute_series_methods_agree():
         assert abs(quad[r] - path[r]) < 1e-10
 
 
+@pytest.mark.parametrize("shift", ["m", "f"])
+@pytest.mark.parametrize("xi", [0.3, math.pi / 4, 1.1])
+def test_closed_form_series_is_the_per_l_values(xi, shift):
+    # one pass of the recurrence gives every C_2l bit for bit
+    series = compute_series(hadamard(xi, shift), 301, "closed_form").values
+    assert [r for r, _ in series] == list(range(1, 302))
+    for r, value in series:
+        assert value == (0.0 if r % 2 else cr_closed_1d_qw(xi, r // 2, shift))
+
+
 def test_compute_series_validation():
     with pytest.raises(ValueError, match="torus size"):
         compute_series(hadamard(), 4, "trace_finite")
@@ -340,9 +373,12 @@ def test_char_poly_closed_forms(d):
 
 
 def test_char_poly_coefficient_cap():
-    # 3^13 coefficients exceed the cap of 2^20; the check runs before any determinant
+    # 3^13 coefficients exceed the cap of 2^20; the check runs before any
+    # determinant.  A torus of side 3 takes the polynomial route; one of side
+    # 1 needs no coefficients and takes its single determinant directly.
     with pytest.raises(ComputationError, match=r"3\^13 = 1594323 coefficients"):
-        zeta_finite(build_coin("grover", 13), 1, 0.3)
+        zeta_finite(build_coin("grover", 13), 3, 0.3)
+    assert math.isfinite(zeta_finite(build_coin("grover", 13), 1, 0.3))
     with pytest.raises(ComputationError, match="coefficients"):
         log_zeta(build_coin("simple_rw", 13), -0.5)
 
