@@ -379,7 +379,8 @@ def mesh_evaluator(exps, coeffs):
                 term = out[src]
                 if e:
                     term = term * (tables[e] if e > 0 else np.conj(tables[-e]))
-                if acc is not None and acc.size >= term.size:
+                # the e = 0 term, without a table, broadcasts to the others
+                if acc is not None and (e == 0 or acc.shape == term.shape):
                     acc += term
                 else:
                     acc = term if acc is None else acc + term

@@ -13,8 +13,11 @@ remaining circle is cut at the toric points and each arc between them is
 integrated by tanh-sinh, which reaches rounding level where the ladder
 converges algebraically), closed forms for the families X -+ X^-1 + c, and
 the four-variable-free hypergeometric form of m(X1 + X1^-1 + X2 + X2^-1 + c)
-for c > 4.  The Cassaigne-Maillot closed form of m(a + bX + cY), the exact
-oracle for the n = 2 route, lives in the tests.
+for c > 4.  Jensen's formula has one evaluator, ``_fiber_measures`` (the
+fibers of the reduced route, or the one row of a one-variable polynomial),
+and every midpoint torus average one ladder, ``_midpoint_ladder``.  The
+Cassaigne-Maillot closed form of m(a + bX + cY), the exact oracle for the
+n = 2 route, lives in the tests.
 """
 
 from __future__ import annotations
@@ -87,6 +90,24 @@ def _log_abs_block(poly: LaurentPolynomial):
     return fn
 
 
+def _midpoint_ladder(fn, d: int, spec: QuadratureSpec, *, max_block=None, ratio=None):
+    """``refine_to_tol`` over ``grid_mean(fn, ...)``: its result and the smallest block stat.
+
+    ``ratio(low)`` maps the smallest stat so far to the extrapolation ratio.
+    """
+    low = math.inf
+
+    def eval_at(points):
+        nonlocal low
+        mean, stat = grid_mean(fn, d, points, spec.node_shift, max_block=max_block)
+        if stat is not None:
+            low = min(low, stat)
+        return mean.real
+
+    order = None if ratio is None else lambda: ratio(low)
+    return refine_to_tol(eval_at, spec, order), low
+
+
 def mahler_quadrature(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) -> MahlerResult:
     """Logarithmic Mahler measure by midpoint torus quadrature.
 
@@ -97,72 +118,61 @@ def mahler_quadrature(poly: LaurentPolynomial, quad: QuadratureSpec | None = Non
     model.  Non-convergence is reported through ``error_estimate`` (it stays
     above the requested tolerance) rather than an exception.
     """
-    spec = quad or _default_spec(poly.n_vars)
-    fn = _log_abs_block(poly)
     d = poly.n_vars
-    min_stat = math.inf
-
-    def eval_at(points):
-        nonlocal min_stat
-        mean, stat = grid_mean(fn, d, points, spec.node_shift)
-        if stat is not None:
-            min_stat = min(min_stat, stat)
-        return mean.real
-
-    def order():
-        return 2.0 if d == 1 and min_stat < _SINGULAR_MIN else None
-
-    res = refine_to_tol(eval_at, spec, order)
-    return MahlerResult(res.value, "quadrature", res.delta, min_stat < _SINGULAR_MIN)
-
-
-def _drop_negligible_lead(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients (highest power first) without leading ones below 1e-300 of the largest.
-
-    Such a coefficient would overflow the companion matrix.  Its roots lie
-    beyond 1e300, and the measure is that of the polynomial without it, to
-    double precision.
-    """
-    mags = np.abs(coeffs)
-    return coeffs[int(np.argmax(mags > mags.max() * 1e-300)):]
+    res, low = _midpoint_ladder(
+        _log_abs_block(poly), d, quad or _default_spec(d),
+        ratio=lambda stat: 2.0 if d == 1 and stat < _SINGULAR_MIN else None)
+    return MahlerResult(res.value, "quadrature", res.delta, low < _SINGULAR_MIN)
 
 
 def mahler_univariate(poly: LaurentPolynomial) -> MahlerResult:
     """Univariate Mahler measure through Jensen's formula.
 
     Multiplying by a power of X clears negative exponents without changing
-    the measure; the roots of the resulting polynomial come from the balanced
-    companion-matrix eigenvalue solve, and
+    the measure, and ``_fiber_measures`` takes the roots of the resulting
+    polynomial of degree D (in closed form for D <= 2, from the batched
+    companion-matrix eigenvalue solve above that):
 
         m(f) = log|leading coefficient| + sum_k log max(|root_k|, 1).
+
+    A degree above 1024 raises ``ComputationError``; the solve costs ~D^3.
     """
     if poly.n_vars != 1:
         raise ValueError(f"jensen route needs one variable, got {poly.n_vars}")
-    terms = poly.terms
-    exps = sorted(e[0] for e in terms)
-    low, high = exps[0], exps[-1]
-    degree = high - low
-    if degree == 0:
-        only = abs(terms[(high,)])
-        return MahlerResult(math.log(only), "jensen", 0.0, only < _SINGULAR_MIN)
-    coeffs = np.zeros(degree + 1, dtype=np.complex128)
-    for (e,), c in terms.items():
-        coeffs[high - e] = c
-    coeffs = _drop_negligible_lead(coeffs)
+    exps, coeffs = _exponent_matrix(poly)
+    return _jensen(exps[:, 0], coeffs)
+
+
+# largest one-variable degree: the companion solve costs ~D^3 (D = 1024: 6 s)
+_MAX_JENSEN_DEGREE = 1024
+
+
+def _jensen(column: np.ndarray, coeffs: np.ndarray) -> MahlerResult:
+    """Jensen's formula on sum_t coeffs[t] x^column[t], as one row of ``_fiber_measures``.
+
+    Warns when a root lies within 1e-3 of the unit circle, and flags one
+    within 1e-6 of it or a constant below 1e-6.
+    """
+    low = int(column.min())
+    degree = int(column.max()) - low
+    if degree > _MAX_JENSEN_DEGREE:
+        raise ComputationError(
+            f"degree {degree} exceeds the one-variable budget of {_MAX_JENSEN_DEGREE}")
+    row = np.zeros((1, degree + 1), dtype=np.complex128)
+    row[0, column - low] = coeffs
     try:
-        roots = np.roots(coeffs)
+        values, stat, _ = _fiber_measures(row)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"root finding failed: {exc}") from exc
-    moduli = np.abs(roots)
-    near = np.abs(moduli - 1.0)
-    if np.any(near < 1e-3):
-        warnings.warn(
-            f"{int(np.sum(near < 1e-3))} root(s) within 1e-3 of the unit circle; "
-            "max(|root|, 1) is numerically delicate there",
-            stacklevel=2,
-        )
-    value = math.log(abs(coeffs[0])) + float(np.sum(np.log(np.maximum(moduli, 1.0))))
-    return MahlerResult(value, "jensen", degree * 5e-15, bool(np.any(near < _SINGULAR_MIN)))
+    # the statistic is the root gap or, if smaller, the largest |coefficient|
+    # (a constant's own modulus); rescaled, a small polynomial shows its gap
+    gap, scale = float(stat[0]), float(np.abs(coeffs).max())
+    if degree and gap == scale and scale < 1e-3:
+        gap = float(_fiber_measures(row / scale)[1][0])
+    if degree and gap < 1e-3:
+        warnings.warn("a root lies within 1e-3 of the unit circle; "
+                      "max(|root|, 1) is numerically delicate there", stacklevel=3)
+    return MahlerResult(float(values[0]), "jensen", degree * 5e-15, gap < _SINGULAR_MIN)
 
 
 # largest degree in the eliminated variable: the companion solve costs ~D^3
@@ -192,6 +202,8 @@ def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return values, np.fmin(gap, scale), np.where(flip, degree - inside, inside)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if degree == 0:
+            return done(np.log(scale), np.full(len(a), math.inf), np.zeros(len(a), dtype=int))
         if degree == 1:
             lead, tail = np.abs(a[:, 1]), np.abs(a[:, 0])
             return done(np.log(lead), np.abs(tail / lead - 1.0), (tail < lead).astype(int))
@@ -222,14 +234,16 @@ def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gap[ok] = np.abs(moduli - 1.0).min(axis=1)
     inside[ok] = (moduli < 1.0).sum(axis=1)
     # both end coefficients vanish (or the quotient overflows): trim the
-    # zero ends and any negligible leading ones, and solve those rare fibers
-    # one at a time
+    # zero ends and any leading coefficients below 1e-300 of the largest
+    # (their roots lie beyond 1e300 and would overflow the companion matrix),
+    # and solve those rare fibers one at a time
     for i in np.flatnonzero(~ok):
         nonzero = np.flatnonzero(a[i])
         if nonzero.size == 0:
             values[i], gap[i] = -math.inf, math.inf
             continue
-        row = _drop_negligible_lead(a[i, nonzero[0]:nonzero[-1] + 1][::-1])
+        row = a[i, nonzero[0]:nonzero[-1] + 1][::-1]
+        row = row[int(np.argmax(np.abs(row) > np.abs(row).max() * 1e-300)):]
         moduli = np.abs(np.roots(row))
         values[i] = math.log(abs(row[0])) + float(np.log(np.maximum(moduli, 1.0)).sum())
         gap[i] = float(np.abs(moduli - 1.0).min()) if moduli.size else math.inf
@@ -318,16 +332,13 @@ def _breakpoints(fibers, spec: QuadratureSpec) -> np.ndarray | None:
     before, after = np.roll(gap, 1), np.roll(gap, -1)
     rise = np.fmax(before, after) - gap > 1e-6 * gap
     k = np.flatnonzero((gap < before) & (gap <= after) & rise)
-    touch = theta[k]
-    if k.size:
-        a, b = _narrow(touch - cell, touch + cell, lowest)
-        touch = 0.5 * (a + b)
-        touch = touch[fibers(touch)[1] < _SINGULAR_MIN]
-        if touch.size:
-            near = cell * 0.5 ** np.arange(1, _TOUCH_RINGS + 1)
-            near = (touch[:, None] + np.concatenate([-near, near])).ravel()
-            theta = np.concatenate([theta, near])
-            inside = np.concatenate([inside, fibers(near)[2]])
+    a, b = _narrow(theta[k] - cell, theta[k] + cell, lowest)
+    touch = 0.5 * (a + b)
+    touch = touch[fibers(touch)[1] < _SINGULAR_MIN]
+    near = cell * 0.5 ** np.arange(1, _TOUCH_RINGS + 1)
+    near = (touch[:, None] + np.concatenate([-near, near])).ravel()
+    theta = np.concatenate([theta, near])
+    inside = np.concatenate([inside, fibers(near)[2]])
 
     order = np.argsort(np.mod(theta, 2.0 * math.pi), kind="stable")
     theta, inside = np.mod(theta, 2.0 * math.pi)[order], inside[order]
@@ -342,8 +353,7 @@ def _breakpoints(fibers, spec: QuadratureSpec) -> np.ndarray | None:
         j = np.argmax(changed, axis=1) + 1
         return j - 1, j
 
-    if k.size:
-        lo, hi = _narrow(lo, hi, first_change)
+    lo, hi = _narrow(lo, hi, first_change)
 
     found = np.mod(np.concatenate([hi, touch]), 2.0 * math.pi)
     found = np.sort(np.where(found < 2.0 * math.pi, found, 0.0))  # -1e-17 mods to 2 pi
@@ -384,8 +394,9 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
         log|leading coefficient| + sum_k log max(|root_k|, 1),
 
     and the torus average of that runs on the midpoint ladder, with the
-    default spec of the remaining dimension.  One variable in all is handed
-    to ``mahler_univariate``.  ``singular_on_torus`` is set when a fiber root
+    default spec of the remaining dimension.  A polynomial in which at most
+    one variable occurs goes to Jensen's formula on its single row, as in
+    ``mahler_univariate``.  ``singular_on_torus`` is set when a fiber root
     comes within 1e-6 of the unit circle or a whole fiber nearly vanishes.
 
     With one variable left (two in all) the reduced integrand is analytic
@@ -399,16 +410,13 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     the rungs of ``refine_to_tol`` take ``points_per_dim`` as the node count
     per arc and halve the step, and ``singular_on_torus`` is set.
     """
-    if poly.n_vars == 1:
-        return mahler_univariate(poly)
     exps, coeffs = _exponent_matrix(poly)
     low = exps.min(axis=0)
     span = exps.max(axis=0) - low
     used = [int(j) for j in np.flatnonzero(span)]
     if len(used) <= 1:
-        column = exps[:, used[0]] if used else np.zeros(len(exps), dtype=np.int64)
-        return mahler_univariate(
-            LaurentPolynomial(1, {(int(e),): c for e, c in zip(column, coeffs)}))
+        # a constant has a single term
+        return _jensen(exps[:, used[0] if used else 0], coeffs)
     var = min(used, key=lambda j: (span[j], -j))
     rest = [j for j in used if j != var]
     degree = int(span[var])
@@ -441,17 +449,8 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
         values, gap, _ = fibers(mesh)
         return values, float(gap.min())
 
-    block = (1 << 20) // degree ** 2
-    min_stat = math.inf
-
-    def eval_at(points):
-        nonlocal min_stat
-        mean, stat = grid_mean(fn, d, points, spec.node_shift, max_block=block)
-        min_stat = min(min_stat, stat)
-        return mean.real
-
-    res = refine_to_tol(eval_at, spec)
-    return MahlerResult(res.value, "jensen_reduced", res.delta, min_stat < _SINGULAR_MIN)
+    res, low = _midpoint_ladder(fn, d, spec, max_block=(1 << 20) // degree ** 2)
+    return MahlerResult(res.value, "jensen_reduced", res.delta, low < _SINGULAR_MIN)
 
 
 def mahler_closed_mtype(c: float) -> float:
@@ -602,11 +601,7 @@ def zeta_mahler(poly: LaurentPolynomial, s: float, quad: QuadratureSpec | None =
     def fn(mesh):
         return np.abs(evaluate(mesh)).ravel() ** s, None
 
-    def eval_at(points):
-        mean, _ = grid_mean(fn, d, points, spec.node_shift)
-        return mean.real
-
-    res = refine_to_tol(eval_at, spec)
+    res, _ = _midpoint_ladder(fn, d, spec)
     if not res.converged:
         raise ComputationError(
             f"|f|^s quadrature did not converge (last delta {res.delta:.3e}); "

@@ -120,8 +120,8 @@ def _open_mesh(axis: np.ndarray, d: int, block) -> tuple[np.ndarray, ...]:
                  for j, part in enumerate(parts))
 
 
-def grid_mean(fn, d: int, points: int, shift: float, *, max_block: int | None = None,
-              threads: int | None = None) -> tuple[complex, float | None]:
+def grid_mean(fn, d: int, points: int, shift: float, *,
+              max_block: int | None = None) -> tuple[complex, float | None]:
     """Average ``fn`` over the tensor grid with M = ``points`` nodes per axis.
 
     The grid is cut into product-set blocks of at most ``max_block`` nodes
@@ -154,9 +154,8 @@ def grid_mean(fn, d: int, points: int, shift: float, *, max_block: int | None = 
         s = complex(np.sum(values))
         return s.real, s.imag, stat
 
-    nthreads = threads if threads is not None else _threads
-    if nthreads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+    if _threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=_threads) as pool:
             parts = list(pool.map(work, blocks))
     else:
         parts = [work(block) for block in blocks]

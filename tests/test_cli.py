@@ -284,6 +284,14 @@ def test_numerical_failures_exit_1(monkeypatch, capsys, exc):
     assert err == f"computation failed: {exc}\n"
 
 
+@pytest.mark.parametrize("method", ["auto", "jensen"])
+def test_jensen_degree_budget_exit_1(capsys, method):
+    code, out, err = run_cli(["mahler", "--poly", "X1^1025 + 2", "--method", method], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "computation failed: degree 1025 exceeds the one-variable budget of 1024\n"
+
+
 def test_closed_form_large_r_matches_path_sum(capsys):
     # the Jacobi recurrence neither cancels nor overflows where the paper's
     # alternating binomial sum did

@@ -206,7 +206,7 @@ def mesh_cases(draw):
     exps = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=7,
                          unique=True))
     trailing = draw(st.sampled_from([(), (2,)]))
-    sizes = draw(st.tuples(*[st.integers(1, 4)] * d))
+    sizes = draw(st.tuples(*[st.integers(0, 4)] * d))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     shape = (len(exps),) + trailing
     coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -219,8 +219,8 @@ def mesh_cases(draw):
 @given(mesh_cases())
 @settings(max_examples=100, deadline=None)
 def test_mesh_evaluator_matches_eval_laurent(case):
-    # unsorted rows, exponents that are 0 on a whole axis, mesh axes of one
-    # node and a trailing coefficient axis all occur in the draws
+    # unsorted rows, exponents that are 0 on a whole axis, mesh axes of no
+    # node or one node and a trailing coefficient axis all occur in the draws
     exps, coeffs, mesh = case
     d = exps.shape[1]
     got = mesh_evaluator(exps, coeffs)(mesh)
@@ -228,9 +228,14 @@ def test_mesh_evaluator_matches_eval_laurent(case):
     assert got.shape == shape + coeffs.shape[1:]
     nodes = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, d)
     flat_c = coeffs.reshape(len(exps), -1)
-    got = got.reshape(len(nodes), -1)
+    got = got.reshape(len(nodes), flat_c.shape[1])
     for k in range(flat_c.shape[1]):
         poly = LaurentPolynomial(d, dict(zip(map(tuple, exps), flat_c[:, k])))
         expected = [eval_laurent(poly, node[:poly.n_vars]) for node in nodes]
         scale = np.abs(flat_c[:, k]).sum()
-        assert np.max(np.abs(got[:, k] - expected)) <= 1e-13 * scale
+        assert np.all(np.abs(got[:, k] - expected) <= 1e-13 * scale)
+
+
+def test_mesh_evaluator_on_an_empty_mesh():
+    evaluate = mesh_evaluator([[0], [1]], [[1, 2], [3, 4]])
+    assert evaluate((np.zeros(0),)).shape == (0, 2)

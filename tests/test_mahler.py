@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,9 +187,44 @@ def test_subnormal_leading_coefficient_is_dropped():
         0.0, abs=1e-15)
 
 
-def test_reduced_one_variable_delegates_to_jensen():
-    poly = parse_laurent("X1^2 + 3*X1 - 1")
-    assert mahler_reduced(poly) == mahler_univariate(poly)
+@pytest.mark.parametrize("poly,singular,warns,value", [
+    (parse_laurent("X1^2 + 3*X1 - 1"), False, False, None),
+    (parse_laurent("3"), False, False, math.log(3.0)),
+    (parse_laurent("0.0000001"), True, False, math.log(1e-7)),
+    (parse_laurent("X1 - X1^-1"), True, True, 0.0),
+    (parse_laurent("X1^5 - 2*X1^3 + 0.5*X1 + 3"), False, False, None),
+    # the lead is 2.2e-311 of the constant term, a root beyond 1e300
+    (LaurentPolynomial(1, {(1,): 2.2e-311, (0,): 1.0}), False, False, 0.0),
+    # every |coefficient| is below the root gap 3.3e-5
+    (LaurentPolynomial(1, {(3,): 1e-5, (0,): -1.0001e-5}), False, True, math.log(1.0001e-5)),
+], ids=["quadratic", "constant", "tiny_constant", "balanced", "companion", "subnormal_lead",
+        "small_near_circle"])
+def test_reduced_one_variable_delegates_to_jensen(poly, singular, warns, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        jensen = mahler_univariate(poly)
+        reduced = mahler_reduced(poly)
+    assert reduced == jensen
+    assert jensen.singular_on_torus is singular
+    assert len([w for w in caught if "unit circle" in str(w.message)]) == (2 if warns else 0)
+    if value is not None:
+        assert jensen.value == pytest.approx(value, abs=1e-15)
+
+
+def test_jensen_degree_budget():
+    with pytest.raises(ComputationError, match="degree 1025 exceeds"):
+        mahler_univariate(parse_laurent("X1^1025 + 2"))
+    with pytest.raises(ComputationError, match="degree 2000 exceeds"):
+        mahler_reduced(LaurentPolynomial(2, {(0, 2000): 1.0, (0, 0): 2.0}))
+
+
+def test_jensen_failed_eigenvalue_solve_is_a_computation_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(ComputationError, match="root finding failed"):
+        mahler_univariate(parse_laurent("X1^5 - 2*X1^3 + 0.5*X1 + 3"))
 
 
 def test_reduced_degree_budget():

@@ -5,7 +5,8 @@ import pytest
 
 from mahlerzeta import ComputationError, QuadratureSpec
 from mahlerzeta.correspondence import _cos_sum_grid
-from mahlerzeta.quadrature import det_stack, grid_mean, refine_to_tol
+from mahlerzeta.quadrature import (det_stack, get_thread_count, grid_mean, refine_to_tol,
+                                   set_thread_count)
 
 
 def _recording(model):
@@ -201,8 +202,14 @@ def test_axes_view_same_at_one_and_two_threads():
         s = np.cos(mesh[0]) + np.cos(mesh[1]) + np.cos(mesh[2])
         return np.log(1.0 - 0.3 * s).ravel(), None
 
-    one = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12, threads=1)
-    two = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12, threads=2)
+    saved = get_thread_count()
+    try:
+        set_thread_count(1)
+        one = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12)
+        set_thread_count(2)
+        two = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12)
+    finally:
+        set_thread_count(saved)
     assert one == two
 
 
