@@ -7,8 +7,9 @@ Every subcommand prints one JSON object::
 
 Numbers carry 17 significant digits; complex entries appear as [re, im]
 pairs.  Exit codes: 0 success, 1 computation failure (non-convergence,
-singular factor, a grid over the work budget, a linear-algebra, arithmetic
-(floating-point, overflow) or memory error), 2 usage or parse error.
+singular factor, a grid or an evolve run over its work budget, a
+linear-algebra, arithmetic (floating-point, overflow) or memory error), 2
+usage or parse error.
 Output is byte-identical for identical inputs; pass --timing to add wall
 time to the diagnostics.
 """
@@ -350,7 +351,16 @@ def _cmd_verify(args):
         tolerances = None
     else:
         with open(args.tol_file, encoding="utf-8") as handle:
-            tolerances = {k: float(v) for k, v in json.load(handle).items()}
+            raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise ValueError(f"--tol-file must hold a JSON object, got {type(raw).__name__}")
+        tolerances = {}
+        for kind, value in raw.items():
+            try:
+                tolerances[kind] = float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"--tol-file value for {kind!r} is not a number: "
+                                 f"{value!r}") from None
     params = None if args.suite == "all" else default_suite_params(args.suite)
     reports = run_suite(tolerances, params)
     result = [dataclasses.asdict(rep) for rep in reports]

@@ -5,6 +5,12 @@ complex arithmetic (a determinant quadrature against a Mahler decomposition,
 a hypergeometric form against a torus integral, the return (Green) function as
 a torus mean against an exact path-count series), so agreement at the stated
 tolerance is evidence rather than tautology.
+
+``SUITE_CHECKS`` is the one definition of each suite check kind: its group,
+its verifier, its default tolerance and its grid of arguments.
+``DEFAULT_TOLERANCES``, ``SUITE_GROUPS`` and ``default_suite_params`` are read
+off it, and the verifiers' own default tolerances come from
+``DEFAULT_TOLERANCES``.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,17 +106,19 @@ def _qw_closed_form(xi: float, u: float, shift_type: str) -> float:
 
 def verify_1d_qw(xi: float, u: float, shift_type: str,
                  quad: QuadratureSpec | None = None,
-                 tol: float = 1e-9) -> CorrespondenceReport:
+                 tol: float | None = None) -> CorrespondenceReport:
     """One-dimensional walk: determinant quadrature vs Mahler decomposition.
 
     lhs is the logarithmic zeta function computed by quadrature of the
     momentum determinant; rhs is log(-cos(xi) u) + m(X - X^-1 + c_m) for the
     moving shift (resp. the sin/f-type pair), with the Mahler measure from its
     own closed form.  The direct closed form of the zeta function rides along
-    in the diagnostics.
+    in the diagnostics.  ``tol`` defaults to the suite's ``qw1d`` tolerance.
     """
     lo, hi = qw_validity_interval(xi, shift_type)
     _check_open_interval(u, lo, hi, f"{shift_type}-type 1d walk")
+    if tol is None:
+        tol = DEFAULT_TOLERANCES["qw1d"]
     coin = build_coin("hadamard", 1, xi)
     if shift_type == F_TYPE:
         coin = flip_flop(coin)
@@ -197,12 +206,14 @@ def verify_grover(d: int, u: float,
     measure taken by the Jensen-reduced route (one variable integrated out
     exactly), so the two sides share no integrand.  For d = 2 the diagnostics
     also carry the hypergeometric form log(1-u^4) - (2/c^2) 4F3(.; 16/c^2).
+    ``tol`` defaults to the suite's ``grover_d<d>`` tolerance, and to 1e-4
+    for a dimension the suite does not check.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
     _check_open_interval(u, -1.0, 0.0, "grover walk")
     if tol is None:
-        tol = 1e-6 if d <= 2 else 1e-4
+        tol = DEFAULT_TOLERANCES.get(f"grover_d{d}", 1e-4)
     spec = quad or _grover_spec(d)
     base = (d - 1) * math.log(1.0 - u * u)
     lhs = base + _cos_log_mean(d, spec, lambda s: 1.0 - (2.0 * u / d) * s + u * u)
@@ -255,29 +266,33 @@ def verify_rw(d: int, u: float,
     log(-u/2d) + m(sum_j (X_j + X_j^-1) - 2d/u), the Mahler measure taken by
     the Jensen-reduced route.  For d = 1 the diagnostics
     carry the closed form log((1+sqrt(1-u^2))/2) and the central-binomial
-    series; for d = 2 the 4F3 form and the squared-binomial series.
+    series; for d = 2 the 4F3 form and the squared-binomial series.  No
+    other d computes a series, whose return-weight window grows as 61^d.
+    ``tol`` defaults to the suite's ``rw_d<d>`` tolerance, and to 1e-6 for a
+    dimension the suite does not check.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
     _check_open_interval(u, -1.0, 0.0, "symmetric rw")
     if tol is None:
-        tol = 1e-8 if d == 1 else (1e-7 if d == 2 else 1e-6)
+        tol = DEFAULT_TOLERANCES.get(f"rw_d{d}", 1e-6)
     spec = quad or _rw_spec(d)
     lhs = _cos_log_mean(d, spec, lambda s: 1.0 - (u / d) * s)
     c = -2.0 * d / u
     poly = _lattice_polynomial(d, c)
     mahler = mahler_reduced(poly, spec)
     rhs = math.log(-u / (2.0 * d)) + mahler.value
-    series_value, series_tail = _series_sum(_rw_traces(d, 60), u, d)
     diagnostics = {
         "c": c,
         "mahler_value": mahler.value,
         "mahler_route": mahler.method,
         "grid": spec.points_per_dim,
-        "series_value": series_value,
-        "series_tail_bound": series_tail,
-        "lhs_minus_series": lhs - series_value,
     }
+    if d <= 2:
+        series_value, series_tail = _series_sum(_rw_traces(d, 60), u, d)
+        diagnostics["series_value"] = series_value
+        diagnostics["series_tail_bound"] = series_tail
+        diagnostics["lhs_minus_series"] = lhs - series_value
     if d == 1:
         closed = math.log((1.0 + math.sqrt(1.0 - u * u)) / 2.0)
         diagnostics["closed_form"] = closed
@@ -310,7 +325,7 @@ def stgf(d: int, u: float, quad: QuadratureSpec | None = None) -> float:
         raise ValueError(f"u must lie in (0, 1], got {u}")
     if u == 1.0:
         spec = quad or _tree_spec(d)
-        integral = _tree_log_mean(d, spec)
+        integral = _cos_log_mean(d, spec, lambda s: 1.0 - s / d, 2.0 if d == 1 else 4.0)
     else:
         spec = quad or _rw_spec(d)
         integral = _cos_log_mean(d, spec, lambda s: 1.0 / u - s / d)
@@ -323,20 +338,14 @@ def _tree_spec(d: int) -> QuadratureSpec:
             3: QuadratureSpec(128, 0.5, 1e-5, 1)}.get(d, QuadratureSpec(32, 0.5, 1e-4, 1))
 
 
-def _tree_log_mean(d: int, spec: QuadratureSpec) -> float:
-    return _cos_log_mean(d, spec, lambda s: 1.0 - s / d, 2.0 if d == 1 else 4.0)
-
-
 def spanning_tree_constant(d: int, quad: QuadratureSpec | None = None) -> float:
     """Exponential growth rate of the spanning tree count of the N^d torus.
 
-    log(2d) plus the torus average of log(1 - (1/d) sum_j cos theta_j).  The
-    formula extends continuously to d = 1 where it evaluates to 0.
+    This is ``stgf(d, 1.0, quad)``: log(2d) plus the torus average of
+    log(1 - (1/d) sum_j cos theta_j).  The formula extends continuously to
+    d = 1 where it evaluates to 0.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    spec = quad or _tree_spec(d)
-    return math.log(2 * d) + _tree_log_mean(d, spec)
+    return stgf(d, 1.0, quad)
 
 
 # --------------------------------------------------------------------------
@@ -504,66 +513,6 @@ def transience_probe(d: int, u_values) -> TransienceProbe:
 # --------------------------------------------------------------------------
 # the verification suite
 
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "qw1d": 1e-9,
-    "grover_d1": 1e-6,
-    "grover_d2": 1e-6,
-    "grover_d3": 1e-8,
-    "rw_d1": 1e-8,
-    "rw_d2": 1e-7,
-    "trees_lambda2": 1e-4,
-    "stgf_shift": 1e-8,
-    "transience": 2e-2,
-    "smyth_2var": 1e-13,
-    "smyth_3var": 1e-8,
-    "catalan": 1e-14,
-    "zeta3": 1e-13,
-    "l_chi3": 1e-13,
-}
-
-_QW_XIS = (math.pi / 6, math.pi / 4, math.pi / 3)
-_QW_F_US = (-0.1, -0.3, -0.5, -1.0, -2.0)
-_GROVER_US = (-0.2, -0.5, -0.8)
-_RW_US = (-0.2, -0.5, -0.8)
-_STGF_US = (0.3, 0.6, 0.9)
-
-
-def default_suite_params(group: str | None = None) -> list[tuple[str, dict]]:
-    """The canonical (check kind, arguments) grid run by the suite.
-
-    ``group`` keeps only the checks of one ``SUITE_GROUPS`` entry.
-    """
-    if group is not None and group not in SUITE_GROUPS:
-        raise ValueError(f"unknown suite group {group!r} (choose {', '.join(SUITE_GROUPS)})")
-    params: list[tuple[str, dict]] = []
-    for xi in _QW_XIS:
-        lo, _ = qw_validity_interval(xi, M_TYPE)
-        for i in range(1, 6):
-            params.append(("qw1d", {"xi": xi, "u": lo * i / 6.0, "shift_type": M_TYPE}))
-        for u in _QW_F_US:
-            params.append(("qw1d", {"xi": xi, "u": u, "shift_type": F_TYPE}))
-    for d in (1, 2, 3):
-        for u in _GROVER_US:
-            params.append((f"grover_d{d}", {"d": d, "u": u}))
-    for d in (1, 2):
-        for u in _RW_US:
-            params.append((f"rw_d{d}", {"d": d, "u": u}))
-    params.append(("trees_lambda2", {}))
-    for d in (1, 2, 3):
-        for u in _STGF_US:
-            params.append(("stgf_shift", {"d": d, "u": u}))
-    for d in (1, 2, 3):
-        params.append(("transience", {"d": d}))
-    params.append(("smyth_2var", {}))
-    params.append(("smyth_3var", {}))
-    params.append(("catalan", {}))
-    params.append(("zeta3", {}))
-    params.append(("l_chi3", {}))
-    if group is not None:
-        params = [(kind, args) for kind, args in params if SUITE_CHECKS[kind][0] == group]
-    return params
-
-
 def _check_stgf_shift(d: int, u: float, tol: float) -> CorrespondenceReport:
     coin = build_coin(SIMPLE_RW, d)
     spec = {1: QuadratureSpec(1024, 0.5, 1e-11, 1),
@@ -646,41 +595,77 @@ def _check_constant(key: str, tol: float) -> CorrespondenceReport:
     return _report(f"constants: {label}", value, reference, tol, {}, {})
 
 
-# check kind -> (suite group, verifier); the verifier takes the kind's
-# arguments from the parameter grid plus ``tol``
-SUITE_CHECKS = {
-    "qw1d": ("qw1d", verify_1d_qw),
-    "grover_d1": ("grover", verify_grover),
-    "grover_d2": ("grover", verify_grover),
-    "grover_d3": ("grover", verify_grover),
-    "rw_d1": ("rw", verify_rw),
-    "rw_d2": ("rw", verify_rw),
-    "trees_lambda2": ("trees", _check_trees_lambda2),
-    "stgf_shift": ("trees", _check_stgf_shift),
-    "transience": ("transience", _check_transience),
-    "smyth_2var": ("smyth", partial(_check_smyth, 2)),
-    "smyth_3var": ("smyth", partial(_check_smyth, 3)),
-    "catalan": ("constants", partial(_check_constant, "catalan")),
-    "zeta3": ("constants", partial(_check_constant, "zeta3")),
-    "l_chi3": ("constants", partial(_check_constant, "l_chi3")),
+# One row per check kind, in the order the suite runs them: its group, its
+# verifier (called with one argument dict of the grid plus ``tol``), its
+# default tolerance and its grid of argument dicts.
+class _Check(NamedTuple):
+    group: str
+    verifier: Callable[..., CorrespondenceReport]
+    tolerance: float
+    grid: list[dict]
+
+
+def _qw1d_grid() -> list[dict]:
+    grid = []
+    for xi in (math.pi / 6, math.pi / 4, math.pi / 3):
+        lo, _ = qw_validity_interval(xi, M_TYPE)
+        grid += [{"xi": xi, "u": lo * i / 6.0, "shift_type": M_TYPE} for i in range(1, 6)]
+        grid += [{"xi": xi, "u": u, "shift_type": F_TYPE} for u in (-0.1, -0.3, -0.5, -1.0, -2.0)]
+    return grid
+
+
+_WALK_US = (-0.2, -0.5, -0.8)
+
+SUITE_CHECKS: dict[str, _Check] = {
+    "qw1d": _Check("qw1d", verify_1d_qw, 1e-9, _qw1d_grid()),
+    "grover_d1": _Check("grover", verify_grover, 1e-6, [{"d": 1, "u": u} for u in _WALK_US]),
+    "grover_d2": _Check("grover", verify_grover, 1e-6, [{"d": 2, "u": u} for u in _WALK_US]),
+    "grover_d3": _Check("grover", verify_grover, 1e-8, [{"d": 3, "u": u} for u in _WALK_US]),
+    "rw_d1": _Check("rw", verify_rw, 1e-8, [{"d": 1, "u": u} for u in _WALK_US]),
+    "rw_d2": _Check("rw", verify_rw, 1e-7, [{"d": 2, "u": u} for u in _WALK_US]),
+    "trees_lambda2": _Check("trees", _check_trees_lambda2, 1e-4, [{}]),
+    "stgf_shift": _Check("trees", _check_stgf_shift, 1e-8,
+                         [{"d": d, "u": u} for d in (1, 2, 3) for u in (0.3, 0.6, 0.9)]),
+    "transience": _Check("transience", _check_transience, 2e-2, [{"d": d} for d in (1, 2, 3)]),
+    "smyth_2var": _Check("smyth", partial(_check_smyth, 2), 1e-13, [{}]),
+    "smyth_3var": _Check("smyth", partial(_check_smyth, 3), 1e-8, [{}]),
+    "catalan": _Check("constants", partial(_check_constant, "catalan"), 1e-14, [{}]),
+    "zeta3": _Check("constants", partial(_check_constant, "zeta3"), 1e-13, [{}]),
+    "l_chi3": _Check("constants", partial(_check_constant, "l_chi3"), 1e-13, [{}]),
 }
-SUITE_GROUPS = tuple(dict.fromkeys(group for group, _ in SUITE_CHECKS.values()))
+DEFAULT_TOLERANCES: dict[str, float] = {kind: row.tolerance for kind, row in SUITE_CHECKS.items()}
+SUITE_GROUPS = tuple(dict.fromkeys(row.group for row in SUITE_CHECKS.values()))
+
+
+def default_suite_params(group: str | None = None) -> list[tuple[str, dict]]:
+    """The canonical (check kind, arguments) grid run by the suite.
+
+    ``group`` keeps only the checks of one ``SUITE_GROUPS`` entry.  Every
+    call returns fresh argument dicts.
+    """
+    if group is not None and group not in SUITE_GROUPS:
+        raise ValueError(f"unknown suite group {group!r} (choose {', '.join(SUITE_GROUPS)})")
+    return [(kind, dict(args)) for kind, row in SUITE_CHECKS.items()
+            if group in (None, row.group) for args in row.grid]
 
 
 def run_suite(tolerances: dict[str, float] | None = None,
               params: list[tuple[str, dict]] | None = None) -> list[CorrespondenceReport]:
     """Run every identity check over its canonical parameter grid.
 
-    ``tolerances`` overrides entries of ``DEFAULT_TOLERANCES``; ``params``
-    replaces the canonical grid (an empty list yields an empty report list).
-    Failures are reported, never raised.  Reports come back sorted by identity
-    name and inputs.
+    ``tolerances`` overrides entries of ``DEFAULT_TOLERANCES`` with finite,
+    non-negative values; ``params`` replaces the canonical grid (an empty list
+    yields an empty report list).  Failures are reported, never raised.
+    Reports come back sorted by identity name and inputs.
     """
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+        for kind, tol in tolerances.items():
+            if not (math.isfinite(tol) and tol >= 0.0):
+                raise ValueError(f"tolerance for {kind!r} must be finite and >= 0, got {tol!r}")
         tols.update(tolerances)
     if params is None:
         params = default_suite_params()
@@ -688,6 +673,6 @@ def run_suite(tolerances: dict[str, float] | None = None,
     for kind, args in params:
         if kind not in SUITE_CHECKS:
             raise ValueError(f"unknown suite check {kind!r}")
-        reports.append(SUITE_CHECKS[kind][1](tol=tols[kind], **args))
+        reports.append(SUITE_CHECKS[kind].verifier(tol=tols[kind], **args))
     reports.sort(key=lambda rep: (rep.identity_name, sorted(rep.inputs.items())))
     return reports

@@ -36,6 +36,10 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _MAX_WEIGHT_BYTES = 512 * 1024 * 1024
+# evolve's budget in steps * sites * (2d)^2 (the coin products of a run); a
+# step costs at least as much as 1024 sites in call overhead
+_MAX_EVOLVE_WORK = 1 << 28
+_MIN_STEP_SITES = 1024
 
 
 @dataclass(frozen=True)
@@ -150,11 +154,22 @@ def _step(field: np.ndarray, entries_t: np.ndarray, dim_d: int) -> np.ndarray:
 
 
 def evolve(state: WalkState, coin: CoinMatrix, steps: int) -> WalkState:
-    """Advance the state ``steps`` steps with periodic wraparound."""
+    """Advance the state ``steps`` steps with periodic wraparound.
+
+    A run whose steps * max(N^d, 1024) * (2d)^2 exceeds 2^28 raises
+    ``ComputationError`` before the first step.
+    """
     if coin.dim_d != state.dim_d:
         raise ValueError(f"coin dimension {coin.dim_d} != state dimension {state.dim_d}")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
+    d = state.dim_d
+    work = steps * max(state.side_N ** d, _MIN_STEP_SITES) * (2 * d) ** 2
+    if work > _MAX_EVOLVE_WORK:
+        raise ComputationError(
+            f"{steps} steps on the {state.side_N}^{d} torus exceed the evolve budget "
+            f"({work} > 2^28 site-step coin products)"
+        )
     field = state.field
     entries_t = coin.entries.T
     for _ in range(steps):

@@ -200,6 +200,30 @@ def test_verify_tol_file(tmp_path, capsys):
     assert payload["diagnostics"]["failed"] == 1
 
 
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"qw1d": null}',
+    '{"qw1d": "nan"}',
+    '{"qw1d": -1}',
+    '{"qw1d": Infinity}',
+])
+def test_verify_malformed_tol_file_exit_2(tmp_path, capsys, text):
+    tol_file = tmp_path / "tols.json"
+    tol_file.write_text(text)
+    code, out, err = run_cli(["verify", "--suite", "qw1d", "--tol-file", str(tol_file)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_evolve_over_budget_exit_1(capsys):
+    code, out, err = run_cli(["evolve", "--coin", "rw", "--N", "2", "--steps", "100000000"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("computation failed: 100000000 steps") and "evolve budget" in err
+
+
 def test_byte_identical_output(capsys):
     args = ["logzeta", "--coin", "rw", "--d", "1", "--u", "-0.5", "--grid", "256"]
     _, out1, _ = run_cli(args, capsys)

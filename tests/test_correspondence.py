@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -171,6 +172,17 @@ def test_rw_matches_det_route_log_zeta():
     assert abs(det_route - rep.lhs) < 1e-9
 
 
+def test_rw_series_only_for_d_up_to_2():
+    # the return-weight series would need a 61^d window; d >= 3 skips it
+    start = time.perf_counter()
+    rep = verify_rw(3, -0.5)
+    assert time.perf_counter() - start < 2.0
+    assert rep.passed
+    assert not any(key.startswith(("series", "lhs_minus")) for key in rep.diagnostics)
+    rep = verify_rw(4, -0.5)
+    assert rep.passed and rep.tolerance == 1e-6
+
+
 def test_rw_range_validation():
     with pytest.raises(ValueError, match="validity"):
         verify_rw(1, -1.5)
@@ -213,7 +225,7 @@ def test_lambda_d2_catalan():
 
 def test_lambda_d3_consistent_with_stgf():
     spec = QuadratureSpec(64, 0.5, 1e-4, 1)
-    assert abs(spanning_tree_constant(3, spec) - stgf(3, 1.0, spec)) < 1e-3
+    assert spanning_tree_constant(3, spec) == stgf(3, 1.0, spec)
 
 
 def test_lambda_domain():
@@ -345,6 +357,12 @@ def test_run_suite_unknown_tolerance_key():
         run_suite(tolerances={"bogus": 1.0}, params=[])
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
+def test_run_suite_rejects_tolerance_not_finite_or_negative(tol):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        run_suite(tolerances={"qw1d": tol}, params=[])
+
+
 def test_suite_registry_groups_partition_the_grid():
     full = default_suite_params()
     assert set(SUITE_CHECKS) == set(DEFAULT_TOLERANCES)
@@ -355,6 +373,41 @@ def test_suite_registry_groups_partition_the_grid():
         assert owners == [SUITE_CHECKS[kind][0]]
     merged = [item for params in by_group.values() for item in params]
     assert sorted(map(repr, merged)) == sorted(map(repr, full))
+
+
+def test_suite_run_order():
+    # perfbench's seeded shuffle starts from this order
+    counts = []
+    for kind, _ in default_suite_params():
+        if counts and counts[-1][0] == kind:
+            counts[-1][1] += 1
+        else:
+            counts.append([kind, 1])
+    assert counts == [
+        ["qw1d", 30],
+        ["grover_d1", 3], ["grover_d2", 3], ["grover_d3", 3],
+        ["rw_d1", 3], ["rw_d2", 3],
+        ["trees_lambda2", 1], ["stgf_shift", 9], ["transience", 3],
+        ["smyth_2var", 1], ["smyth_3var", 1],
+        ["catalan", 1], ["zeta3", 1], ["l_chi3", 1],
+    ]
+    assert len(default_suite_params()) == 63
+
+
+def test_suite_params_are_fresh_copies():
+    first = default_suite_params("rw")
+    first[0][1]["u"] = 99.0
+    assert default_suite_params("rw")[0][1]["u"] == -0.2
+
+
+@pytest.mark.parametrize("kind", [
+    kind for kind, row in SUITE_CHECKS.items()
+    if row.verifier in (verify_1d_qw, verify_grover, verify_rw)
+])
+def test_verifier_default_tolerance_is_the_suite_tolerance(kind):
+    args = SUITE_CHECKS[kind].grid[0]
+    rep = SUITE_CHECKS[kind].verifier(tol=None, **args)
+    assert rep.tolerance == DEFAULT_TOLERANCES[kind]
 
 
 def test_suite_unknown_group_and_check():

@@ -135,6 +135,18 @@ def test_total_measure_validation():
         total_measure(delta_state(1, 2), 0.5)
 
 
+def test_evolve_work_budget():
+    # steps * max(N^d, 1024) * (2d)^2 may reach 2^28 and no further; the
+    # refusal comes before the first step
+    coin = build_coin("simple_rw", 1)
+    state = delta_state(1, 2)
+    assert evolve(state, coin, 0).time == 0
+    with pytest.raises(ComputationError, match="evolve budget"):
+        evolve(state, coin, 65537)
+    with pytest.raises(ComputationError, match="evolve budget"):
+        evolve(delta_state(2, 8), flip_flop(build_coin("grover", 2)), 100_000_000)
+
+
 def test_evolution_matches_fourier_route():
     # advance Fourier modes with the momentum matrix and transform back
     coin = flip_flop(build_coin("hadamard", 1, 1.1))
