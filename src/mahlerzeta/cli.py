@@ -39,6 +39,7 @@ from .correspondence import (
 from .errors import ComputationError
 from .laurent import LaurentSyntaxError, parse_laurent
 from .mahler import (
+    _eliminated,
     hyper_pfq,
     mahler_quadrature,
     mahler_reduced,
@@ -313,6 +314,12 @@ def _cmd_mahler(args):
         res = mahler_reduced(poly, quad)
     elif args.method == "auto" and poly.n_vars == 1:
         res = mahler_univariate(poly)
+    elif args.method == "auto" and _eliminated(poly)[2] <= 2:
+        # every fiber takes closed forms; over the work budget, the torus route
+        try:
+            res = mahler_reduced(poly, quad)
+        except ComputationError:
+            res = mahler_quadrature(poly, quad)
     else:
         res = mahler_quadrature(poly, quad)
     return inputs, res.value, {

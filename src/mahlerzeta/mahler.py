@@ -18,6 +18,13 @@ fibers of the reduced route, or the one row of a one-variable polynomial),
 and every midpoint torus average one ladder, ``_midpoint_ladder``.  The
 Cassaigne-Maillot closed form of m(a + bX + cY), the exact oracle for the
 n = 2 route, lives in the tests.
+
+``_eliminated`` picks the variable the reduced route integrates out; the
+CLI's ``--method auto`` reads its span from there, and takes the reduced
+route when every fiber has closed-form roots (span <= 2).  One work budget,
+in fiber rows weighted by their cost, bounds every reduced call, so an
+input whose toric points the sample grid cannot resolve ends in
+``ComputationError`` rather than an endless ladder.
 """
 
 from __future__ import annotations
@@ -90,15 +97,19 @@ def _log_abs_block(poly: LaurentPolynomial):
     return fn
 
 
-def _midpoint_ladder(fn, d: int, spec: QuadratureSpec, *, max_block=None, ratio=None):
+def _midpoint_ladder(fn, d: int, spec: QuadratureSpec, *, max_block=None, ratio=None,
+                     charge=None):
     """``refine_to_tol`` over ``grid_mean(fn, ...)``: its result and the smallest block stat.
 
     ``ratio(low)`` maps the smallest stat so far to the extrapolation ratio.
+    ``charge(n)`` is called with the node count of each grid before it starts.
     """
     low = math.inf
 
     def eval_at(points):
         nonlocal low
+        if charge is not None:
+            charge(points ** d)
         mean, stat = grid_mean(fn, d, points, spec.node_shift, max_block=max_block)
         if stat is not None:
             low = min(low, stat)
@@ -178,6 +189,24 @@ def _jensen(column: np.ndarray, coeffs: np.ndarray) -> MahlerResult:
 # largest degree in the eliminated variable: the companion solve costs ~D^3
 # per node and its stack ~D^2 per node
 _MAX_FIBER_DEGREE = 32
+# the work budget of one mahler_reduced call, over all its fiber evaluations,
+# in rows weighted by their cost: one unit is about 0.085 us on a 2-core x86
+# host, so a refused call has spent about 17 s
+_MAX_REDUCED_WORK = 200_000_000
+
+
+def _eliminated(poly: LaurentPolynomial) -> tuple[int, list[int], int]:
+    """The variable the reduced route integrates out, the other ones that occur, and its span.
+
+    Of the variables that occur, the one of least positive degree span is
+    eliminated, the highest index on ties.  A constant gives variable 0 of
+    span 0.
+    """
+    exps, _ = _exponent_matrix(poly)
+    span = exps.max(axis=0) - exps.min(axis=0)
+    used = [int(j) for j in np.flatnonzero(span)]
+    var = min(used, key=lambda j: (span[j], -j), default=0)
+    return var, [j for j in used if j != var], int(span[var])
 
 
 def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,11 +316,13 @@ def _narrow(lo: np.ndarray, hi: np.ndarray, pick) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def _breakpoints(fibers, spec: QuadratureSpec) -> np.ndarray | None:
+def _breakpoints(fibers, spec: QuadratureSpec, charge) -> np.ndarray | None:
     """Sorted angles in [0, 2 pi) where a one-variable reduced integrand is not analytic.
 
     ``fibers(theta)`` is ``_fiber_measures`` of the fibers at the angles
     ``theta``, which are first sampled on the midpoint grid of ``spec``.
+    ``charge(n)`` is called before each evaluation of n fibers, and before
+    the sample grid is built.
 
     - Each local minimum of the gap statistic is refined over its two
       neighbouring cells and kept if the gap drops below 1e-6 there: a fiber
@@ -318,14 +349,19 @@ def _breakpoints(fibers, spec: QuadratureSpec) -> np.ndarray | None:
     at nearly every node at great cost.
     """
     points = spec.points_per_dim
+    charge(points)
     cell = 2.0 * math.pi / points
     theta = (np.arange(points) + spec.node_shift) * cell
     _, gap, inside = fibers(theta)
     if np.count_nonzero(gap < _SINGULAR_MIN) > max(2, points // 16):
         return None
 
+    def counted(x):
+        charge(x.size)
+        return fibers(x)
+
     def lowest(x):
-        j = np.argmin(fibers(x.ravel())[1].reshape(x.shape), axis=1)
+        j = np.argmin(counted(x.ravel())[1].reshape(x.shape), axis=1)
         return np.maximum(j - 1, 0), np.minimum(j + 1, _SECTIONS)
 
     # a flat gap (a root of constant modulus) has rounding-noise minima
@@ -334,11 +370,11 @@ def _breakpoints(fibers, spec: QuadratureSpec) -> np.ndarray | None:
     k = np.flatnonzero((gap < before) & (gap <= after) & rise)
     a, b = _narrow(theta[k] - cell, theta[k] + cell, lowest)
     touch = 0.5 * (a + b)
-    touch = touch[fibers(touch)[1] < _SINGULAR_MIN]
+    touch = touch[counted(touch)[1] < _SINGULAR_MIN]
     near = cell * 0.5 ** np.arange(1, _TOUCH_RINGS + 1)
     near = (touch[:, None] + np.concatenate([-near, near])).ravel()
     theta = np.concatenate([theta, near])
-    inside = np.concatenate([inside, fibers(near)[2]])
+    inside = np.concatenate([inside, counted(near)[2]])
 
     order = np.argsort(np.mod(theta, 2.0 * math.pi), kind="stable")
     theta, inside = np.mod(theta, 2.0 * math.pi)[order], inside[order]
@@ -347,7 +383,7 @@ def _breakpoints(fibers, spec: QuadratureSpec) -> np.ndarray | None:
     hi[k == theta.size - 1] += 2.0 * math.pi
 
     def first_change(x):
-        count = fibers(x[:, 1:-1].ravel())[2].reshape(x.shape[0], -1)
+        count = counted(x[:, 1:-1].ravel())[2].reshape(x.shape[0], -1)
         # the upper end counts as changed, as it did when the bracket was made
         changed = np.column_stack([count != side[:, None], np.ones(len(x), dtype=bool)])
         j = np.argmax(changed, axis=1) + 1
@@ -363,25 +399,40 @@ def _breakpoints(fibers, spec: QuadratureSpec) -> np.ndarray | None:
     return found[keep]
 
 
-def _arc_mean(fibers, breaks: np.ndarray, points: int, shift: float) -> float:
+# nodes of _arc_mean built and evaluated at a time
+_ARC_BLOCK = 1 << 16
+
+
+def _arc_mean(fibers, breaks: np.ndarray, points: int, shift: float, charge) -> float:
     """Torus mean of a reduced integrand, by tanh-sinh between its breakpoints.
 
     Each arc between neighbouring breakpoints (cyclically) gets ``points``
     nodes at t = -T + (k + shift) h, h = 2T / points, mapped to the arc by
     x = tanh((pi/2) sinh t), which crowds them toward its ends.  A node
-    that rounds onto an end is dropped.
+    that rounds onto an end is dropped.  ``charge(n)`` is called with the
+    node count before any node is built; the nodes are then built and
+    evaluated in blocks, and ``math.fsum`` makes the sum independent of them.
     """
+    charge(breaks.size * points)
     h = 2.0 * _TANH_SINH_T / points
     t = (np.arange(points) + shift) * h - _TANH_SINH_T
     s = 0.5 * math.pi * np.sinh(np.abs(t))
     near = 1.0 / (1.0 + np.exp(2.0 * s))  # distance to the nearer end, in arc lengths
     weight = 0.25 * math.pi * h * np.cosh(t) / np.cosh(s) ** 2
     ends = np.append(breaks, breaks[0] + 2.0 * math.pi)
-    a, b = ends[:-1, None], ends[1:, None]
-    x = np.where(t < 0.0, a + (b - a) * near, b - (b - a) * near)
-    inner = (x != a) & (x != b)
-    values = fibers(x[inner])[0]
-    return math.fsum(((b - a) * weight)[inner] * values) / (2.0 * math.pi)
+    a, b = ends[:-1], ends[1:]
+    total = breaks.size * points
+
+    def terms():
+        # flat node index = arc * points + k
+        for start in range(0, total, _ARC_BLOCK):
+            arc, k = np.divmod(np.arange(start, min(start + _ARC_BLOCK, total)), points)
+            lo, hi, length = a[arc], b[arc], (b - a)[arc]
+            x = np.where(t[k] < 0.0, lo + length * near[k], hi - length * near[k])
+            inner = (x != lo) & (x != hi)
+            yield from ((length * weight[k])[inner] * fibers(x[inner])[0]).tolist()
+
+    return math.fsum(terms()) / (2.0 * math.pi)
 
 
 def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) -> MahlerResult:
@@ -393,11 +444,13 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
 
         log|leading coefficient| + sum_k log max(|root_k|, 1),
 
-    and the torus average of that runs on the midpoint ladder, with the
-    default spec of the remaining dimension.  A polynomial in which at most
-    one variable occurs goes to Jensen's formula on its single row, as in
-    ``mahler_univariate``.  ``singular_on_torus`` is set when a fiber root
-    comes within 1e-6 of the unit circle or a whole fiber nearly vanishes.
+    in closed form for a span of at most 2 and from a companion eigensolve
+    above that, and the torus average of that runs on the midpoint ladder,
+    with the default spec of the remaining dimension.  A polynomial in which
+    at most one variable occurs goes to Jensen's formula on its single row,
+    as in ``mahler_univariate``.  ``singular_on_torus`` is set when a fiber
+    root comes within 1e-6 of the unit circle or a whole fiber nearly
+    vanishes.
 
     With one variable left (two in all) the reduced integrand is analytic
     except at breakpoints: the toric points, where a fiber root crosses or
@@ -409,17 +462,18 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     (``_arc_mean``), which converges geometrically up to such end points;
     the rungs of ``refine_to_tol`` take ``points_per_dim`` as the node count
     per arc and halve the step, and ``singular_on_torus`` is set.
+
+    One work budget covers every fiber evaluation of a call: the breakpoint
+    search, the arc rungs and the midpoint grids.  Each row counts the
+    monomials it evaluates plus the cost of its fiber (a companion eigensolve
+    counts about 10 D^2 of them), and an evaluation that would take the total
+    past 2e8 raises ``ComputationError`` before it starts, after at most
+    about 17 s of work on a 2-core host.
     """
+    var, rest, degree = _eliminated(poly)
     exps, coeffs = _exponent_matrix(poly)
-    low = exps.min(axis=0)
-    span = exps.max(axis=0) - low
-    used = [int(j) for j in np.flatnonzero(span)]
-    if len(used) <= 1:
-        # a constant has a single term
-        return _jensen(exps[:, used[0] if used else 0], coeffs)
-    var = min(used, key=lambda j: (span[j], -j))
-    rest = [j for j in used if j != var]
-    degree = int(span[var])
+    if not rest:
+        return _jensen(exps[:, var], coeffs)
     if degree > _MAX_FIBER_DEGREE:
         raise ComputationError(
             f"every variable has degree span above {_MAX_FIBER_DEGREE}; "
@@ -427,8 +481,24 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     # column k of ``table``: fiber coefficient k as a polynomial in the other variables
     outer, row = np.unique(exps[:, rest], axis=0, return_inverse=True)
     table = np.zeros((len(outer), degree + 1), dtype=np.complex128)
-    table[row.ravel(), exps[:, var] - low[var]] = coeffs
+    table[row.ravel(), exps[:, var] - exps[:, var].min()] = coeffs
     evaluate = mesh_evaluator(outer, table)
+    # a row's evaluation reads every monomial of the other variables; its
+    # fiber takes closed forms up to degree 2 and a companion eigensolve
+    # (about 10 D^2 units) above
+    weight = len(outer) + (degree + 1 if degree <= 2 else 10 * degree ** 2)
+    spent = 0
+
+    def charge(rows):
+        nonlocal spent
+        spent += rows * weight
+        if spent > _MAX_REDUCED_WORK:
+            raise ComputationError(
+                f"the reduced route's fiber evaluations exceed its work budget "
+                f"({spent:.3g} > {_MAX_REDUCED_WORK:.0e} units at {weight} per row)")
+
+    # rows per fiber evaluation, which bounds its temporaries
+    block = (1 << 20) // degree ** 2
 
     def fibers(mesh):
         return _fiber_measures(evaluate(mesh).reshape(-1, degree + 1))
@@ -437,19 +507,21 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     spec = quad or _default_spec(d)
     if d == 1:
         def circle(theta):
-            return fibers((theta,))
+            # every row is evaluated on its own, so blocks leave the values as they are
+            parts = [fibers((theta[k:k + block],)) for k in range(0, max(theta.size, 1), block)]
+            return tuple(np.concatenate(part) for part in zip(*parts))
 
-        breaks = _breakpoints(circle, spec)
+        breaks = _breakpoints(circle, spec, charge)
         if breaks is not None and breaks.size:
             res = refine_to_tol(
-                lambda points: _arc_mean(circle, breaks, points, spec.node_shift), spec)
+                lambda points: _arc_mean(circle, breaks, points, spec.node_shift, charge), spec)
             return MahlerResult(res.value, "jensen_reduced", res.delta, True)
 
     def fn(mesh):
         values, gap, _ = fibers(mesh)
         return values, float(gap.min())
 
-    res, low = _midpoint_ladder(fn, d, spec, max_block=(1 << 20) // degree ** 2)
+    res, low = _midpoint_ladder(fn, d, spec, max_block=block, charge=charge)
     return MahlerResult(res.value, "jensen_reduced", res.delta, low < _SINGULAR_MIN)
 
 

@@ -90,8 +90,27 @@ class WalkState:
         return (f"WalkState(d={self.dim_d}, N={self.side_N}, time={self.time})")
 
 
+def _step_bytes(dim_d: int, side: int, per_site: int) -> int:
+    # a step holds three fields at once: the field, its coin mix and the next
+    return 3 * side ** dim_d * per_site * 16
+
+
+def _check_state(dim_d: int, side_N: int) -> None:
+    need = _step_bytes(dim_d, side_N, 2 * dim_d)
+    if need > _MAX_WEIGHT_BYTES:
+        raise ComputationError(
+            f"a step on the {side_N}^{dim_d} torus needs {need / 2 ** 20:.0f} MiB "
+            f"(> {_MAX_WEIGHT_BYTES / 2 ** 20:.0f} MiB budget)"
+        )
+
+
 def delta_state(dim_d: int, side_N: int, amplitudes: Sequence[complex] | None = None) -> WalkState:
-    """State concentrated at the origin; default internal vector is e_1."""
+    """State concentrated at the origin; default internal vector is e_1.
+
+    A torus whose step would hold more than 512 MiB of fields raises
+    ``ComputationError`` before anything is allocated.
+    """
+    _check_state(dim_d, side_N)
     field = np.zeros((side_N,) * dim_d + (2 * dim_d,), dtype=np.complex128)
     if amplitudes is None:
         vec = np.zeros(2 * dim_d, dtype=np.complex128)
@@ -108,8 +127,10 @@ def uniform_state(dim_d: int, side_N: int) -> WalkState:
     """Flat probability state: every component of every site carries equal mass.
 
     The 1-norm total measure is exactly 1, making this the stationary input
-    for random-walk coins.
+    for random-walk coins.  A torus whose step would hold more than 512 MiB
+    of fields raises ``ComputationError`` before anything is allocated.
     """
+    _check_state(dim_d, side_N)
     sites = side_N ** dim_d
     value = 1.0 / (sites * 2 * dim_d)
     field = np.full((side_N,) * dim_d + (2 * dim_d,), value, dtype=np.complex128)
@@ -156,7 +177,8 @@ def _step(field: np.ndarray, entries_t: np.ndarray, dim_d: int) -> np.ndarray:
 def evolve(state: WalkState, coin: CoinMatrix, steps: int) -> WalkState:
     """Advance the state ``steps`` steps with periodic wraparound.
 
-    A run whose steps * max(N^d, 1024) * (2d)^2 exceeds 2^28 raises
+    A run whose steps * max(N^d, 1024) * (2d)^2 exceeds 2^28, or a torus
+    whose step would hold more than 512 MiB of fields, raises
     ``ComputationError`` before the first step.
     """
     if coin.dim_d != state.dim_d:
@@ -164,6 +186,7 @@ def evolve(state: WalkState, coin: CoinMatrix, steps: int) -> WalkState:
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     d = state.dim_d
+    _check_state(d, state.side_N)
     work = steps * max(state.side_N ** d, _MIN_STEP_SITES) * (2 * d) ** 2
     if work > _MAX_EVOLVE_WORK:
         raise ComputationError(
@@ -199,9 +222,8 @@ class MatrixWeight:
 
 
 def _check_window(dim_d: int, r: int) -> None:
-    # a step holds three fields at once: the field, its coin mix and the next
     side = r + 1
-    need = 3 * (side ** dim_d) * (2 * dim_d) ** 2 * 16
+    need = _step_bytes(dim_d, side, (2 * dim_d) ** 2)
     if need > _MAX_WEIGHT_BYTES:
         raise ComputationError(
             f"step count {r} needs a {side}^{dim_d} window "

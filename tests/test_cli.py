@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mahlerzeta import cli, special_constants
+from mahlerzeta import cli, mahler, special_constants
 from mahlerzeta.cli import main
 
 
@@ -59,6 +59,68 @@ def test_mahler_jensen_several_variables(capsys):
     assert payload["diagnostics"]["route"] == "jensen_reduced"
     target = 7 * special_constants()["zeta3"] / (2 * math.pi ** 2)
     assert abs(payload["result"] - target) < 1e-8
+
+
+def test_mahler_auto_takes_reduced_route_on_closed_form_fibers(capsys):
+    code, out, _ = run_cli(["mahler", "--poly", "X1 + X2 + X3 + 1"], capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["diagnostics"]["route"] == "jensen_reduced"
+    target = 7 * special_constants()["zeta3"] / (2 * math.pi ** 2)
+    assert abs(payload["result"] - target) < 1e-8
+
+
+def test_mahler_auto_smyth_2var_to_rounding(capsys):
+    code, out, _ = run_cli(["mahler", "--poly", "X1 + X2 + 1", "--grid", "1024"], capsys)
+    assert code == 0
+    target = 3 * math.sqrt(3) * special_constants()["L_chi3_2"] / (4 * math.pi)
+    assert abs(json.loads(out)["result"] - target) < 1e-15
+
+
+def test_mahler_auto_keeps_quadrature_above_span_2(capsys):
+    code, out, _ = run_cli(["mahler", "--poly", "X1^32 + X2^32 + 1", "--grid", "8"], capsys)
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["route"] == "quadrature"
+
+
+@pytest.mark.parametrize("args", [
+    ["--poly", "X1 + X2 + 1"],
+    ["--poly", "X1 + X1^-1 + X2 + X2^-1 + 5"],
+    ["--poly", "X1^2 + X1^-1*X2 + 3", "--grid", "64", "--tol", "1e-4"],
+    ["--poly", "X1*X2 + X2^-1*X3 + 2*X3 + 1", "--grid", "32"],
+])
+def test_mahler_auto_prints_what_jensen_prints(capsys, args):
+    code, auto, _ = run_cli(["mahler", *args], capsys)
+    assert code == 0
+    code, jensen, _ = run_cli(["mahler", *args, "--method", "jensen"], capsys)
+    assert code == 0
+    assert auto == jensen.replace('"method": "jensen"', '"method": "auto"', 1)
+
+
+def test_mahler_reduced_work_budget_exit_1(capsys):
+    # degree 16 fibers take the companion eigensolve, and the breakpoint
+    # search's first sample of 2^17 of them is already over the budget
+    code, out, err = run_cli(["mahler", "--poly", "X1^16*X2^3 + 2*X2^16 - X1^5 + 3",
+                              "--grid", "131072", "--method", "jensen"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("computation failed: the reduced route's fiber evaluations exceed "
+                          "its work budget") and err.count("\n") == 1
+
+
+def test_mahler_unresolved_crossings_refused_then_quadrature(capsys, monkeypatch):
+    # 1200 toric crossings, which the 512-node sample grid cannot resolve:
+    # the arc ladder doubles until the budget refuses it (about 11 s at the
+    # full budget on a 2-core host; a tenth of it keeps the test short)
+    monkeypatch.setattr(mahler, "_MAX_REDUCED_WORK", mahler._MAX_REDUCED_WORK // 10)
+    code, out, err = run_cli(["mahler", "--poly", "X1^600 + X2 + 1", "--method", "jensen"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("computation failed: ") and err.count("\n") == 1
+    code, out, err = run_cli(["mahler", "--poly", "X1^600 + X2 + 1"], capsys)
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["route"] == "quadrature"
 
 
 def test_mahler_zeta_mode(capsys):
@@ -184,7 +246,8 @@ def test_verify_unknown_suite_names_every_group(capsys):
 def test_mahler_grid_over_budget_exit_1(capsys):
     # the first grid, 512^3 = 2^27 nodes, is over the 2^26 budget
     code, out, err = run_cli(
-        ["mahler", "--poly", "X1 + X2 + X3 + 1", "--grid", "1024"], capsys)
+        ["mahler", "--poly", "X1 + X2 + X3 + 1", "--grid", "1024", "--method", "quadrature"],
+        capsys)
     assert code == 1
     assert out == ""
     assert "grid 512^3" in err and "cap" in err
@@ -257,7 +320,7 @@ _CALLS = st.one_of(
               _COINS, st.integers(1, 5), _U),
     st.builds(lambda pg, route: ["mahler", "--poly", pg[0], "--grid", str(pg[1]),
                                  "--tol", "1e-4", *route],
-              _POLY_GRID, st.sampled_from([["--method", "jensen"], ["--s", "2"],
+              _POLY_GRID, st.sampled_from([[], ["--method", "jensen"], ["--s", "2"],
                                            ["--method", "quadrature"]])),
     st.builds(lambda c, r: ["cr", *_coin_flags(*c), "--r-max", str(r), "--method", "quad_limit"],
               _COINS, st.integers(1, 4)),
@@ -339,6 +402,17 @@ def test_zeta_finite_imaginary_residual_exit_1(monkeypatch, capsys):
     assert out == ""
     assert err == ("computation failed: imaginary residual 2.000e-10 of the "
                    "log-determinant sum exceeds 1e-10\n")
+
+
+@pytest.mark.parametrize("initial", ["origin", "uniform"])
+def test_evolve_over_memory_budget_exit_1(capsys, initial):
+    # the three fields of one step would take 3 GiB; nothing is allocated
+    code, out, err = run_cli(["evolve", "--coin", "rw", "--d", "2", "--N", "4096",
+                              "--steps", "1", "--initial", initial], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("computation failed: a step on the 4096^2 torus needs 3072 MiB "
+                   "(> 512 MiB budget)\n")
 
 
 def test_evolve_with_field(capsys):

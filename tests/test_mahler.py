@@ -22,7 +22,8 @@ from mahlerzeta import (
     special_constants,
     zeta_mahler,
 )
-from mahlerzeta.quadrature import grid_mean
+from mahlerzeta import mahler as mahler_module
+from mahlerzeta.quadrature import grid_mean, set_thread_count
 
 
 # --------------------------------------------------------------------------
@@ -230,6 +231,35 @@ def test_jensen_failed_eigenvalue_solve_is_a_computation_error(monkeypatch):
 def test_reduced_degree_budget():
     with pytest.raises(ComputationError, match="span above 32"):
         mahler_reduced(parse_laurent("X1^40 + X2^40 + 3"))
+
+
+def test_reduced_work_budget_counts_grids_before_they_start(monkeypatch):
+    # X1 + X2 + X3 + 1 eliminates X3: 3 monomials of X1, X2 and closed-form
+    # fibers of degree 1 make 5 units a node.  The 32^2, 64^2 and 128^2
+    # grids fit; the 256^2 one is refused before it starts, at any thread count.
+    monkeypatch.setattr(mahler_module, "_MAX_REDUCED_WORK", 5 * (32 ** 2 + 64 ** 2 + 128 ** 2))
+    poly, spec = parse_laurent("X1 + X2 + X3 + 1"), QuadratureSpec(64, 0.5, 1e-300, 3)
+    for threads in (1, 2):  # conftest restores the thread count
+        set_thread_count(threads)
+        with pytest.raises(ComputationError, match=r"\(4\.35e\+05 > 1e\+05 units at 5 per row\)"):
+            mahler_reduced(poly, spec)
+    monkeypatch.undo()
+    assert mahler_reduced(poly, spec).method == "jensen_reduced"
+
+
+def test_reduced_arc_blocks_leave_the_value_as_it_is(monkeypatch):
+    # blocks of 7 nodes straddle the arcs; math.fsum makes the sum exact
+    poly = parse_laurent("X1 + X2 + 1")
+    whole = mahler_reduced(poly)
+    monkeypatch.setattr(mahler_module, "_ARC_BLOCK", 7)
+    assert mahler_reduced(poly) == whole
+
+
+def test_reduced_route_eliminates_least_span_highest_index():
+    # X1 and X3 both span 1; X3, the higher index, is eliminated
+    assert mahler_module._eliminated(parse_laurent("X1*X2^2 + X2^-1*X3 + X1 + 3")) == (2, [0, 1], 1)
+    assert mahler_module._eliminated(parse_laurent("X2^5 + 2")) == (1, [], 5)
+    assert mahler_module._eliminated(parse_laurent("3")) == (0, [], 0)
 
 
 def _maillot(a: float, b: float, c: float) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -145,6 +146,20 @@ def test_evolve_work_budget():
         evolve(state, coin, 65537)
     with pytest.raises(ComputationError, match="evolve budget"):
         evolve(delta_state(2, 8), flip_flop(build_coin("grover", 2)), 100_000_000)
+
+
+def test_state_memory_budget():
+    # one step on the 4096^2 torus holds three fields of 4096^2 * 4 entries,
+    # 3 GiB; each route refuses it before allocating
+    with pytest.raises(ComputationError, match="3072 MiB"):
+        delta_state(2, 4096)
+    with pytest.raises(ComputationError, match="3072 MiB"):
+        uniform_state(2, 4096)
+    big = types.SimpleNamespace(dim_d=2, side_N=4096, field=None, time=0)
+    with pytest.raises(ComputationError, match="3072 MiB"):
+        evolve(big, build_coin("simple_rw", 2), 1)
+    with pytest.raises(ComputationError, match="768 MiB"):
+        delta_state(2, 2048)
 
 
 def test_evolution_matches_fourier_route():
