@@ -146,7 +146,7 @@ def mahler_univariate(poly: LaurentPolynomial) -> MahlerResult:
 
         m(f) = log|leading coefficient| + sum_k log max(|root_k|, 1).
 
-    A degree above 1024 raises ``ComputationError``; the solve costs ~D^3.
+    A degree above 512 raises ``ComputationError``; the solve costs ~D^3.
     """
     if poly.n_vars != 1:
         raise ValueError(f"jensen route needs one variable, got {poly.n_vars}")
@@ -154,8 +154,8 @@ def mahler_univariate(poly: LaurentPolynomial) -> MahlerResult:
     return _jensen(exps[:, 0], coeffs)
 
 
-# largest one-variable degree: the companion solve costs ~D^3 (D = 1024: 6 s)
-_MAX_JENSEN_DEGREE = 1024
+# largest one-variable degree: the companion solve costs ~D^3 (D = 512: 1.3-2.4 s)
+_MAX_JENSEN_DEGREE = 512
 
 
 def _jensen(column: np.ndarray, coeffs: np.ndarray) -> MahlerResult:
@@ -316,13 +316,17 @@ def _narrow(lo: np.ndarray, hi: np.ndarray, pick) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def _breakpoints(fibers, spec: QuadratureSpec, charge) -> np.ndarray | None:
+def _breakpoints(fibers, spec: QuadratureSpec, charge, span: int) -> np.ndarray | None:
     """Sorted angles in [0, 2 pi) where a one-variable reduced integrand is not analytic.
 
     ``fibers(theta)`` is ``_fiber_measures`` of the fibers at the angles
     ``theta``, which are first sampled on the midpoint grid of ``spec``.
     ``charge(n)`` is called before each evaluation of n fibers, and before
-    the sample grid is built.
+    the sample grid is built.  The fiber coefficients are trigonometric
+    polynomials of degree ``span`` in theta, and a sample grid of at most
+    2 * span nodes aliases them, so that whole runs of toric points fall
+    between its nodes: ``ComputationError`` is raised before any fiber is
+    evaluated.
 
     - Each local minimum of the gap statistic is refined over its two
       neighbouring cells and kept if the gap drops below 1e-6 there: a fiber
@@ -349,6 +353,10 @@ def _breakpoints(fibers, spec: QuadratureSpec, charge) -> np.ndarray | None:
     at nearly every node at great cost.
     """
     points = spec.points_per_dim
+    if points <= 2 * span:
+        raise ComputationError(
+            f"a sample of {points} nodes aliases fiber coefficients of degree {span}; "
+            f"the breakpoint search needs more than {2 * span}")
     charge(points)
     cell = 2.0 * math.pi / points
     theta = (np.arange(points) + spec.node_shift) * cell
@@ -511,7 +519,7 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
             parts = [fibers((theta[k:k + block],)) for k in range(0, max(theta.size, 1), block)]
             return tuple(np.concatenate(part) for part in zip(*parts))
 
-        breaks = _breakpoints(circle, spec, charge)
+        breaks = _breakpoints(circle, spec, charge, int(np.ptp(outer)))
         if breaks is not None and breaks.size:
             res = refine_to_tol(
                 lambda points: _arc_mean(circle, breaks, points, spec.node_shift, charge), spec)

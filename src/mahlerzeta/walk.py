@@ -6,8 +6,10 @@ component 2j one site in the +x_j direction, after the coin has mixed the
 components at every site.  Sites are enumerated with x_1 varying fastest
 wherever an ordering is exposed.
 
-The return weights on Z^d take the same step on the torus of side r_max + 1,
-which no closed walk of r_max steps can wrap.
+The return weights on Z^d take the same step without wraparound on the light
+cone: after a steps the field lives on the centred box of side 2a + 1, and
+the weight of r steps is met in the middle from the fields of ceil(r/2) and
+floor(r/2) steps.
 """
 
 from __future__ import annotations
@@ -162,10 +164,10 @@ def momentum_matrix(coin: CoinMatrix, k) -> np.ndarray:
 
 
 def _step(field: np.ndarray, entries_t: np.ndarray, dim_d: int) -> np.ndarray:
-    """One periodic step of a field with d leading spatial axes, a trailing
-    component axis and any batch axes between: the coin mixes the components
-    at every site, then component 2j (0-based) moves in from x + e_j and
-    component 2j+1 from x - e_j."""
+    """One periodic step of a field with d spatial axes and a trailing
+    component axis: the coin mixes the components at every site, then
+    component 2j (0-based) moves in from x + e_j and component 2j+1 from
+    x - e_j."""
     mixed = field @ entries_t
     nxt = np.empty_like(mixed)
     for j in range(dim_d):
@@ -222,7 +224,7 @@ class MatrixWeight:
 
 
 def _check_window(dim_d: int, r: int) -> None:
-    side = r + 1
+    side = 2 * ((r + 1) // 2) + 1
     need = _step_bytes(dim_d, side, (2 * dim_d) ** 2)
     if need > _MAX_WEIGHT_BYTES:
         raise ComputationError(
@@ -231,42 +233,88 @@ def _check_window(dim_d: int, r: int) -> None:
         )
 
 
-def _origin_weights(coin: CoinMatrix, r_max: int):
-    """Yield the origin return weight after 0, 1, ..., r_max steps on Z^d.
+def _cone_step(field: np.ndarray, entries_t: np.ndarray, dim_d: int) -> np.ndarray:
+    """One step of a centred light-cone field into a zero box one site larger
+    on every side: the coin mixes the components at every site, then
+    component 2j (0-based) moves to x - e_j and component 2j+1 to x + e_j."""
+    side, n = field.shape[0], field.shape[-1]
+    mixed = (field.reshape(-1, n) @ entries_t).reshape(field.shape)
+    nxt = np.zeros((side + 2,) * dim_d + (n, n), dtype=np.complex128)
+    inner = slice(1, side + 1)
+    for j in range(dim_d):
+        for comp, lo in ((2 * j, 0), (2 * j + 1, 2)):
+            box = [inner] * dim_d
+            box[j] = slice(lo, lo + side)
+            nxt[tuple(box) + (slice(None), comp)] = mixed[..., comp]
+    return nxt
 
-    Row k of the (r_max+1)^d torus field holds the state started from
-    component k at the origin.  The torus is exact: a closed walk of r <= r_max
-    steps keeps |x_j| <= r < r_max + 1, so of the lattice sites folding onto
-    the origin only x = 0 is reachable, and the others hold exact zeros.  Each
-    yielded matrix views that step's field, which later steps replace.
+
+def _cone_fields(coin: CoinMatrix, steps: int):
+    """Yield the light-cone fields F_0, F_1, ..., F_steps of the walk on Z^d.
+
+    F_a has shape (2a+1,)*d + (2d, 2d): index a on each spatial axis is the
+    origin, and F_a[x][k, c] is component c at x of the state started from
+    component k at the origin, so the weight W_a(x) is F_a[x].T.  No site
+    outside the box is reachable in a steps, so no step wraps around.
     """
     d = coin.dim_d
-    _check_window(d, r_max)
-    field = np.zeros((r_max + 1,) * d + (2 * d, 2 * d), dtype=np.complex128)
-    origin = (0,) * d
-    field[origin] = np.eye(2 * d)
+    n = 2 * d
+    field = np.eye(n, dtype=np.complex128).reshape((1,) * d + (n, n))
     entries_t = coin.entries.T
-    yield field[origin].T
-    for _ in range(r_max):
-        field = _step(field, entries_t, d)
-        yield field[origin].T
+    yield field
+    for _ in range(steps):
+        field = _cone_step(field, entries_t, d)
+        yield field
+
+
+def _met(fa: np.ndarray, fb: np.ndarray, dim_d: int):
+    """F_a[x] and F_b[-x] site for site over F_b's box, for b <= a: the
+    centred sub-box of F_a and F_b with every spatial axis reversed."""
+    trim = (fa.shape[0] - fb.shape[0]) // 2
+    return (fa[(slice(trim, fa.shape[0] - trim),) * dim_d],
+            fb[(slice(None, None, -1),) * dim_d])
 
 
 def matrix_weight_origin(coin: CoinMatrix, r: int) -> MatrixWeight:
     """Return weight at the origin after r steps of the walk on Z^d.
 
-    At r = 0 the weight is the identity.
+    The weight is W_r(0) = sum_x W_b(-x) W_a(x) with a = ceil(r/2) and
+    b = floor(r/2), met from a light-cone run of a steps.  At r = 0 the
+    weight is the identity.
     """
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
-    # a plain loop keeps one field alive at a time
-    for weight in _origin_weights(coin, r):
-        pass
-    return MatrixWeight(coin.dim_d, r, weight)
+    d = coin.dim_d
+    _check_window(d, r)
+    a, b = (r + 1) // 2, r // 2
+    prev = field = None
+    # a plain loop keeps at most two fields alive at a time
+    for nxt in _cone_fields(coin, a):
+        prev, field = field, nxt
+    fa, fb = _met(field, field if b == a else prev, d)
+    # sum_x F_a[x] F_b[-x] over the sites and the shared component c
+    spatial = list(range(d))
+    meet = np.tensordot(fa, fb, axes=(spatial + [d + 1], spatial + [d]))
+    return MatrixWeight(d, r, meet.T)
 
 
 def matrix_weight_traces(coin: CoinMatrix, r_max: int) -> list[complex]:
-    """Traces of the origin return weights for r = 0..r_max in one pass."""
+    """Traces of the origin return weights for r = 0..r_max in one pass.
+
+    A light-cone run of ceil(r_max/2) steps meets each field F_a with
+    itself for C_2a and with F_{a-1} for C_{2a-1}.
+    """
     if r_max < 0:
         raise ValueError(f"r_max must be non-negative, got {r_max}")
-    return [complex(np.trace(weight)) for weight in _origin_weights(coin, r_max)]
+    d = coin.dim_d
+    _check_window(d, r_max)
+    traces = [0j] * (r_max + 1)
+    prev = None
+    for a, field in enumerate(_cone_fields(coin, (r_max + 1) // 2)):
+        # Tr W_{a+b}(0) = sum_x sum_{k,c} F_a[x][k, c] F_b[-x][c, k]
+        for r, fb in ((2 * a - 1, prev), (2 * a, field)):
+            if 0 <= r <= r_max:
+                fa, fb = _met(field, fb, d)
+                traces[r] = complex(np.sum(fa * fb.swapaxes(-1, -2)))
+        prev = field
+    return traces

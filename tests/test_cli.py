@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mahlerzeta import cli, mahler, special_constants
+from mahlerzeta import cli, special_constants
 from mahlerzeta.cli import main
 
 
@@ -108,16 +108,16 @@ def test_mahler_reduced_work_budget_exit_1(capsys):
                           "its work budget") and err.count("\n") == 1
 
 
-def test_mahler_unresolved_crossings_refused_then_quadrature(capsys, monkeypatch):
+def test_mahler_unresolved_crossings_refused_then_quadrature(capsys):
     # 1200 toric crossings, which the 512-node sample grid cannot resolve:
-    # the arc ladder doubles until the budget refuses it (about 11 s at the
-    # full budget on a 2-core host; a tenth of it keeps the test short)
-    monkeypatch.setattr(mahler, "_MAX_REDUCED_WORK", mahler._MAX_REDUCED_WORK // 10)
+    # its fiber coefficients have degree 600, so the breakpoint search
+    # refuses the sample before evaluating a fiber
     code, out, err = run_cli(["mahler", "--poly", "X1^600 + X2 + 1", "--method", "jensen"],
                              capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("computation failed: ") and err.count("\n") == 1
+    assert err == ("computation failed: a sample of 512 nodes aliases fiber coefficients "
+                   "of degree 600; the breakpoint search needs more than 1200\n")
     code, out, err = run_cli(["mahler", "--poly", "X1^600 + X2 + 1"], capsys)
     assert code == 0
     assert json.loads(out)["diagnostics"]["route"] == "quadrature"
@@ -373,10 +373,10 @@ def test_numerical_failures_exit_1(monkeypatch, capsys, exc):
 
 @pytest.mark.parametrize("method", ["auto", "jensen"])
 def test_jensen_degree_budget_exit_1(capsys, method):
-    code, out, err = run_cli(["mahler", "--poly", "X1^1025 + 2", "--method", method], capsys)
+    code, out, err = run_cli(["mahler", "--poly", "X1^513 + 2", "--method", method], capsys)
     assert code == 1
     assert out == ""
-    assert err == "computation failed: degree 1025 exceeds the one-variable budget of 1024\n"
+    assert err == "computation failed: degree 513 exceeds the one-variable budget of 512\n"
 
 
 def test_closed_form_large_r_matches_path_sum(capsys):

@@ -173,7 +173,7 @@ def test_rw_matches_det_route_log_zeta():
 
 
 def test_rw_series_only_for_d_up_to_2():
-    # the return-weight series would need a 61^d window; d >= 3 skips it
+    # the return-weight series would meet on a light cone of 61^d sites; d >= 3 skips it
     start = time.perf_counter()
     rep = verify_rw(3, -0.5)
     assert time.perf_counter() - start < 2.0

@@ -213,8 +213,8 @@ def test_reduced_one_variable_delegates_to_jensen(poly, singular, warns, value):
 
 
 def test_jensen_degree_budget():
-    with pytest.raises(ComputationError, match="degree 1025 exceeds"):
-        mahler_univariate(parse_laurent("X1^1025 + 2"))
+    with pytest.raises(ComputationError, match="degree 513 exceeds"):
+        mahler_univariate(parse_laurent("X1^513 + 2"))
     with pytest.raises(ComputationError, match="degree 2000 exceeds"):
         mahler_reduced(LaurentPolynomial(2, {(0, 2000): 1.0, (0, 0): 2.0}))
 
@@ -231,6 +231,26 @@ def test_jensen_failed_eigenvalue_solve_is_a_computation_error(monkeypatch):
 def test_reduced_degree_budget():
     with pytest.raises(ComputationError, match="span above 32"):
         mahler_reduced(parse_laurent("X1^40 + X2^40 + 3"))
+
+
+@pytest.mark.parametrize("k", [100, 255])
+def test_reduced_resolves_toric_points_below_the_alias_bound(k):
+    # X1 -> X1^k leaves the measure as it is; the 512-node sample resolves
+    # the 2k toric points while k < 256
+    res = mahler_reduced(parse_laurent(f"X1^{k} + X2 + 1"))
+    assert res.method == "jensen_reduced"
+    assert res.value == pytest.approx(mahler_reduced(parse_laurent("X1 + X2 + 1")).value,
+                                      abs=1e-13)
+
+
+@pytest.mark.parametrize("k", [256, 512, 600])
+def test_reduced_refuses_an_aliased_sample(k, monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("a fiber was evaluated")
+
+    monkeypatch.setattr(mahler_module, "_fiber_measures", evaluated)
+    with pytest.raises(ComputationError, match=f"512 nodes aliases fiber coefficients of degree {k}"):
+        mahler_reduced(parse_laurent(f"X1^{k} + X2 + 1"))
 
 
 def test_reduced_work_budget_counts_grids_before_they_start(monkeypatch):

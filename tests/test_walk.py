@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mahlerzeta import (
     ComputationError,
@@ -245,6 +247,30 @@ def test_weight_matches_brute_force(kind, d, xi, r):
     got = matrix_weight_origin(coin, r).matrix
     expected = brute_force_weight(coin, r)
     np.testing.assert_allclose(got, expected, atol=1e-13)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_force_trace(kind, d, r):
+    return complex(np.trace(brute_force_weight(_test_coin(kind, d, None), r)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["random_unitary", "random_stochastic"]),
+       d=st.integers(1, 3), r=st.integers(0, 6))
+def test_weight_traces_match_brute_force(kind, d, r):
+    # the light-cone run meets two half-length fields; the brute force sums
+    # every closed path of r steps
+    traces = matrix_weight_traces(_test_coin(kind, d, None), r)
+    assert abs(traces[r] - _brute_force_trace(kind, d, r)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind,d", [("simple_rw", 1), ("simple_rw", 2), ("simple_rw", 3),
+                                    ("grover", 2), ("grover", 3)])
+def test_weight_odd_traces_exactly_zero(kind, d):
+    # F_a and F_{a-1} live on sites of opposite parity, so every product
+    # in an odd trace is an exact zero
+    traces = matrix_weight_traces(build_coin(kind, d), 9)
+    assert all(traces[r] == 0 for r in range(1, 10, 2))
 
 
 def test_weight_traces_match_individual_weights():
