@@ -331,12 +331,51 @@ def _exponent_matrix(poly: LaurentPolynomial) -> tuple[np.ndarray, np.ndarray]:
     return exps, coeffs
 
 
+def _column_powers(z: np.ndarray, needed) -> dict[int, np.ndarray]:
+    """z**k for each nonzero k in ``needed``, z a column of unit-torus points.
+
+    Positive powers come by repeated squaring; z**-k is the conjugate of
+    z**k, which holds because |z| = 1.
+    """
+    squares = [np.ascontiguousarray(z)]  # squares[b] is z**(2**b)
+    table = {}
+    for k in sorted({abs(e) for e in needed} - {0}):
+        while k >> len(squares):
+            squares.append(squares[-1] * squares[-1])
+        acc = None
+        for b in range(k.bit_length()):
+            if k >> b & 1:
+                acc = squares[b] if acc is None else acc * squares[b]
+        table[k] = acc
+    for k in needed:
+        if k < 0:
+            table[k] = np.conj(table[-k])
+    return table
+
+
 def eval_on_nodes(poly: LaurentPolynomial, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized unit-torus evaluation on an (n, n_vars) block of angles."""
+    """Vectorized evaluation on an (n, n_vars) block of unit-torus points.
+
+    Row k holds the points z_j = exp(i theta_j) of node k, not its angles.
+    Each monomial is built per node from integer powers of the columns (see
+    ``_column_powers``), so no transcendental is computed.  Terms are summed
+    in ``_exponent_matrix`` order.
+    """
     exps, coeffs = _exponent_matrix(poly)
-    phases = 1j * (nodes @ exps.T.astype(np.float64))
-    np.exp(phases, out=phases)
-    return phases @ coeffs
+    powers = [_column_powers(nodes[:, j], set(exps[:, j].tolist()))
+              for j in range(exps.shape[1])]
+    out = np.zeros(nodes.shape[0], dtype=np.complex128)
+    term = np.empty_like(out)
+    for row, coeff in zip(exps.tolist(), coeffs):
+        factors = [powers[j][e] for j, e in enumerate(row) if e]
+        if not factors:
+            out += coeff
+            continue
+        np.multiply(factors[0], coeff, out=term)
+        for factor in factors[1:]:
+            term *= factor
+        out += term
+    return out
 
 
 def mesh_evaluator(exps, coeffs):

@@ -38,7 +38,8 @@ import numpy as np
 
 from .coins import F_TYPE, M_TYPE
 from .errors import ComputationError
-# eval_on_nodes stays for mahler_quadrature, the route independent of mesh_evaluator
+# eval_on_nodes (torus points in, integer powers of them) serves mahler_quadrature only;
+# it shares no code with mesh_evaluator, so that route stays an independent oracle
 from .laurent import LaurentPolynomial, _exponent_matrix, eval_on_nodes, mesh_evaluator
 from .quadrature import QuadratureSpec, grid_mean, refine_to_tol
 
@@ -58,6 +59,9 @@ __all__ = [
 ]
 
 _SINGULAR_MIN = 1e-6
+
+# grid_mean block of mahler_quadrature: its per-block arrays stay a few MB
+_QUADRATURE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,15 @@ def _default_spec(n_vars: int) -> QuadratureSpec:
 
 def _log_abs_block(poly: LaurentPolynomial):
     def fn(mesh):
-        nodes = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, len(mesh))
+        # one exp per axis value; the block's (n, d) rows of torus points
+        # are a transposed view, so each column is contiguous
+        axes = np.broadcast_arrays(*(np.exp(1j * theta) for theta in mesh))
+        nodes = np.stack([z.ravel() for z in axes]).T
         mags = np.abs(eval_on_nodes(poly, nodes))
+        low = float(mags.min()) if mags.size else None
         with np.errstate(divide="ignore"):
-            return np.log(mags), float(mags.min()) if mags.size else None
+            np.log(mags, out=mags)
+        return mags, low
 
     return fn
 
@@ -131,7 +140,7 @@ def mahler_quadrature(poly: LaurentPolynomial, quad: QuadratureSpec | None = Non
     """
     d = poly.n_vars
     res, low = _midpoint_ladder(
-        _log_abs_block(poly), d, quad or _default_spec(d),
+        _log_abs_block(poly), d, quad or _default_spec(d), max_block=_QUADRATURE_BLOCK,
         ratio=lambda stat: 2.0 if d == 1 and stat < _SINGULAR_MIN else None)
     return MahlerResult(res.value, "quadrature", res.delta, low < _SINGULAR_MIN)
 

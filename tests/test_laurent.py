@@ -11,7 +11,7 @@ from mahlerzeta import (
     format_laurent,
     parse_laurent,
 )
-from mahlerzeta.laurent import mesh_evaluator
+from mahlerzeta.laurent import eval_on_nodes, mesh_evaluator
 
 
 # --------------------------------------------------------------------------
@@ -239,3 +239,45 @@ def test_mesh_evaluator_matches_eval_laurent(case):
 def test_mesh_evaluator_on_an_empty_mesh():
     evaluate = mesh_evaluator([[0], [1]], [[1, 2], [3, 4]])
     assert evaluate((np.zeros(0),)).shape == (0, 2)
+
+
+# --------------------------------------------------------------------------
+# evaluation on (n, d) rows of unit-torus points
+
+@st.composite
+def torus_point_cases(draw):
+    d = draw(st.integers(1, 4))
+    zero_axes = draw(st.sets(st.integers(0, d - 1), max_size=d))
+    exponent = st.integers(-64, 64)
+    rows = draw(st.lists(st.tuples(*[st.just(0) if j in zero_axes else exponent
+                                     for j in range(d)]),
+                         min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        rows = [(0,) * d]  # a constant-only polynomial
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    theta = rng.uniform(0.0, 2 * math.pi, size=(draw(st.integers(0, 5)), d))
+    return LaurentPolynomial(d, dict(zip(rows, coeffs))), theta
+
+
+def _check_eval_on_nodes(poly, theta):
+    theta = theta[:, :poly.n_vars]
+    got = eval_on_nodes(poly, np.exp(1j * theta))
+    assert got.shape == (len(theta),)
+    expected = np.array([eval_laurent(poly, node) for node in theta], dtype=complex)
+    scale = sum(abs(c) for c in poly.terms.values())
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+@given(torus_point_cases())
+@settings(max_examples=150, deadline=None)
+def test_eval_on_nodes_matches_eval_laurent(case):
+    # axes on which every exponent is 0 (so trailing ones are dropped from
+    # n_vars), constant-only polynomials and complex coefficients all occur
+    _check_eval_on_nodes(*case)
+
+
+def test_eval_on_nodes_at_exponent_one_thousand(rng):
+    poly = LaurentPolynomial(2, {(1000, 0): 1.0, (-1000, 3): -2.5 + 0.5j,
+                                 (7, -999): 0.25j, (0, 0): 1.5})
+    _check_eval_on_nodes(poly, rng.uniform(0.0, 2 * math.pi, size=(16, 2)))

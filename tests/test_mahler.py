@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,6 +71,35 @@ def test_singular_torus_flag_and_extrapolated_value():
         res = mahler_quadrature(parse_laurent(f"X1 + X1^-1 {sign}"))
         assert res.singular_on_torus
         assert abs(res.value) < 1e-10
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not call the other route's evaluator")
+
+
+@pytest.mark.parametrize("text", ["X1 + X2 + 1", "X1 + X2 + X3 + 1", "X1*X2^-2 + 3*X1^-1 + 2"])
+def test_quadrature_and_reduced_share_no_evaluator(text, monkeypatch):
+    # each route stays an independent oracle for the other
+    poly, spec = parse_laurent(text), QuadratureSpec(32, 0.5, 1e-6, 1)
+    quadrature, reduced = mahler_quadrature(poly, spec), mahler_reduced(poly, spec)
+    monkeypatch.setattr(mahler_module, "mesh_evaluator", _refuse)
+    assert mahler_quadrature(poly, spec) == quadrature
+    monkeypatch.undo()
+    monkeypatch.setattr(mahler_module, "eval_on_nodes", _refuse)
+    assert mahler_reduced(poly, spec) == reduced
+
+
+def test_quadrature_memory_stays_bounded():
+    # 1024^2 and 2048^2 nodes in blocks of 2^16: the peak is a few blocks'
+    # arrays, and a block array that outlives its block shows up here
+    poly, spec = parse_laurent("X1 + X2 + 3"), QuadratureSpec(2048, 0.5, 1e-300, 0)
+    tracemalloc.start()
+    try:
+        mahler_quadrature(poly, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # --------------------------------------------------------------------------
