@@ -304,6 +304,8 @@ _TOUCH_RINGS = 40
 # breakpoints closer than this are one (a root crossing the circle is also a
 # minimum of the gap statistic, found by both searches)
 _BREAK_MERGE = 1e-9
+# sample nodes of _breakpoints evaluated at a time
+_SAMPLE_BLOCK = 1 << 16
 
 
 def _narrow(lo: np.ndarray, hi: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
@@ -367,10 +369,25 @@ def _breakpoints(fibers, spec: QuadratureSpec, charge, span: int) -> np.ndarray 
             f"a sample of {points} nodes aliases fiber coefficients of degree {span}; "
             f"the breakpoint search needs more than {2 * span}")
     charge(points)
+    shift = spec.node_shift
     cell = 2.0 * math.pi / points
-    theta = (np.arange(points) + spec.node_shift) * cell
-    _, gap, inside = fibers(theta)
-    if np.count_nonzero(gap < _SINGULAR_MIN) > max(2, points // 16):
+    # the sample grid is evaluated in blocks with a one-node cyclic halo on
+    # either side; only its counts of roots inside (at most the fiber degree,
+    # so int8) are kept whole, with the gap minima and the count changes
+    small = 0
+    minima, changes = [], []
+    inside = np.empty(points, dtype=np.int8)
+    for j0 in range(0, points, _SAMPLE_BLOCK):
+        j1 = min(j0 + _SAMPLE_BLOCK, points)
+        _, gap, count = fibers((np.arange(j0 - 1, j1 + 1) % points + shift) * cell)
+        before, mid, after = gap[:-2], gap[1:-1], gap[2:]
+        small += np.count_nonzero(mid < _SINGULAR_MIN)
+        # a flat gap (a root of constant modulus) has rounding-noise minima
+        rise = np.fmax(before, after) - mid > 1e-6 * mid
+        minima.append(j0 + np.flatnonzero((mid < before) & (mid <= after) & rise))
+        changes.append(j0 + np.flatnonzero(count[1:-1] != count[2:]))
+        inside[j0:j1] = count[1:-1]
+    if small > max(2, points // 16):
         return None
 
     def counted(x):
@@ -381,23 +398,37 @@ def _breakpoints(fibers, spec: QuadratureSpec, charge, span: int) -> np.ndarray 
         j = np.argmin(counted(x.ravel())[1].reshape(x.shape), axis=1)
         return np.maximum(j - 1, 0), np.minimum(j + 1, _SECTIONS)
 
-    # a flat gap (a root of constant modulus) has rounding-noise minima
-    before, after = np.roll(gap, 1), np.roll(gap, -1)
-    rise = np.fmax(before, after) - gap > 1e-6 * gap
-    k = np.flatnonzero((gap < before) & (gap <= after) & rise)
-    a, b = _narrow(theta[k] - cell, theta[k] + cell, lowest)
+    k = np.concatenate(minima)
+    a, b = _narrow((k + shift) * cell - cell, (k + shift) * cell + cell, lowest)
     touch = 0.5 * (a + b)
     touch = touch[counted(touch)[1] < _SINGULAR_MIN]
     near = cell * 0.5 ** np.arange(1, _TOUCH_RINGS + 1)
     near = (touch[:, None] + np.concatenate([-near, near])).ravel()
-    theta = np.concatenate([theta, near])
-    inside = np.concatenate([inside, counted(near)[2]])
+    near_inside = counted(near)[2]
+    near = np.mod(near, 2.0 * math.pi)
+    order = np.argsort(near, kind="stable")
+    near, near_inside = near[order], near_inside[order]
 
-    order = np.argsort(np.mod(theta, 2.0 * math.pi), kind="stable")
-    theta, inside = np.mod(theta, 2.0 * math.pi)[order], inside[order]
-    k = np.flatnonzero(inside != np.roll(inside, -1))
+    # In the cyclic order of all samples an extra sample comes after the
+    # ``pos`` grid nodes at or below it (ties as a stable sort puts them).
+    # Neighbours whose counts differ are two grid nodes of a count change,
+    # or an extra sample and a neighbour, so only those samples are placed,
+    # by their index in that order.
+    pos = _nodes_at_or_below(near, points, shift, cell)
+    grid = np.concatenate(changes)
+    grid = np.unique(np.concatenate([grid, grid + 1, pos - 1, pos]) % points)
+    index = np.concatenate([grid + np.searchsorted(pos, grid, side="right"),
+                            pos + np.arange(near.size)])
+    order = np.argsort(index)
+    index = index[order]
+    theta = np.concatenate([(grid + shift) * cell, near])[order]
+    inside = np.concatenate([inside[grid], near_inside])[order]
+    last = points + near.size - 1
+    succ = np.roll(index, -1)
+    adjacent = (succ == index + 1) | ((index == last) & (succ == 0))
+    k = np.flatnonzero(adjacent & (inside != np.roll(inside, -1)))
     lo, hi, side = theta[k], np.roll(theta, -1)[k], inside[k]
-    hi[k == theta.size - 1] += 2.0 * math.pi
+    hi[index[k] == last] += 2.0 * math.pi
 
     def first_change(x):
         count = counted(x[:, 1:-1].ravel())[2].reshape(x.shape[0], -1)
@@ -416,6 +447,18 @@ def _breakpoints(fibers, spec: QuadratureSpec, charge, span: int) -> np.ndarray 
     return found[keep]
 
 
+def _nodes_at_or_below(x: np.ndarray, points: int, shift: float, cell: float) -> np.ndarray:
+    """How many midpoint nodes (k + shift) * cell, k < points, lie at or below each x."""
+    n = np.clip(np.floor(x / cell - shift).astype(np.int64) + 1, 0, points)
+    while True:  # the estimate is off by a node at most; settle it on the nodes themselves
+        up = (n < points) & ((n + shift) * cell <= x)
+        down = (n > 0) & ((n - 1 + shift) * cell > x)
+        if not (up.any() or down.any()):
+            return n
+        n += up
+        n -= down
+
+
 # nodes of _arc_mean built and evaluated at a time
 _ARC_BLOCK = 1 << 16
 
@@ -432,10 +475,16 @@ def _arc_mean(fibers, breaks: np.ndarray, points: int, shift: float, charge) -> 
     """
     charge(breaks.size * points)
     h = 2.0 * _TANH_SINH_T / points
-    t = (np.arange(points) + shift) * h - _TANH_SINH_T
-    s = 0.5 * math.pi * np.sinh(np.abs(t))
-    near = 1.0 / (1.0 + np.exp(2.0 * s))  # distance to the nearer end, in arc lengths
-    weight = 0.25 * math.pi * h * np.cosh(t) / np.cosh(s) ** 2
+
+    def rule(k):
+        # node offsets and weights of the rule, element by element in k
+        t = (k + shift) * h - _TANH_SINH_T
+        s = 0.5 * math.pi * np.sinh(np.abs(t))
+        near = 1.0 / (1.0 + np.exp(2.0 * s))  # distance to the nearer end, in arc lengths
+        return t, near, 0.25 * math.pi * h * np.cosh(t) / np.cosh(s) ** 2
+
+    # a rung of more than a block of nodes per arc builds its rule block by block
+    whole = rule(np.arange(points)) if points <= _ARC_BLOCK else None
     ends = np.append(breaks, breaks[0] + 2.0 * math.pi)
     a, b = ends[:-1], ends[1:]
     total = breaks.size * points
@@ -444,10 +493,11 @@ def _arc_mean(fibers, breaks: np.ndarray, points: int, shift: float, charge) -> 
         # flat node index = arc * points + k
         for start in range(0, total, _ARC_BLOCK):
             arc, k = np.divmod(np.arange(start, min(start + _ARC_BLOCK, total)), points)
+            t, near, weight = rule(k) if whole is None else (w[k] for w in whole)
             lo, hi, length = a[arc], b[arc], (b - a)[arc]
-            x = np.where(t[k] < 0.0, lo + length * near[k], hi - length * near[k])
+            x = np.where(t < 0.0, lo + length * near, hi - length * near)
             inner = (x != lo) & (x != hi)
-            yield from ((length * weight[k])[inner] * fibers(x[inner])[0]).tolist()
+            yield from ((length * weight)[inner] * fibers(x[inner])[0]).tolist()
 
     return math.fsum(terms()) / (2.0 * math.pi)
 

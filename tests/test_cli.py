@@ -253,6 +253,19 @@ def test_mahler_grid_over_budget_exit_1(capsys):
     assert "grid 512^3" in err and "cap" in err
 
 
+def test_lambda_grid_budget_counts_folded_nodes(capsys):
+    # the cos-sum grids evaluate (M/2)^3 nodes: the ladder 256, 512 of
+    # --grid 512 fits the 2^26 budget, and the 1024 rung of --grid 1024
+    # (512^3 nodes) does not
+    code, out, _ = run_cli(["lambda", "--d", "3", "--grid", "512"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == 1.6733892978492757
+    code, out, err = run_cli(["lambda", "--d", "3", "--grid", "1024"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "grid 512^3" in err and "cap" in err
+
+
 def test_verify_tol_file(tmp_path, capsys):
     tol_file = tmp_path / "tols.json"
     tol_file.write_text(json.dumps({"catalan": 0.0}))

@@ -305,6 +305,59 @@ def test_reduced_arc_blocks_leave_the_value_as_it_is(monkeypatch):
     assert mahler_reduced(poly) == whole
 
 
+@pytest.mark.parametrize("text", ["X1 + X2 + 1", "2 - X1 - X2", "1 + X1 + 0.999999*X2",
+                                  "X1*X2^2 + 3*X2 - 1 + X1^-1*X2^-1"])
+def test_reduced_sample_blocks_leave_the_value_as_it_is(monkeypatch, text):
+    # blocks of 5 sample nodes put the cyclic halos, the extra samples round
+    # each touch (2 - X1 - X2 touches the circle at 0, across the wrap) and
+    # the count changes on block edges
+    poly = parse_laurent(text)
+    for shift in (0.5, 0.0):
+        spec = QuadratureSpec(64, shift, 1e-12, 1)
+        whole = mahler_reduced(poly, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(mahler_module, "_SAMPLE_BLOCK", 5)
+            assert mahler_reduced(poly, spec) == whole
+
+
+@pytest.mark.parametrize("block", [5, 1 << 16])
+def test_breakpoints_of_counts_between_nodes_and_extra_samples(monkeypatch, block):
+    # a made-up integrand on 64 nodes: a touch of the circle at t0, just
+    # past node 10; a count bump between node 10 and the extra sample at
+    # t0 - cell/16, which only that sample sees; a count change between
+    # nodes 39 and 40, on a block edge at block 5 and with no gap minimum
+    # near it; and the change back across the wrap at 0
+    monkeypatch.setattr(mahler_module, "_SAMPLE_BLOCK", block)
+    cell = 2.0 * math.pi / 64
+    t0 = 10.6 * cell
+
+    def fibers(theta):
+        x = np.mod(theta, 2.0 * math.pi)
+        bump = (x > t0 - 0.09 * cell) & (x < t0 - 0.05 * cell)
+        return np.zeros(x.size), np.abs(np.sin(0.5 * (x - t0))), bump + (x > 40 * cell)
+
+    breaks = mahler_module._breakpoints(fibers, QuadratureSpec(64), lambda n: None, 1)
+    expected = [0.0, t0 - 0.09 * cell, t0 - 0.05 * cell, t0, 40 * cell]
+    assert breaks == pytest.approx(expected, abs=1e-14)
+
+
+def test_breakpoint_sample_holds_a_block_at_a_time():
+    # the fibers of X1 + X2 + 1 in X2 are (1 + x) + y: 2^20 samples, which
+    # held about 128 B a node when the whole sample was kept
+    def fibers(theta):
+        ones = np.ones(theta.size, dtype=complex)
+        return mahler_module._fiber_measures(np.stack([1.0 + np.exp(1j * theta), ones], axis=1))
+
+    tracemalloc.start()
+    try:
+        breaks = mahler_module._breakpoints(fibers, QuadratureSpec(1 << 20), lambda n: None, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert breaks == pytest.approx([2 * math.pi / 3, 4 * math.pi / 3], abs=1e-15)
+    assert peak < 16 * 2 ** 20
+
+
 def test_reduced_route_eliminates_least_span_highest_index():
     # X1 and X3 both span 1; X3, the higher index, is eliminated
     assert mahler_module._eliminated(parse_laurent("X1*X2^2 + X2^-1*X3 + X1 + 3")) == (2, [0, 1], 1)

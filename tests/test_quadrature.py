@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mahlerzeta import ComputationError, QuadratureSpec
 from mahlerzeta.correspondence import _cos_sum_grid
@@ -138,28 +139,77 @@ def _rows(mesh):
     return np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, len(mesh))
 
 
-def _cos_log_dense(d, points, shift, transform, max_block=None):
-    def fn(mesh):
-        return np.log(transform(np.sum(np.cos(_rows(mesh)), axis=1))), None
+def _cos_log_dense(d, points, shift, transform, max_block=None, fold=False):
+    # folded: the halved rows of the (M/2)-grid, the M-grid's nodes in [0, pi)^d
+    scale = 0.5 if fold else 1.0
 
-    return grid_mean(fn, d, points, shift, max_block=max_block)[0].real
+    def fn(mesh):
+        return np.log(transform(np.sum(np.cos(scale * _rows(mesh)), axis=1))), None
+
+    return grid_mean(fn, d, points // 2 if fold else points, shift, max_block=max_block)[0].real
 
 
 @pytest.mark.parametrize("d, points", [(1, 4096), (2, 1024), (3, 128), (4, 32), (5, 12),
                                        (7, 6), (8, 4), (9, 3)])
 def test_cos_sum_axes_view_matches_dense_view(d, points):
-    # per-axis cosine tables against per-node rows built from the mesh.  Up
-    # to 2^20 nodes a grid is one block; (3, 128) is two.  Below 8 axes both
-    # add a row's cosines left to right; numpy adds longer rows pairwise, so
-    # from 8 axes on they agree to rounding only
+    # per-axis cosine tables against per-node rows built from the mesh, on
+    # the same nodes: the half-angle grid at shift 0.5 and even M, the full
+    # grid at shift 0 or odd M.  Up to 2^20 nodes a grid is one block; the
+    # full (3, 128) grid is two.  Below 8 axes both add a row's cosines left
+    # to right; numpy adds longer rows pairwise, so from 8 axes on they agree
+    # to rounding only
     transform = lambda s: 1.0 - (0.9 / d) * s
     for shift in (0.5, 0.0):
         axes = _cos_sum_grid(d, points, shift, lambda s: np.log(transform(s)))
-        dense = _cos_log_dense(d, points, shift, transform)
+        dense = _cos_log_dense(d, points, shift, transform,
+                               fold=shift == 0.5 and points % 2 == 0)
         if d < 8:
             assert axes == dense
         else:
             assert axes == pytest.approx(dense, rel=1e-14, abs=1e-16)
+
+
+@st.composite
+def _folded_grids(draw):
+    d = draw(st.integers(1, 5))
+    # even M <= 64 with a full grid of at most 2^20 nodes to compare against
+    half = draw(st.integers(1, min(32, int(round(2 ** (20 / d))) // 2)))
+    a = draw(st.floats(-0.99, 0.99))
+    return d, 2 * half, a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_folded_grids())
+def test_folded_cos_sum_mean_matches_full_grid(case):
+    # the M-grid at shift 0.5 is closed under theta_j -> 2 pi - theta_j, so
+    # its nodes in [0, pi)^d carry the full mean; the Green integrand's mean
+    # is at least 1, so the relative bound is a bound on rounding
+    d, points, a = case
+
+    def full(integrand):
+        def fn(mesh):
+            s = sum(np.cos(theta) for theta in mesh)
+            return integrand(s).ravel(), None
+
+        return grid_mean(fn, d, points, 0.5)[0].real
+
+    for integrand in (lambda s: 1.0 / (1.0 - a * s / d), lambda s: np.log(1.0 - a * s / d)):
+        assert _cos_sum_grid(d, points, 0.5, integrand) == pytest.approx(
+            full(integrand), rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("d, points, shift, nodes", [
+    (1, 4096, 0.5, 2048), (2, 10, 0.5, 25), (3, 128, 0.5, 64 ** 3),
+    (2, 9, 0.5, 81), (3, 7, 0.5, 343), (2, 10, 0.0, 100), (3, 16, 0.25, 16 ** 3)])
+def test_cos_sum_grid_evaluates_folded_nodes_only(d, points, shift, nodes):
+    seen = []
+
+    def integrand(s):
+        seen.append(s.size)
+        return 1.0 - 0.5 * s / d
+
+    assert _cos_sum_grid(d, points, shift, integrand) == pytest.approx(1.0, abs=1e-14)
+    assert sum(seen) == nodes
 
 
 def test_small_block_covers_every_node_once_in_row_major_order():
