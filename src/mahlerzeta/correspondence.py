@@ -368,24 +368,21 @@ def closed_walk_count(d: int, n: int) -> int:
         raise ValueError("need d >= 1 and n >= 0")
     if n % 2:
         return 0
-    m = n // 2
-    total = 0
-    fact_n = math.factorial(n)
+    return _closed_walk_counts(d, n // 2)[-1]
 
-    def compositions(remaining, parts):
-        if parts == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in compositions(remaining - first, parts - 1):
-                yield (first,) + rest
 
-    for comp in compositions(m, d):
-        denom = 1
-        for mj in comp:
-            denom *= math.factorial(mj) ** 2
-        total += fact_n // denom
-    return total
+def _closed_walk_counts(d: int, m_max: int) -> list[int]:
+    """Closed walks of length 2m on Z^d for m = 0 .. m_max, in one pass.
+
+    count(2m) = C(2m, m) h_d(m), where h_d(m) sums the squared multinomials
+    (m; m_1, ..., m_d) over m_1 + ... + m_d = m (m_j steps out along axis j):
+    h_1 = 1 and h_d(m) = sum_k C(m, k)^2 h_{d-1}(m - k).
+    """
+    h = [1] * (m_max + 1)
+    for _ in range(d - 1):
+        h = [sum(math.comb(m, k) ** 2 * h[m - k] for k in range(m + 1))
+             for m in range(m_max + 1)]
+    return [math.comb(2 * m, m) * h[m] for m in range(m_max + 1)]
 
 
 def return_probability(d: int, n: int) -> Fraction:
@@ -411,12 +408,14 @@ def green_series_estimate(d: int, u: float, n_exact: int = 60) -> float:
         raise ValueError(f"u must lie in (0, 1), got {u}")
     if n_exact < 2 or n_exact % 2:
         raise ValueError(f"n_exact must be a positive even number, got {n_exact}")
-    total = 0.0
-    for n in range(0, n_exact + 1, 2):
-        total += float(return_probability(d, n)) * u ** n
     m0 = n_exact // 2
+    # P_n = count(n) / (2d)^n; int division rounds as float(Fraction) does
+    probs = [count / (2 * d) ** (2 * m) for m, count in enumerate(_closed_walk_counts(d, m0))]
+    total = 0.0
+    for m, prob in enumerate(probs):
+        total += prob * u ** (2 * m)
     asympt = lambda m: 2.0 * (d / (4.0 * math.pi * m)) ** (d / 2.0)
-    scale = float(return_probability(d, n_exact)) / asympt(m0)
+    scale = probs[-1] / asympt(m0)
     # extend until u^{2m} is negligible
     m_stop = max(m0 + 1, int(math.ceil(-40.0 / math.log(u ** 2))) + m0)
     ms = np.arange(m0 + 1, m_stop + 1, dtype=np.float64)

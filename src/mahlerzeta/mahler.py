@@ -12,10 +12,10 @@ remaining (n-1)-torus, which goes on the midpoint ladder; for n = 2 the
 remaining circle is cut at the toric points and each arc between them is
 integrated by tanh-sinh, which reaches rounding level where the ladder
 converges algebraically), closed forms for the families X -+ X^-1 + c, and
-the four-variable-free hypergeometric form of m(X1 + X1^-1 + X2 + X2^-1 + c)
-for c > 4.  Jensen's formula has one evaluator, ``_fiber_measures`` (the
-fibers of the reduced route, or the one row of a one-variable polynomial),
-and every midpoint torus average one ladder, ``_midpoint_ladder``.  The
+the hypergeometric form of m(X1 + X1^-1 + X2 + X2^-1 + c) for c > 4.
+Jensen's formula has one evaluator, ``_fiber_measures`` (the fibers of the
+reduced route, or the one row of a one-variable polynomial), and every
+midpoint torus average one ladder, ``_midpoint_ladder``.  The
 Cassaigne-Maillot closed form of m(a + bX + cY), the exact oracle for the
 n = 2 route, lives in the tests.
 
@@ -181,14 +181,11 @@ def _jensen(column: np.ndarray, coeffs: np.ndarray) -> MahlerResult:
     row = np.zeros((1, degree + 1), dtype=np.complex128)
     row[0, column - low] = coeffs
     try:
-        values, stat, _ = _fiber_measures(row)
+        values, gap, _ = _fiber_measures(row)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"root finding failed: {exc}") from exc
-    # the statistic is the root gap or, if smaller, the largest |coefficient|
-    # (a constant's own modulus); rescaled, a small polynomial shows its gap
-    gap, scale = float(stat[0]), float(np.abs(coeffs).max())
-    if degree and gap == scale and scale < 1e-3:
-        gap = float(_fiber_measures(row / scale)[1][0])
+    # a constant has no roots: its own modulus is the statistic
+    gap = float(gap[0]) if degree else float(abs(row[0, 0]))
     if degree and gap < 1e-3:
         warnings.warn("a root lies within 1e-3 of the unit circle; "
                       "max(|root|, 1) is numerically delicate there", stacklevel=3)
@@ -222,13 +219,14 @@ def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jensen's formula on a stack of one-variable polynomials.
 
     Row i of ``a`` holds the coefficients of x^0 .. x^D of one fiber.  Returns
-    the Mahler measure of each row, its singularity statistic (the smaller
-    of min_k ||root_k| - 1| and max_k |a_k|) and the number of its roots
-    inside the unit disc, a root at 0 included and one at infinity (a
-    vanishing x^D coefficient) not.
+    the Mahler measure of each row, its root gap min_k ||root_k| - 1| (inf
+    for a constant, which has no roots) and the number of its roots inside
+    the unit disc, a root at 0 included and one at infinity (a vanishing x^D
+    coefficient) not.  The gap is over the roots of the orientation solved
+    (see below); the reciprocal roots of x^D f(1/x) meet the circle where
+    those of f do.
     """
     mags = np.abs(a)
-    scale = mags.max(axis=1)
     # x^D f(1/x) has the same measure; taking the larger end coefficient as
     # the leading one keeps a vanishing leading coefficient harmless.  It
     # maps the roots inside the disc to those outside, which the count undoes.
@@ -237,11 +235,11 @@ def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     degree = a.shape[1] - 1
 
     def done(values, gap, inside):
-        return values, np.fmin(gap, scale), np.where(flip, degree - inside, inside)
+        return values, gap, np.where(flip, degree - inside, inside)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if degree == 0:
-            return done(np.log(scale), np.full(len(a), math.inf), np.zeros(len(a), dtype=int))
+            return done(np.log(mags[:, 0]), np.full(len(a), math.inf), np.zeros(len(a), dtype=int))
         if degree == 1:
             lead, tail = np.abs(a[:, 1]), np.abs(a[:, 0])
             return done(np.log(lead), np.abs(tail / lead - 1.0), (tail < lead).astype(int))
@@ -330,8 +328,11 @@ def _narrow(lo: np.ndarray, hi: np.ndarray, pick) -> tuple[np.ndarray, np.ndarra
 def _breakpoints(fibers, spec: QuadratureSpec, charge, span: int) -> np.ndarray | None:
     """Sorted angles in [0, 2 pi) where a one-variable reduced integrand is not analytic.
 
-    ``fibers(theta)`` is ``_fiber_measures`` of the fibers at the angles
-    ``theta``, which are first sampled on the midpoint grid of ``spec``.
+    ``fibers(theta)`` gives the measures of the fibers at the angles
+    ``theta``, their gap statistic (the root gap of ``_fiber_measures``, or
+    the largest |coefficient| where that is smaller) and their counts of
+    roots inside the disc; the angles are first sampled on the midpoint grid
+    of ``spec``.
     ``charge(n)`` is called before each evaluation of n fibers, and before
     the sample grid is built.  The fiber coefficients are trigonometric
     polynomials of degree ``span`` in theta, and a sample grid of at most
@@ -406,29 +407,22 @@ def _breakpoints(fibers, spec: QuadratureSpec, charge, span: int) -> np.ndarray 
     near = (touch[:, None] + np.concatenate([-near, near])).ravel()
     near_inside = counted(near)[2]
     near = np.mod(near, 2.0 * math.pi)
-    order = np.argsort(near, kind="stable")
-    near, near_inside = near[order], near_inside[order]
 
-    # In the cyclic order of all samples an extra sample comes after the
-    # ``pos`` grid nodes at or below it (ties as a stable sort puts them).
-    # Neighbours whose counts differ are two grid nodes of a count change,
-    # or an extra sample and a neighbour, so only those samples are placed,
-    # by their index in that order.
-    pos = _nodes_at_or_below(near, points, shift, cell)
+    # Neighbours whose counts differ, in the cyclic order of all samples, are
+    # bracketed.  Only the grid nodes next to an extra sample (k - 1 .. k + 2
+    # covers the rounding of k) or to a count change join the extra samples:
+    # two of these that are neighbours here but not among all samples are
+    # then grid nodes with no count change between them, so their counts
+    # agree.  The stable sort puts a node before an extra sample at its angle.
+    k = np.floor(near / cell - shift).astype(np.int64)
     grid = np.concatenate(changes)
-    grid = np.unique(np.concatenate([grid, grid + 1, pos - 1, pos]) % points)
-    index = np.concatenate([grid + np.searchsorted(pos, grid, side="right"),
-                            pos + np.arange(near.size)])
-    order = np.argsort(index)
-    index = index[order]
-    theta = np.concatenate([(grid + shift) * cell, near])[order]
-    inside = np.concatenate([inside[grid], near_inside])[order]
-    last = points + near.size - 1
-    succ = np.roll(index, -1)
-    adjacent = (succ == index + 1) | ((index == last) & (succ == 0))
-    k = np.flatnonzero(adjacent & (inside != np.roll(inside, -1)))
+    grid = np.unique(np.concatenate([grid, grid + 1, k - 1, k, k + 1, k + 2]) % points)
+    theta = np.concatenate([(grid + shift) * cell, near])
+    order = np.argsort(theta, kind="stable")
+    theta, inside = theta[order], np.concatenate([inside[grid], near_inside])[order]
+    k = np.flatnonzero(inside != np.roll(inside, -1))
     lo, hi, side = theta[k], np.roll(theta, -1)[k], inside[k]
-    hi[index[k] == last] += 2.0 * math.pi
+    hi[k == theta.size - 1] += 2.0 * math.pi
 
     def first_change(x):
         count = counted(x[:, 1:-1].ravel())[2].reshape(x.shape[0], -1)
@@ -445,18 +439,6 @@ def _breakpoints(fibers, spec: QuadratureSpec, charge, span: int) -> np.ndarray 
     if found.size > 1 and found[0] + 2.0 * math.pi - found[-1] <= _BREAK_MERGE:
         keep[-1] = False
     return found[keep]
-
-
-def _nodes_at_or_below(x: np.ndarray, points: int, shift: float, cell: float) -> np.ndarray:
-    """How many midpoint nodes (k + shift) * cell, k < points, lie at or below each x."""
-    n = np.clip(np.floor(x / cell - shift).astype(np.int64) + 1, 0, points)
-    while True:  # the estimate is off by a node at most; settle it on the nodes themselves
-        up = (n < points) & ((n + shift) * cell <= x)
-        down = (n > 0) & ((n - 1 + shift) * cell > x)
-        if not (up.any() or down.any()):
-            return n
-        n += up
-        n -= down
 
 
 # nodes of _arc_mean built and evaluated at a time
@@ -568,7 +550,11 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     block = (1 << 20) // degree ** 2
 
     def fibers(mesh):
-        return _fiber_measures(evaluate(mesh).reshape(-1, degree + 1))
+        a = evaluate(mesh).reshape(-1, degree + 1)
+        values, gap, inside = _fiber_measures(a)
+        # a fiber whose coefficients all nearly vanish is as singular as a
+        # root on the circle
+        return values, np.fmin(gap, np.abs(a).max(axis=1)), inside
 
     d = len(rest)
     spec = quad or _default_spec(d)
@@ -697,14 +683,16 @@ def hyper_pfq(a: list[float], b: list[float], x: float) -> float:
 @lru_cache(maxsize=1)
 def _constants() -> dict[str, float]:
     k = np.arange(100_000, dtype=np.float64)
-
-    # L(chi_-3, 2): pair n = 3k+1 (+) with n = 3k+2 (-), Euler-Maclaurin tail
-    pair = (3 * k + 1) ** -2 - (3 * k + 2) ** -2
     kk = float(len(k))
-    tail = ((1.0 / (3 * kk + 1) - 1.0 / (3 * kk + 2)) / 3.0
-            + ((3 * kk + 1) ** -2 - (3 * kk + 2) ** -2) / 2.0
-            - (-6.0 * (3 * kk + 1) ** -3 + 6.0 * (3 * kk + 2) ** -3) / 12.0)
-    l_chi3 = float(pair.sum()) + tail
+
+    def paired(s, a, b):
+        # sum over k of (s k + a)^-2 - (s k + b)^-2, the tail from k = kk
+        # closed with Euler-Maclaurin: L(chi_-3, 2) pairs n = 3k+1 (+) with
+        # n = 3k+2 (-), and the Catalan constant n = 4k+1 with n = 4k+3
+        tail = ((1.0 / (s * kk + a) - 1.0 / (s * kk + b)) / s
+                + ((s * kk + a) ** -2 - (s * kk + b) ** -2) / 2.0
+                - (-2.0 * s * (s * kk + a) ** -3 + 2.0 * s * (s * kk + b) ** -3) / 12.0)
+        return float(((s * k + a) ** -2 - (s * k + b) ** -2).sum()) + tail
 
     # zeta(3): direct series plus tail corrections from n = N+1
     n = np.arange(1, 100_001, dtype=np.float64)
@@ -712,14 +700,7 @@ def _constants() -> dict[str, float]:
     tail = 1.0 / (2 * aa ** 2) + 1.0 / (2 * aa ** 3) + 1.0 / (4 * aa ** 4)
     zeta3 = float((n ** -3).sum()) + tail
 
-    # Catalan constant: pair n = 2k (+) with n = 2k+1 (-)
-    pair = (4 * k + 1) ** -2 - (4 * k + 3) ** -2
-    tail = ((1.0 / (4 * kk + 1) - 1.0 / (4 * kk + 3)) / 4.0
-            + ((4 * kk + 1) ** -2 - (4 * kk + 3) ** -2) / 2.0
-            - (-8.0 * (4 * kk + 1) ** -3 + 8.0 * (4 * kk + 3) ** -3) / 12.0)
-    catalan = float(pair.sum()) + tail
-
-    return {"L_chi3_2": l_chi3, "zeta3": zeta3, "catalan_G": catalan}
+    return {"L_chi3_2": paired(3, 1, 2), "zeta3": zeta3, "catalan_G": paired(4, 1, 3)}
 
 
 def special_constants() -> dict[str, float]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -242,6 +243,26 @@ def test_closed_walk_counts_hand_values():
     assert closed_walk_count(2, 2) == 4
     assert closed_walk_count(3, 2) == 6
     assert closed_walk_count(1, 3) == 0
+
+
+def _closed_walks_by_compositions(d, n):
+    # sum over m_1 + ... + m_d = n/2 of n! / prod (m_j!)^2
+    if n % 2:
+        return 0
+    m = n // 2
+    return sum(math.factorial(n) // math.prod(math.factorial(k) ** 2 for k in split)
+               for split in itertools.product(range(m + 1), repeat=d) if sum(split) == m)
+
+
+def test_closed_walk_counts_match_the_composition_sum():
+    for d in range(1, 6):
+        for n in range(0, 31):
+            assert closed_walk_count(d, n) == _closed_walks_by_compositions(d, n), (d, n)
+
+
+def test_closed_walk_counts_cubic_lattice_oeis():
+    # OEIS A002896: closed walks of length 2m on the cubic lattice
+    assert [closed_walk_count(3, 2 * m) for m in range(5)] == [1, 6, 90, 1860, 44730]
 
 
 def test_return_probability_binomial_bridge():

@@ -160,6 +160,27 @@ def test_jensen_vs_quadrature_random(rng):
         assert abs(jensen.value - quad.value) < 1e-8
 
 
+def test_jensen_solves_the_roots_once(monkeypatch):
+    # every |coefficient| is below the root gap 0.13: the gap still comes
+    # from the one root solve, with no rescaled second one
+    calls = []
+    solve = mahler_module._fiber_measures
+    monkeypatch.setattr(mahler_module, "_fiber_measures", lambda a: calls.append(a) or solve(a))
+    res = mahler_univariate(parse_laurent("0.0001*X1^5 + 0.0002"))
+    assert len(calls) == 1
+    assert res.value == pytest.approx(math.log(2e-4), abs=1e-15)
+    assert not res.singular_on_torus
+
+
+@pytest.mark.parametrize("row,gap", [([-2e-4, 1e-4], 0.5), ([0.0, 1e-4], 1.0)])
+def test_fiber_root_gap_is_apart_from_the_coefficient_size(row, gap):
+    # the root 2 of the first row is solved as 1/2, a root of the reversed
+    # row; the second row's root is 0.  Neither gap is capped at the largest
+    # |coefficient| (2e-4 and 1e-4), which the reduced route adds on its own
+    _, stat, _ = mahler_module._fiber_measures(np.array([row], dtype=complex))
+    assert stat[0] == gap
+
+
 # --------------------------------------------------------------------------
 # Jensen-reduced route
 
@@ -338,6 +359,55 @@ def test_breakpoints_of_counts_between_nodes_and_extra_samples(monkeypatch, bloc
 
     breaks = mahler_module._breakpoints(fibers, QuadratureSpec(64), lambda n: None, 1)
     expected = [0.0, t0 - 0.09 * cell, t0 - 0.05 * cell, t0, 40 * cell]
+    assert breaks == pytest.approx(expected, abs=1e-14)
+
+
+# a touch's offset in its slot and its bumps: a side and an odd j, so that
+# the extra sample at cell / 2^(j+1) sits between two bumps on one side
+_SLOT_TOUCH = st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                       st.sets(st.tuples(st.sampled_from([-1, 1]),
+                                         st.integers(0, 9).map(lambda i: 2 * i + 1)),
+                               max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shift=st.sampled_from([0.0, 0.25, 0.5, 0.9]), block=st.sampled_from([5, 1 << 16]),
+       touches=st.dictionaries(st.integers(0, 11), _SLOT_TOUCH, max_size=3),
+       edges=st.dictionaries(st.integers(1, 12), st.floats(0.05, 0.95), max_size=4))
+def test_breakpoints_of_made_up_fibers(shift, block, touches, edges):
+    # a made-up integrand on 64 nodes, cut into slots of 5 (the blocks of
+    # _SAMPLE_BLOCK = 5).  Slot s may hold a touch of the circle between its
+    # nodes 2 and 3, with count bumps round the extra samples at cell / 2^j
+    # on either side of it (a quarter of that offset wide, so each holds one
+    # extra sample), and a count step between nodes 5s - 1 and 5s, on a
+    # block edge.  The steps add up, so the count falls back across the wrap.
+    cell = 2.0 * math.pi / 64
+    points, bumps = [], []
+    for s, (f, rings) in touches.items():
+        t = (5 * s + 2 + f + shift) * cell
+        points.append(t)
+        for side, j in rings:
+            centre, half = t + side * cell * 0.5 ** j, 0.25 * cell * 0.5 ** j
+            bumps.append((centre - half, centre + half))
+    steps = [(5 * s - 1 + shift + f) * cell for s, f in edges.items()]
+
+    def fibers(theta):
+        x = np.mod(theta, 2.0 * math.pi)
+        gap = np.ones(x.size)
+        for t in points:
+            gap = np.fmin(gap, np.abs(np.sin(0.5 * (x - t))))
+        count = np.zeros(x.size, dtype=int)
+        for e in steps:
+            count += x >= e
+        for lo, hi in bumps:
+            count += (x > lo) & (x < hi)
+        return np.zeros(x.size), gap, count
+
+    expected = sorted(points + [e for bump in bumps for e in bump] + steps
+                      + ([0.0] if steps else []))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mahler_module, "_SAMPLE_BLOCK", block)
+        breaks = mahler_module._breakpoints(fibers, QuadratureSpec(64, shift), lambda n: None, 1)
     assert breaks == pytest.approx(expected, abs=1e-14)
 
 
