@@ -145,28 +145,21 @@ def verify_1d_qw(xi: float, u: float, shift_type: str,
 def _cos_sum_grid(d: int, points: int, shift: float, integrand) -> float:
     """Average of integrand(sum_j cos theta_j) over one M^d grid.
 
-    With the half-node shift and an even M the grid is closed under
-    theta_j -> 2 pi - theta_j on every axis and has no node on the fixed
-    points 0 and pi, so every cosine sum is taken as often with theta_j < pi
-    as without: the mean over the (M/2)^d nodes in [0, pi)^d is the full
-    mean up to rounding.  Those nodes are the halved ones of the (M/2)-grid,
-    bit for bit, since halving and doubling are exact.  Odd M or another
-    shift keeps the full grid.
+    The integrand is even in every theta_j, so ``grid_mean`` folds every
+    axis: with the half-node shift and an even M it evaluates only the
+    (M/2)^d nodes in [0, pi)^d.
 
     The block's cosine sum is broadcast from the per-axis cosines and added
     left to right, the order in which ``np.sum(..., axis=1)`` adds a row of
     fewer than 8 entries (longer rows it adds pairwise).
     """
-    fold = shift == 0.5 and points % 2 == 0
-    scale = 0.5 if fold else 1.0
-
     def fn(mesh):
-        s = np.cos(scale * mesh[0])
+        s = np.cos(mesh[0])
         for theta in mesh[1:]:
-            s = s + np.cos(scale * theta)
+            s = s + np.cos(theta)
         return integrand(s).ravel(), None
 
-    mean, _ = grid_mean(fn, d, points // 2 if fold else points, shift)
+    mean, _ = grid_mean(fn, d, points, shift, fold=range(d))
     return mean.real
 
 

@@ -13,6 +13,13 @@ per-node rows only where it needs them.  Block sums are accumulated in a
 fixed order with ``math.fsum``, which makes every result bit-reproducible and
 independent of the worker thread count.
 
+An integrand even in theta_j, f(theta_j) = f(2 pi - theta_j), is averaged on
+half of axis j: with the half-node shift and an even M the grid is closed
+under that mirror and has no node on its fixed points 0 and pi, so the M/2
+nodes in [0, pi) carry the mean (``grid_mean``'s ``fold``).  The midpoint
+rule on a symmetric grid keeps its accuracy under the fold; only rounding
+differs.
+
 ``refine_to_tol`` is the one refinement ladder: every refined torus average
 in the package runs through it, with or without Richardson extrapolation.
 """
@@ -22,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,67 +100,83 @@ class QuadratureSpec:
             raise ValueError(f"max_refinements must be >= 0, got {self.max_refinements}")
 
 
-def _blocks(d: int, points: int, max_block: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """The product-set blocks of the M^d grid, in row-major order.
+def _blocks(counts, max_block: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The product-set blocks of the grid with ``counts[j]`` nodes on axis j, in row-major order.
 
-    With k the smallest axis count such that M^(d-k) <= ``max_block``, a
-    block ``(outer, j0, j1)`` fixes the indices ``outer`` of axes 0..k-2,
-    takes the run [j0, j1) of at most max_block // M^(d-k) indices on axis
-    k-1, and spans every later axis in full.
+    With k the smallest axis count such that the axes k..d-1 span at most
+    ``max_block`` nodes, a block ``(outer, j0, j1)`` fixes the indices
+    ``outer`` of axes 0..k-2, takes the run [j0, j1) of at most max_block
+    // (nodes of axes k..d-1) indices on axis k-1, and spans every later
+    axis in full.
     """
     k = 1
-    while points ** (d - k) > max_block:
+    while math.prod(counts[k:]) > max_block:
         k += 1
-    run = max_block // points ** (d - k)
-    return [(outer, j0, min(j0 + run, points))
-            for outer in itertools.product(range(points), repeat=k - 1)
-            for j0 in range(0, points, run)]
+    run = max_block // math.prod(counts[k:])
+    return [(outer, j0, min(j0 + run, counts[k - 1]))
+            for outer in itertools.product(*map(range, counts[:k - 1]))
+            for j0 in range(0, counts[k - 1], run)]
 
 
-def _open_mesh(axis: np.ndarray, d: int, block) -> tuple[np.ndarray, ...]:
+def _open_mesh(axes, block) -> tuple[np.ndarray, ...]:
     """Per-axis angle arrays of one block, each shaped to broadcast over it."""
     outer, j0, j1 = block
-    parts = [axis[i:i + 1] for i in outer] + [axis[j0:j1]]
-    parts += [axis] * (d - len(parts))
+    d = len(axes)
+    parts = [axes[j][i:i + 1] for j, i in enumerate(outer)] + [axes[len(outer)][j0:j1]]
+    parts += axes[len(parts):]
     return tuple(part.reshape([part.size if k == j else 1 for k in range(d)])
                  for j, part in enumerate(parts))
 
 
-def grid_mean(fn, d: int, points: int, shift: float, *,
+def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
               max_block: int | None = None) -> tuple[complex, float | None]:
     """Average ``fn`` over the tensor grid with M = ``points`` nodes per axis.
 
+    ``fold`` names the axes on which ``fn`` is even, f(theta_j) =
+    f(2 pi - theta_j).  With shift 0.5 and an even M every folded axis keeps
+    only its M/2 nodes in [0, pi): the grid is closed under the mirror and
+    has no node on its fixed points 0 and pi, so those nodes carry the full
+    mean up to rounding.  For an odd M or another shift ``fold`` is ignored.
+
     The grid is cut into product-set blocks of at most ``max_block`` nodes
     (default 2^20): a block fixes the leading axes, takes a run of indices
-    on one axis and spans every later axis in full.  When M and
-    ``max_block`` are powers of two the blocks are runs of the flattened
+    on one axis and spans every later axis in full.  When every axis count
+    and ``max_block`` are powers of two the blocks are runs of the flattened
     row-major index.  ``fn`` is called once per block with its open
     mesh: a tuple of d angle arrays, axis j of shape 1 except along dimension
     j, which broadcast together to the block's shape.  It returns ``(values,
     stat)`` where ``values`` is a 1-D array (real or complex) over the
     block's nodes in row-major order and ``stat`` is a float minimum
     statistic or None.  Returns ``(mean, min_stat)``.
-    A grid of more than 2^26 nodes raises ``ComputationError`` before ``fn``
-    is called.
+    A grid that evaluates more than 2^26 nodes raises ``ComputationError``
+    before ``fn`` is called.
     """
     if max_block is None:
         max_block = 1 << 20
     if d < 1 or max_block < 1:
         raise ValueError(f"need d >= 1 and max_block >= 1, got d={d}, max_block={max_block}")
-    total = points ** d
+    folded = set(fold) if shift == 0.5 and points % 2 == 0 else set()
+    counts = [points // 2 if j in folded else points for j in range(d)]
+    total = math.prod(counts)
     if total > _MAX_GRID_NODES:
+        shape = f"{counts[0]}^{d}" if len(set(counts)) == 1 else "x".join(map(str, counts))
         raise ComputationError(
-            f"grid {points}^{d} = {total} nodes exceeds the cap of {_MAX_GRID_NODES} (2^26)"
+            f"grid {shape} = {total} nodes exceeds the cap of {_MAX_GRID_NODES} (2^26)"
         )
     axis = (np.arange(points) + shift) * (2.0 * math.pi / points)
-    blocks = _blocks(d, points, max_block)
+    axes = [axis[:n] for n in counts]
+    blocks = _blocks(counts, max_block)
 
     def work(block):
-        values, stat = fn(_open_mesh(axis, d, block))
+        values, stat = fn(_open_mesh(axes, block))
         s = complex(np.sum(values))
         return s.real, s.imag, stat
 
     if _threads > 1 and len(blocks) > 1:
+        # imported here: concurrent.futures and the logging it loads would
+        # add to every import of the package, threaded or not
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=_threads) as pool:
             parts = list(pool.map(work, blocks))
     else:

@@ -23,6 +23,18 @@ theirs; only a finite torus of side N < 3, with fewer nodes than P_u has
 coefficients, takes its N^d determinants directly.  The coefficients C_r of
 log zeta = sum_r C_r u^r / r are averaged traces of powers of M_hat, equal to
 the trace of the step-r return weight.
+
+``log_zeta`` folds every axis on which P_u is even onto [0, pi) (see
+``quadrature.grid_mean``).  Evenness in Theta_j is read off the coin
+exactly: swapping the phases of rows 2j and 2j+1 is conjugation by the swap
+of components 2j and 2j+1, so the determinant is unchanged when that swap
+maps the coin to itself, or to itself conjugated by the sign flip of
+component 2j+1.  Grover and simple-RW coins fold on every axis in both
+shifts: the moving-shift coins are unchanged by any permutation of the
+components, and the flip-flop row swap commutes with the axis swap.  The
+flip-flop Hadamard coin folds its one axis by the sign flip.  The moving-shift
+Hadamard coin, with P_u = 1 - 2iu cos(xi) sin(Theta) - u^2, is not even,
+and a custom coin folds only where its entries are mirrored exactly.
 """
 
 from __future__ import annotations
@@ -147,9 +159,45 @@ def _log_det_block(coin: CoinMatrix, u: float, require_positive: bool, direct: b
                     f"singular factor: det(I - u M_hat) vanishes at "
                     f"k={node(tiny)} (u={u})"
                 )
-        return np.log(dets, out=dets).ravel(), None
+        return _principal_log(dets).ravel(), None
 
     return fn
+
+
+def _principal_log(z: np.ndarray) -> np.ndarray:
+    """log z on the principal branch, log|z| + i arg z, written into the complex array z.
+
+    Real kernels (``abs``, ``log``, ``arctan2``) take a few times less time
+    than the complex ``np.log`` and agree with it to rounding.
+    """
+    arg = np.arctan2(z.imag, z.real)
+    modulus = np.abs(z)
+    z.real = np.log(modulus, out=modulus)
+    z.imag = arg
+    return z
+
+
+def _even_axes(coin: CoinMatrix) -> tuple[int, ...]:
+    """The axes j on which det(I - u M_hat) is even in Theta_j, read off the coin exactly.
+
+    M_hat = D C with D the diagonal of phases, and Theta_j -> -Theta_j swaps
+    the phases at 2j and 2j+1: with P that swap, D(-Theta_j) = P D P and
+    det(I - u D(-Theta_j) C) = det(I - u D P C P).  Axis j is even when
+    P C P is C, or is S C S with S = I but -1 at 2j+1, since S D S = D makes
+    det(I - u D S C S) = det(S (I - u D C) S).  The matrices are compared
+    bitwise, with no tolerance.
+    """
+    c = coin.entries
+    axes = []
+    for j in range(coin.dim_d):
+        swap = np.arange(coin.size)
+        swap[[2 * j, 2 * j + 1]] = 2 * j + 1, 2 * j
+        sign = np.ones(coin.size)
+        sign[2 * j + 1] = -1.0
+        mirrored = c[np.ix_(swap, swap)]
+        if np.array_equal(mirrored, c) or np.array_equal(mirrored, sign[:, None] * c * sign):
+            axes.append(j)
+    return tuple(axes)
 
 
 def zeta_finite_log_mean(coin: CoinMatrix, N: int, u: float) -> complex:
@@ -301,8 +349,9 @@ def log_zeta_refined(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = N
     """Like ``log_zeta`` but returning the full refinement record."""
     spec = quad or QuadratureSpec()
     fn = _log_det_block(coin, u, require_positive=True)
-    res = refine_to_tol(lambda points: grid_mean(fn, coin.dim_d, points, spec.node_shift)[0],
-                        spec)
+    fold = _even_axes(coin)
+    res = refine_to_tol(
+        lambda points: grid_mean(fn, coin.dim_d, points, spec.node_shift, fold=fold)[0], spec)
     if not res.converged:
         raise ComputationError(
             f"log-zeta quadrature did not converge after {spec.max_refinements} refinements "
@@ -315,10 +364,11 @@ def log_zeta_refined(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = N
 def log_zeta(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = None) -> float:
     """Logarithmic zeta function: the torus integral of log det(I - u M_hat).
 
-    Uses the principal complex log; the integrand determinant must keep a
-    positive real part on the grid (true for the supported models on their
-    validity ranges), and the symmetric grid cancels the imaginary part, which
-    is asserted below 1e-9.
+    Uses the principal log, log|det| + i arg det; the integrand determinant
+    must keep a positive real part on the grid (true for the supported models
+    on their validity ranges), and the symmetric grid cancels the imaginary
+    part, which is asserted below 1e-9.  Every axis on which the determinant
+    is even (``_even_axes``) is folded onto [0, pi).
     """
     return log_zeta_refined(coin, u, quad).value.real
 

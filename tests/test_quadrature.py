@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mahlerzeta import ComputationError, QuadratureSpec
 from mahlerzeta.correspondence import _cos_sum_grid
-from mahlerzeta.quadrature import (det_stack, get_thread_count, grid_mean, refine_to_tol,
-                                   set_thread_count)
+from mahlerzeta.quadrature import (_blocks, det_stack, get_thread_count, grid_mean,
+                                   refine_to_tol, set_thread_count)
 
 
 def _recording(model):
@@ -210,6 +210,98 @@ def test_cos_sum_grid_evaluates_folded_nodes_only(d, points, shift, nodes):
 
     assert _cos_sum_grid(d, points, shift, integrand) == pytest.approx(1.0, abs=1e-14)
     assert sum(seen) == nodes
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4), st.integers(1, 400))
+def test_blocks_over_per_axis_counts_cover_the_grid_once(counts, max_block):
+    # every block is a product set of at most max_block nodes; taken in
+    # order, their row-major flat indices run through the grid exactly once
+    seen = []
+    for outer, j0, j1 in _blocks(counts, max_block):
+        ranges = [range(i, i + 1) for i in outer] + [range(j0, j1)]
+        ranges += [range(n) for n in counts[len(ranges):]]
+        index = np.indices([len(r) for r in ranges]).reshape(len(counts), -1)
+        index = [np.asarray(r)[i] for r, i in zip(ranges, index)]
+        assert 0 < index[0].size <= max_block
+        seen.append(np.ravel_multi_index(index, counts))
+    assert np.array_equal(np.concatenate(seen), np.arange(math.prod(counts)))
+
+
+@st.composite
+def _fold_cases(draw):
+    d = draw(st.integers(1, 3))
+    points = draw(st.sampled_from([4, 6, 8, 10, 16, 24]))
+    fold = draw(st.sets(st.integers(0, d - 1)))
+    max_block = draw(st.sampled_from([7, 64, 1 << 20]))
+    return d, points, fold, max_block
+
+
+def _recorded_rows(d, points, shift, fold, max_block):
+    blocks = []
+
+    def fn(mesh):
+        rows = _rows(mesh)
+        assert rows.shape[0] <= max_block
+        blocks.append(rows)
+        return np.ones(rows.shape[0]), None
+
+    grid_mean(fn, d, points, shift, fold=fold, max_block=max_block)
+    return np.concatenate(blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fold_cases())
+def test_fold_keeps_the_nodes_in_zero_to_pi_of_each_folded_axis(case):
+    d, points, fold, max_block = case
+    axis = (np.arange(points) + 0.5) * (2.0 * math.pi / points)
+    axes = [axis[:points // 2] if j in fold else axis for j in range(d)]
+    expected = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert np.array_equal(_recorded_rows(d, points, 0.5, fold, max_block), expected)
+
+
+@pytest.mark.parametrize("points, shift", [(9, 0.5), (7, 0.5), (8, 0.0), (8, 0.25), (6, 0.75)])
+def test_fold_is_ignored_for_odd_points_or_another_shift(points, shift):
+    def fn(mesh):
+        s = np.cos(mesh[0]) + np.sin(2 * mesh[1]) * np.cos(mesh[2])
+        return np.exp(s).ravel(), None
+
+    plain = grid_mean(fn, 3, points, shift)
+    assert grid_mean(fn, 3, points, shift, fold=range(3)) == plain
+    rows = _recorded_rows(3, points, shift, {0, 1, 2}, 1 << 20)
+    assert rows.shape[0] == points ** 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fold_cases(), st.floats(-0.9, 0.9), st.floats(-3.0, 3.0))
+def test_folded_mean_of_an_even_integrand_matches_the_full_grid(case, a, b):
+    # even in every folded theta_j, not in the others; O(1) values, so the
+    # bound is on rounding
+    d, points, fold, max_block = case
+
+    def fn(mesh):
+        s = 2.0 + b * np.sin(sum(mesh[j] for j in range(d) if j not in fold))
+        for j in range(d):
+            s = s + (a * np.cos((j + 1) * mesh[j]) if j in fold else np.sin(mesh[j]) / (3 + j))
+        return np.log(np.abs(s) + 1.0).ravel() + 1j * s.ravel(), None
+
+    folded, _ = grid_mean(fn, d, points, 0.5, fold=fold, max_block=max_block)
+    full, _ = grid_mean(fn, d, points, 0.5, max_block=max_block)
+    assert abs(folded - full) <= 1e-15
+
+
+@pytest.mark.parametrize("fold, shape", [(range(3), "512\\^3"), ((0, 1), "512x512x1024"),
+                                         ((2,), "1024x1024x512")])
+def test_grid_budget_counts_the_evaluated_nodes(fold, shape):
+    called = []
+
+    def fn(mesh):
+        called.append(len(mesh))
+        return mesh[0].ravel(), None
+
+    with pytest.raises(ComputationError, match=f"grid {shape} = .* nodes exceeds the cap"):
+        grid_mean(fn, 3, 1024, 0.5, fold=fold)
+    assert called == []
 
 
 def test_small_block_covers_every_node_once_in_row_major_order():

@@ -27,7 +27,8 @@ import mahlerzeta.zeta as zeta_module
 from mahlerzeta.quadrature import det_stack, get_thread_count, grid_mean, set_thread_count
 from mahlerzeta.laurent import mesh_evaluator
 from mahlerzeta.walk import _momentum_stack
-from mahlerzeta.zeta import _char_poly, _log_det_block, zeta_finite_log_mean
+from mahlerzeta.zeta import (_char_poly, _even_axes, _log_det_block, _principal_log,
+                             zeta_finite_log_mean)
 
 
 def hadamard(xi=math.pi / 4, shift="m"):
@@ -398,6 +399,116 @@ def test_singular_factor_names_the_node():
     with pytest.raises(ComputationError, match="singular factor") as err:
         zeta_finite(coin, 4, -1.0)
     assert f"k=(0.0, {math.pi}) (u=-1.0)" in str(err.value)
+
+
+# --------------------------------------------------------------------------
+# the principal log kernel and the exact fold rule
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-6, 1e6), st.floats(-math.pi / 2, math.pi / 2, exclude_min=True,
+                                       exclude_max=True),
+       st.floats(-1e-8, 1e-8))
+def test_principal_log_matches_complex_log(modulus, angle, near_one):
+    # Re z > 0, over a wide range of moduli and within 1e-8 of the unit circle;
+    # a log|z| above 1 is compared relative to its size, since one ulp of
+    # log 1e6 is already 1.8e-15
+    z =np.array([modulus * np.exp(1j * angle), (1.0 + near_one) * np.exp(1j * angle)])
+    expected = np.log(z)
+    got = _principal_log(z.copy())
+    scale = np.maximum(1.0, np.abs(expected.real))
+    assert np.all(np.abs(got.real - expected.real) <= 1e-15 * scale)
+    assert np.all(np.abs(got.imag - expected.imag) <= 1e-15)
+
+
+def test_log_zeta_keeps_the_arg_of_a_folded_integrand():
+    # det(I - u M_hat) = 1 - u^2 e^(2i phi) for this flip-flop coin: constant
+    # and off the real axis, and even in Theta, so the folded grid has no
+    # conjugate node to cancel its arg and the residual check must refuse it
+    phi, u = 0.3, 0.5
+    coin = custom_coin(np.exp(1j * phi) * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert _even_axes(coin) == (0,)
+    with pytest.raises(ComputationError, match="imaginary residual"):
+        log_zeta(coin, u, QuadratureSpec(16))
+
+
+@pytest.mark.parametrize("coin, axes", [
+    (build_coin("grover", 1), (0,)), (build_coin("grover", 2), (0, 1)),
+    (build_coin("grover", 3), (0, 1, 2)), (flip_flop(build_coin("grover", 2)), (0, 1)),
+    (flip_flop(build_coin("grover", 3)), (0, 1, 2)), (build_coin("simple_rw", 1), (0,)),
+    (build_coin("simple_rw", 3), (0, 1, 2)), (flip_flop(build_coin("simple_rw", 2)), (0, 1)),
+    (hadamard(math.pi / 4, "f"), (0,)), (hadamard(0.3, "f"), (0,)),
+    (hadamard(math.pi / 4), ()), (hadamard(1.2), ()),
+])
+def test_even_axes_of_the_named_coins(coin, axes):
+    assert _even_axes(coin) == axes
+
+
+def _mirrored_coefficient_axes(coin, u):
+    # the axes j on which the coefficients of det(I - u M_hat) are mirrored
+    # under e_j -> -e_j, to 1e-12: a route apart from the coin's entries
+    exps, coeffs = _char_poly(coin, u)
+    where = {tuple(e): c for e, c in zip(exps.tolist(), coeffs)}
+    axes = []
+    for j in range(coin.dim_d):
+        mirror = [tuple(-x if k == j else x for k, x in enumerate(e)) for e in where]
+        if all(abs(where[e] - where[m]) <= 1e-12 for e, m in zip(where, mirror)):
+            axes.append(j)
+    return tuple(axes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["orthogonal", "stochastic"])
+def test_even_axes_agree_with_mirrored_coefficients(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "orthogonal":
+        entries, _ = np.linalg.qr(rng.normal(size=(2 * d, 2 * d)))
+    else:
+        entries = rng.random((2 * d, 2 * d))
+        entries /= entries.sum(axis=0)
+    named = [build_coin("grover", d), flip_flop(build_coin("grover", d)),
+             build_coin("simple_rw", d), flip_flop(build_coin("simple_rw", d))]
+    if d == 1:
+        named += [hadamard(0.7), hadamard(0.7, "f")]
+    for coin in [custom_coin(entries), custom_coin(entries, "f")] + named:
+        assert _even_axes(coin) == _mirrored_coefficient_axes(coin, 0.4), coin
+    assert _even_axes(custom_coin(entries)) == ()
+
+
+@st.composite
+def _foldable_walks(draw):
+    kind = draw(st.sampled_from(["grover", "simple_rw", "hadamard"]))
+    if kind == "hadamard":
+        coin = hadamard(draw(st.floats(0.05, math.pi / 2 - 0.05)), "f")
+    else:
+        coin = build_coin(kind, draw(st.integers(1, 3)))
+        coin = flip_flop(coin) if draw(st.booleans()) else coin
+    u = draw(st.floats(-0.95, 0.95))
+    points = draw(st.sampled_from([8, 16, 32] if coin.dim_d == 3 else [8, 16, 32, 64]))
+    return coin, u, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(_foldable_walks())
+def test_folded_log_zeta_matches_the_unfolded_mean(case):
+    # one plain ladder step (tol 1 converges at once): the value is the
+    # folded grid mean at M, against the full M^d grid mean.  Mirrored nodes
+    # agree to rounding only, so the bound scales with the largest |log det|
+    # on the grid: the mean itself can cancel to far below it (Grover d = 1
+    # flip-flop at u = 0.875, M = 8: 1.2e-15 apart on a mean of 0.074)
+    coin, u, points = case
+    res = log_zeta_refined(coin, u, QuadratureSpec(points, 0.5, 1.0, 0))
+    assert res.points_per_dim == points
+    fn = _log_det_block(coin, u, require_positive=True)
+    largest = [1.0]
+
+    def full_grid(mesh):
+        values, stat = fn(mesh)
+        largest.append(float(np.abs(values).max()))
+        return values, stat
+
+    full, _ = grid_mean(full_grid, coin.dim_d, points, 0.5)
+    assert abs(res.value - full) <= 1e-15 * max(largest)
 
 
 def test_log_zeta_same_at_one_and_two_threads():
