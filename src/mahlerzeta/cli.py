@@ -9,7 +9,9 @@ Numbers carry 17 significant digits; complex entries appear as [re, im]
 pairs.  Exit codes: 0 success, 1 computation failure (non-convergence,
 singular factor, a grid or an evolve run over its work budget, a
 linear-algebra, arithmetic (floating-point, overflow) or memory error), 2
-usage or parse error.
+usage or parse error.  Every error is one line on stderr; a float option that
+is not a finite number (or a ``--tol`` that is not positive) is a usage error,
+refused before any work.
 Output is byte-identical for identical inputs; pass --timing to add wall
 time to the diagnostics.
 """
@@ -120,8 +122,32 @@ def _emit(command: str, inputs: dict, result, diagnostics: dict, timing: float |
 # --------------------------------------------------------------------------
 # argument plumbing
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, like every other error mzc reports; -h prints the usage
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _finite(text: str) -> float:
+    """The value of a float option: a finite number, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
+    return value
+
+
 def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+    return [_finite(part) for part in text.split(",") if part.strip() != ""]
 
 
 def _coin_from_args(args) -> CoinMatrix:
@@ -144,19 +170,19 @@ def _quad_from_args(args) -> QuadratureSpec | None:
 def _add_coin_flags(sub):
     sub.add_argument("--coin", required=True, help="hadamard | grover | rw")
     sub.add_argument("--d", type=int, default=1, help="spatial dimension")
-    sub.add_argument("--xi", type=float, default=None, help="angle in radians (hadamard only)")
+    sub.add_argument("--xi", type=_finite, default=None, help="angle in radians (hadamard only)")
     sub.add_argument("--shift", choices=["m", "f"], default="m", help="shift model")
 
 
 def _add_quad_flags(sub, grid_default=None):
     sub.add_argument("--grid", type=int, default=grid_default,
                      help="final points per axis (the ladder starts at half)")
-    sub.add_argument("--tol", type=float, default=1e-10, help="refinement tolerance")
+    sub.add_argument("--tol", type=_tolerance, default=1e-10, help="refinement tolerance")
     sub.add_argument("--max-refinements", type=int, default=0, dest="max_refinements")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mzc",
         description="Walk zeta functions, Mahler measures, and their cross-checks",
     )
@@ -175,14 +201,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_coin_flags(p)
     p.add_argument("--N", type=int, required=True, help="torus side length")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--p", type=float, default=2.0, help="measure exponent")
+    p.add_argument("--p", type=_finite, default=2.0, help="measure exponent")
     p.add_argument("--initial", choices=["origin", "uniform"], default="origin")
     p.add_argument("--emit-field", action="store_true", dest="emit_field")
 
     p = sub.add_parser("zeta-finite", parents=[common], help="walk-type zeta on the finite torus")
     _add_coin_flags(p)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--u", type=_finite, required=True)
     p.add_argument("--dense", action="store_true", help="use the dense-operator oracle route")
 
     p = sub.add_parser("cr", parents=[common], help="series coefficients C_r")
@@ -195,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("logzeta", parents=[common], help="logarithmic zeta function")
     _add_coin_flags(p)
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--u", type=_finite, required=True)
     _add_quad_flags(p, grid_default=None)
     p.add_argument("--series", action="store_true", help="use the C_r series route")
     p.add_argument("--r-max", type=int, default=60, dest="r_max")
@@ -204,17 +230,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True, help="Laurent polynomial, e.g. 'X1 + X2 + 1'")
     p.add_argument("--method", choices=["auto", "quadrature", "jensen"], default="auto")
     _add_quad_flags(p)
-    p.add_argument("--s", type=float, default=None,
+    p.add_argument("--s", type=_finite, default=None,
                    help="compute the torus average of |f|^s instead")
 
     p = sub.add_parser("hyper", parents=[common], help="generalized hypergeometric series")
-    p.add_argument("--a", required=True, help="comma-separated upper parameters")
-    p.add_argument("--b", required=True, help="comma-separated lower parameters")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--a", type=_floats, required=True, help="comma-separated upper parameters")
+    p.add_argument("--b", type=_floats, required=True, help="comma-separated lower parameters")
+    p.add_argument("--x", type=_finite, required=True)
 
     p = sub.add_parser("stgf", parents=[common], help="spanning tree generating function")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--u", type=_finite, required=True)
     _add_quad_flags(p)
 
     p = sub.add_parser("lambda", parents=[common], help="spanning tree constant")
@@ -223,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transience", parents=[common], help="recurrence/transience probe")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--u-values", default="0.9,0.99,0.999", dest="u_values")
+    p.add_argument("--u-values", type=_floats, default="0.9,0.99,0.999", dest="u_values")
 
     p = sub.add_parser("verify", parents=[common], help="run identity cross-checks")
     p.add_argument("--suite", default="all", choices=("all",) + SUITE_GROUPS,
@@ -330,9 +356,8 @@ def _cmd_mahler(args):
 
 
 def _cmd_hyper(args):
-    a, b = _floats(args.a), _floats(args.b)
-    value = hyper_pfq(a, b, args.x)
-    return {"a": a, "b": b, "x": args.x}, value, {}
+    value = hyper_pfq(args.a, args.b, args.x)
+    return {"a": args.a, "b": args.b, "x": args.x}, value, {}
 
 
 def _cmd_stgf(args):
@@ -346,9 +371,8 @@ def _cmd_lambda(args):
 
 
 def _cmd_transience(args):
-    us = _floats(args.u_values)
-    probe = transience_probe(args.d, us)
-    inputs = {"d": args.d, "u_values": us}
+    probe = transience_probe(args.d, args.u_values)
+    inputs = {"d": args.d, "u_values": args.u_values}
     result = dataclasses.asdict(probe)
     return inputs, result, {}
 

@@ -41,7 +41,7 @@ from .errors import ComputationError
 # eval_on_nodes (torus points in, integer powers of them) serves mahler_quadrature only;
 # it shares no code with mesh_evaluator, so that route stays an independent oracle
 from .laurent import LaurentPolynomial, _exponent_matrix, eval_on_nodes, mesh_evaluator
-from .quadrature import QuadratureSpec, grid_mean, refine_to_tol
+from .quadrature import _GRID_BLOCK, QuadratureSpec, grid_mean, refine_to_tol
 
 __all__ = [
     "MahlerResult",
@@ -59,9 +59,6 @@ __all__ = [
 ]
 
 _SINGULAR_MIN = 1e-6
-
-# grid_mean block of mahler_quadrature: its per-block arrays stay a few MB
-_QUADRATURE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,11 +90,14 @@ def _default_spec(n_vars: int) -> QuadratureSpec:
 
 def _log_abs_block(poly: LaurentPolynomial):
     def fn(mesh):
-        # one exp per axis value; the block's (n, d) rows of torus points
-        # are a transposed view, so each column is contiguous
-        axes = np.broadcast_arrays(*(np.exp(1j * theta) for theta in mesh))
-        nodes = np.stack([z.ravel() for z in axes]).T
-        mags = np.abs(eval_on_nodes(poly, nodes))
+        # one exp per axis value, broadcast into row j of one array; the
+        # block's (n, d) rows of torus points are a transposed view of it,
+        # so each column is contiguous
+        rows = np.empty((len(mesh),) + np.broadcast_shapes(*(t.shape for t in mesh)),
+                        dtype=np.complex128)
+        for row, theta in zip(rows, mesh):
+            row[...] = np.exp(1j * theta)
+        mags = np.abs(eval_on_nodes(poly, rows.reshape(len(mesh), -1).T))
         low = float(mags.min()) if mags.size else None
         with np.errstate(divide="ignore"):
             np.log(mags, out=mags)
@@ -140,7 +140,7 @@ def mahler_quadrature(poly: LaurentPolynomial, quad: QuadratureSpec | None = Non
     """
     d = poly.n_vars
     res, low = _midpoint_ladder(
-        _log_abs_block(poly), d, quad or _default_spec(d), max_block=_QUADRATURE_BLOCK,
+        _log_abs_block(poly), d, quad or _default_spec(d),
         ratio=lambda stat: 2.0 if d == 1 and stat < _SINGULAR_MIN else None)
     return MahlerResult(res.value, "quadrature", res.delta, low < _SINGULAR_MIN)
 
@@ -546,8 +546,9 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
                 f"the reduced route's fiber evaluations exceed its work budget "
                 f"({spent:.3g} > {_MAX_REDUCED_WORK:.0e} units at {weight} per row)")
 
-    # rows per fiber evaluation, which bounds its temporaries
-    block = (1 << 20) // degree ** 2
+    # rows per fiber evaluation, which bounds its temporaries: at least 64,
+    # since the degree is at most 32
+    block = _GRID_BLOCK // degree ** 2
 
     def fibers(mesh):
         a = evaluate(mesh).reshape(-1, degree + 1)

@@ -9,8 +9,10 @@ grid into product-set blocks: a block fixes the leading axes, takes a run of
 indices on one axis and spans every later axis in full.  An integrand sees a
 block as its open mesh, d per-axis angle arrays that broadcast together, so
 it can work on per-axis tables (cosines, powers of e^(i theta_j)) and build
-per-node rows only where it needs them.  Block sums are accumulated in a
-fixed order with ``math.fsum``, which makes every result bit-reproducible and
+per-node rows only where it needs them.  A block holds at most
+``_GRID_BLOCK`` = 2^16 nodes unless the caller asks for fewer, which keeps an
+integrand's temporaries near 1 MB.  Block sums are accumulated in a fixed
+order with ``math.fsum``, which makes every result bit-reproducible and
 independent of the worker thread count.
 
 An integrand even in theta_j, f(theta_j) = f(2 pi - theta_j), is averaged on
@@ -49,6 +51,13 @@ _threads = 1
 
 # per-grid work budget: 4x the largest grid of any default spec or suite check
 _MAX_GRID_NODES = 1 << 26
+
+# nodes per grid_mean block: at 2^16 an integrand's per-block temporaries
+# stay near 1 MB and are reused by the allocator, where at 2^20 each block
+# faulted in 8-16 MB afresh (a 2-thread perfbench `cli` pass on a 2-core
+# host: about 9,700 minor faults and 99 MB peak RSS at 2^20, 2,300 and
+# 54 MB at 2^16); at 2^14 the per-block Python overhead outweighs the saving
+_GRID_BLOCK = 1 << 16
 
 
 def set_thread_count(n: int) -> None:
@@ -94,8 +103,10 @@ class QuadratureSpec:
             raise ValueError(f"points_per_dim must be >= 2, got {self.points_per_dim}")
         if not 0.0 <= self.node_shift < 1.0:
             raise ValueError(f"node_shift must lie in [0, 1), got {self.node_shift}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        # NaN fails every comparison and inf passes every one: either
+        # tolerance would stop the ladder after its first two grids
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_refinements < 0:
             raise ValueError(f"max_refinements must be >= 0, got {self.max_refinements}")
 
@@ -139,10 +150,12 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
     mean up to rounding.  For an odd M or another shift ``fold`` is ignored.
 
     The grid is cut into product-set blocks of at most ``max_block`` nodes
-    (default 2^20): a block fixes the leading axes, takes a run of indices
-    on one axis and spans every later axis in full.  When every axis count
-    and ``max_block`` are powers of two the blocks are runs of the flattened
-    row-major index.  ``fn`` is called once per block with its open
+    (default ``_GRID_BLOCK`` = 2^16, which keeps an integrand's per-block
+    temporaries near 1 MB, small enough to be reused rather than faulted in
+    afresh for every block): a block fixes the leading axes, takes a run of
+    indices on one axis and spans every later axis in full.  When every axis
+    count and ``max_block`` are powers of two the blocks are runs of the
+    flattened row-major index.  ``fn`` is called once per block with its open
     mesh: a tuple of d angle arrays, axis j of shape 1 except along dimension
     j, which broadcast together to the block's shape.  It returns ``(values,
     stat)`` where ``values`` is a 1-D array (real or complex) over the
@@ -152,7 +165,7 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
     before ``fn`` is called.
     """
     if max_block is None:
-        max_block = 1 << 20
+        max_block = _GRID_BLOCK
     if d < 1 or max_block < 1:
         raise ValueError(f"need d >= 1 and max_block >= 1, got d={d}, max_block={max_block}")
     folded = set(fold) if shift == 0.5 and points % 2 == 0 else set()

@@ -259,7 +259,7 @@ def test_lambda_grid_budget_counts_folded_nodes(capsys):
     # (512^3 nodes) does not
     code, out, _ = run_cli(["lambda", "--d", "3", "--grid", "512"], capsys)
     assert code == 0
-    assert json.loads(out)["result"] == 1.6733892978492757
+    assert json.loads(out)["result"] == 1.6733892978492759
     code, out, err = run_cli(["lambda", "--d", "3", "--grid", "1024"], capsys)
     assert code == 1
     assert out == ""
@@ -308,7 +308,9 @@ def test_byte_identical_output(capsys):
 
 
 def test_cos_sum_output_independent_of_thread_count(capsys):
-    for args in (["verify", "--suite", "transience"], ["lambda", "--d", "3"]):
+    # the last is a reduced-route ladder whose fiber grids span several blocks
+    for args in (["verify", "--suite", "transience"], ["lambda", "--d", "3"],
+                 ["mahler", "--poly", "X1 + X2 + X3 + 1", "--method", "jensen"]):
         code1, out1, _ = run_cli(args + ["--threads", "1"], capsys)
         code2, out2, _ = run_cli(args + ["--threads", "2"], capsys)
         assert (code1, code2) == (0, 0)
@@ -357,6 +359,39 @@ def test_timing_flag_adds_diagnostic(capsys):
     args = ["logzeta", "--coin", "rw", "--d", "1", "--u", "-0.5", "--grid", "64"]
     _, out, _ = run_cli(args + ["--timing"], capsys)
     assert "wall_s" in json.loads(out)["diagnostics"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["logzeta", "--coin", "rw", "--u={}"],
+    ["zeta-finite", "--coin", "rw", "--N", "3", "--u={}"],
+    ["stgf", "--d", "2", "--u={}"],
+    ["logzeta", "--coin", "hadamard", "--xi={}", "--u", "0.3"],
+    ["evolve", "--coin", "rw", "--N", "2", "--steps", "1", "--p={}"],
+    ["mahler", "--poly", "X1 + 2", "--s={}"],
+    # a NaN tolerance used to end this ladder after two grids, exit 0
+    ["mahler", "--poly", "X1 + X2 + 3", "--method", "quadrature", "--grid", "4",
+     "--max-refinements", "6", "--tol={}"],
+    ["hyper", "--a", "1", "--b", "2", "--x={}"],
+    ["hyper", "--a=1,{}", "--b", "2", "--x", "0.5"],
+    ["hyper", "--a", "1", "--b={}", "--x", "0.5"],
+    ["transience", "--d", "1", "--u-values=0.5,{},0.9"],
+])
+def test_non_finite_float_option_exit_2(capsys, argv, value):
+    code, out, err = run_cli([arg.format(value) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"expected a finite number, got '{value}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mahler", "--poly", "X1 + 2", "--tol", "0"],
+    ["mahler", "--poly", "X1 + X2 + 3", "--method", "quadrature", "--tol=-1e-3"],
+    ["stgf", "--d", "2", "--u", "0.9", "--grid", "8", "--tol", "0"],
+])
+def test_non_positive_tolerance_exit_2_with_or_without_grid(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "tolerance must be positive" in err
 
 
 def test_usage_error_exit_2(capsys):

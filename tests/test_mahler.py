@@ -428,6 +428,24 @@ def test_breakpoint_sample_holds_a_block_at_a_time():
     assert peak < 16 * 2 ** 20
 
 
+@pytest.mark.parametrize("text, points", [("X1^4 + X2^4 + X3^4 + X1*X2*X3 + 1", 128),
+                                          ("X1^4 + X2^4 + X1*X2 + 5", 8192)])
+def test_reduced_fiber_rows_per_call_stay_within_a_block(monkeypatch, text, points):
+    # X3 (or X2) is eliminated with span 4: at most 2^16 // 4^2 = 4096 rows
+    # per fiber evaluation, on a 128^2 midpoint grid or an 8192-node circle
+    seen = []
+    measures = mahler_module._fiber_measures
+
+    def recording(a):
+        seen.append(a.shape[0])
+        return measures(a)
+
+    monkeypatch.setattr(mahler_module, "_fiber_measures", recording)
+    mahler_reduced(parse_laurent(text), QuadratureSpec(points, tol=1e-3, max_refinements=0))
+    assert max(seen) == (1 << 16) // 4 ** 2
+    assert sum(seen) > max(seen)
+
+
 def test_reduced_route_eliminates_least_span_highest_index():
     # X1 and X3 both span 1; X3, the higher index, is eliminated
     assert mahler_module._eliminated(parse_laurent("X1*X2^2 + X2^-1*X3 + X1 + 3")) == (2, [0, 1], 1)

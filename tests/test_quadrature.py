@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mahlerzeta import ComputationError, QuadratureSpec
+from mahlerzeta import ComputationError, QuadratureSpec, parse_laurent
+from mahlerzeta import mahler as mahler_module
 from mahlerzeta.correspondence import _cos_sum_grid
 from mahlerzeta.quadrature import (_blocks, det_stack, get_thread_count, grid_mean,
                                    refine_to_tol, set_thread_count)
@@ -101,6 +102,14 @@ def test_ladder_stops_on_nan():
     assert not res.converged
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_spec_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    # NaN fails every convergence test and inf passes every one: either
+    # tolerance ends the ladder after its first two grids
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        QuadratureSpec(tol=tol)
+
+
 # --------------------------------------------------------------------------
 # grid budget
 
@@ -154,10 +163,10 @@ def _cos_log_dense(d, points, shift, transform, max_block=None, fold=False):
 def test_cos_sum_axes_view_matches_dense_view(d, points):
     # per-axis cosine tables against per-node rows built from the mesh, on
     # the same nodes: the half-angle grid at shift 0.5 and even M, the full
-    # grid at shift 0 or odd M.  Up to 2^20 nodes a grid is one block; the
-    # full (3, 128) grid is two.  Below 8 axes both add a row's cosines left
-    # to right; numpy adds longer rows pairwise, so from 8 axes on they agree
-    # to rounding only
+    # grid at shift 0 or odd M.  A grid of more than 2^16 nodes spans
+    # several blocks, up to 32 for the full (3, 128) grid.  Below 8 axes both
+    # add a row's cosines left to right; numpy adds longer rows pairwise, so
+    # from 8 axes on they agree to rounding only
     transform = lambda s: 1.0 - (0.9 / d) * s
     for shift in (0.5, 0.0):
         axes = _cos_sum_grid(d, points, shift, lambda s: np.log(transform(s)))
@@ -325,6 +334,46 @@ def test_small_block_covers_every_node_once_in_row_major_order():
     expected = np.stack([axis[idx // 256], axis[(idx // 16) % 16], axis[idx % 16]], axis=1)
     assert np.array_equal(rows, expected)
     assert mean.real == pytest.approx(2.0, abs=1e-14)
+
+
+def test_default_blocks_hold_at_most_2_16_nodes():
+    # a 512^2 grid is four blocks of 128 rows
+    sizes = []
+
+    def fn(mesh):
+        sizes.append(_rows(mesh).shape[0])
+        return np.ones(sizes[-1]), None
+
+    assert grid_mean(fn, 2, 512, 0.5) == (1.0, None)
+    assert sizes == [1 << 16] * 4
+
+
+@pytest.mark.parametrize("text, d, points", [("X1^2 + X1^-1 + 3", 1, 8),
+                                             ("X1*X2^-1 + 2*X2 - 3", 2, 6),
+                                             ("X1 + X2*X3 + X3^-2 + 4", 3, 5)])
+def test_log_abs_block_evaluates_the_exp_of_the_block_rows(monkeypatch, text, d, points):
+    # the Mahler oracle's (n, d) torus points are e^(i theta) of the rows,
+    # bit for bit
+    seen, meshes = [], []
+    evaluate = mahler_module.eval_on_nodes
+
+    def recording(poly, nodes):
+        seen.append(np.ascontiguousarray(nodes))
+        return evaluate(poly, nodes)
+
+    monkeypatch.setattr(mahler_module, "eval_on_nodes", recording)
+    block = mahler_module._log_abs_block(parse_laurent(text))
+
+    def fn(mesh):
+        meshes.append(mesh)
+        return block(mesh)
+
+    grid_mean(fn, d, points, 0.5, max_block=7)
+    assert len(seen) == len(meshes) > 1
+    for nodes, mesh in zip(seen, meshes):
+        expected = np.exp(1j * _rows(mesh))
+        assert nodes.shape == expected.shape == (expected.shape[0], d)
+        assert np.array_equal(nodes.view(np.uint64), expected.view(np.uint64))
 
 
 def test_small_block_axes_view_matches_dense_view():

@@ -512,7 +512,8 @@ def test_folded_log_zeta_matches_the_unfolded_mean(case):
 
 
 def test_log_zeta_same_at_one_and_two_threads():
-    # 128^3 nodes are two grid_mean blocks, so the second thread has work
+    # the folded 128-grid's 64^3 nodes are four grid_mean blocks, so the
+    # second thread has work
     coin = flip_flop(build_coin("grover", 3))
     spec = QuadratureSpec(128, 0.5, 1e-10, 0)
     saved = get_thread_count()
