@@ -15,6 +15,7 @@ complex coefficients enter through the constructor.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -331,50 +332,124 @@ def _exponent_matrix(poly: LaurentPolynomial) -> tuple[np.ndarray, np.ndarray]:
     return exps, coeffs
 
 
-def _column_powers(z: np.ndarray, needed) -> dict[int, np.ndarray]:
-    """z**k for each nonzero k in ``needed``, z a column of unit-torus points.
+def _column_plan(needed) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """How ``_column_powers`` builds z**k for each nonzero k in ``needed``.
+
+    Each k > 0 that occurs as k or -k comes with the bits b of k, ascending,
+    whose squares z**(2**b) multiply to z**k; the negative k follow apart.
+    """
+    ks = sorted({abs(e) for e in needed} - {0})
+    steps = tuple((k, tuple(b for b in range(k.bit_length()) if k >> b & 1)) for k in ks)
+    return steps, tuple(k for k in needed if k < 0)
+
+
+def _lender(scratch, n: int):
+    """A function that hands out a complex array of n entries per call.
+
+    Without ``scratch`` each array is new.  With it (a list) the calls take
+    its entries in turn, as views of their first n entries; an entry too
+    short is replaced and a missing one appended, so a loop that passes the
+    same list each time allocates in its first call only.
+    """
+    if scratch is None:
+        return lambda: np.empty(n, dtype=np.complex128)
+    taken = 0
+
+    def lend():
+        nonlocal taken
+        if taken == len(scratch):
+            scratch.append(np.empty(n, dtype=np.complex128))
+        elif scratch[taken].size < n:
+            scratch[taken] = np.empty(n, dtype=np.complex128)
+        taken += 1
+        return scratch[taken - 1][:n]
+
+    return lend
+
+
+def _column_powers(z: np.ndarray, plan, lend) -> dict[int, np.ndarray]:
+    """z**k for each k of a ``_column_plan``, z a column of unit-torus points.
 
     Positive powers come by repeated squaring; z**-k is the conjugate of
-    z**k, which holds because |z| = 1.
+    z**k, which holds because |z| = 1.  z**1 is the column itself; every
+    other table is written into an array from ``lend``.
     """
-    squares = [np.ascontiguousarray(z)]  # squares[b] is z**(2**b)
+    steps, negative = plan
+    squares = [z]  # squares[b] is z**(2**b)
     table = {}
-    for k in sorted({abs(e) for e in needed} - {0}):
-        while k >> len(squares):
-            squares.append(squares[-1] * squares[-1])
-        acc = None
-        for b in range(k.bit_length()):
-            if k >> b & 1:
-                acc = squares[b] if acc is None else acc * squares[b]
+    for k, bits in steps:
+        while bits[-1] >= len(squares):
+            squares.append(np.multiply(squares[-1], squares[-1], out=lend()))
+        acc = squares[bits[0]]
+        if len(bits) > 1:
+            acc = np.multiply(acc, squares[bits[1]], out=lend())
+            for b in bits[2:]:
+                acc *= squares[b]
         table[k] = acc
-    for k in needed:
-        if k < 0:
-            table[k] = np.conj(table[-k])
+    for k in negative:
+        table[k] = np.conj(table[-k], out=lend())
     return table
 
 
-def eval_on_nodes(poly: LaurentPolynomial, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on an (n, n_vars) block of unit-torus points.
+@lru_cache(maxsize=16)
+def _node_plan(poly: LaurentPolynomial):
+    """What ``eval_on_nodes`` needs of ``poly``, worked out once per polynomial.
 
-    Row k holds the points z_j = exp(i theta_j) of node k, not its angles.
-    Each monomial is built per node from integer powers of the columns (see
-    ``_column_powers``), so no transcendental is computed.  Terms are summed
-    in ``_exponent_matrix`` order.
+    One ``_column_plan`` per variable, and per term, in ``_exponent_matrix``
+    order, its coefficient and its factors (j, e) with e != 0.  Equal
+    polynomials share a plan; their coefficients are equal bit for bit, as
+    the constructor adds each one to 0j, which clears a negative zero.
     """
     exps, coeffs = _exponent_matrix(poly)
-    powers = [_column_powers(nodes[:, j], set(exps[:, j].tolist()))
-              for j in range(exps.shape[1])]
-    out = np.zeros(nodes.shape[0], dtype=np.complex128)
-    term = np.empty_like(out)
-    for row, coeff in zip(exps.tolist(), coeffs):
-        factors = [powers[j][e] for j, e in enumerate(row) if e]
-        if not factors:
-            out += coeff
+    columns = tuple(_column_plan(sorted(set(col))) for col in exps.T.tolist())
+    terms = tuple((coeff, tuple((j, e) for j, e in enumerate(row) if e))
+                  for row, coeff in zip(exps.tolist(), coeffs))
+    return columns, terms
+
+
+def eval_on_nodes(poly: LaurentPolynomial, nodes: np.ndarray, scratch=None) -> np.ndarray:
+    """Vectorized evaluation on an (n, n_vars) block of unit-torus points.
+
+    Row k holds the points z_j = exp(i theta_j) of node k, not its angles;
+    any other shape raises ``ValueError``.  Each monomial is built per node
+    from integer powers of the columns (see ``_column_powers``), so no
+    transcendental is computed.  The polynomial is planned once
+    (``_node_plan``, cached for the last 16 polynomials), not per call.
+    Terms are summed in ``_exponent_matrix`` order, starting from the first;
+    the result is the sum from zeros bit for bit.
+    ``scratch``, a list the caller keeps for a loop of calls on one thread,
+    holds every array the evaluation writes (see ``_lender``); the result is
+    then a view into it, valid until the next call with that list.
+    """
+    nodes = np.asarray(nodes)
+    if nodes.ndim != 2 or nodes.shape[1] != poly.n_vars:
+        raise ValueError(f"nodes must have shape (n, {poly.n_vars}), got {nodes.shape}")
+    columns, terms = _node_plan(poly)
+    lend = _lender(scratch, nodes.shape[0])
+    out = lend()
+    powers = [_column_powers(nodes[:, j], plan, lend) for j, plan in enumerate(columns)]
+    term = None
+    for i, (coeff, factors) in enumerate(terms):
+        if not factors:  # the constant term, last in the order
+            if i:
+                out += coeff
+            else:
+                out[...] = coeff
             continue
-        np.multiply(factors[0], coeff, out=term)
-        for factor in factors[1:]:
-            term *= factor
-        out += term
+        if i and term is None:
+            term = lend()
+        acc = term if i else out
+        (j, e), *rest = factors
+        np.multiply(powers[j][e], coeff, out=acc)
+        for j, e in rest:
+            acc *= powers[j][e]
+        if i:
+            out += acc
+    if terms[-1][1]:  # no constant term
+        # a sum from zeros is never -0.0, this one is where every term is;
+        # adding +0.0 (as a constant term does) makes that +0.0 and changes
+        # nothing else
+        out += 0.0
     return out
 
 

@@ -9,11 +9,14 @@ grid into product-set blocks: a block fixes the leading axes, takes a run of
 indices on one axis and spans every later axis in full.  An integrand sees a
 block as its open mesh, d per-axis angle arrays that broadcast together, so
 it can work on per-axis tables (cosines, powers of e^(i theta_j)) and build
-per-node rows only where it needs them.  A block holds at most
-``_GRID_BLOCK`` = 2^16 nodes unless the caller asks for fewer, which keeps an
-integrand's temporaries near 1 MB.  Block sums are accumulated in a fixed
-order with ``math.fsum``, which makes every result bit-reproducible and
-independent of the worker thread count.
+per-node rows only where it needs them.  An axis a block spans in full is
+the same read-only array object in every block of one grid, so such a table
+can be kept from block to block while the axis ``is`` the one it was built
+from; only the leading axes and the run axis are sliced per block.  A
+block holds at most ``_GRID_BLOCK`` = 2^16 nodes unless the caller asks for
+fewer, which keeps an integrand's temporaries near 1 MB.  Block sums are
+accumulated in a fixed order with ``math.fsum``, which makes every result
+bit-reproducible and independent of the worker thread count.
 
 An integrand even in theta_j, f(theta_j) = f(2 pi - theta_j), is averaged on
 half of axis j: with the half-node shift and an even M the grid is closed
@@ -129,14 +132,18 @@ def _blocks(counts, max_block: int) -> list[tuple[tuple[int, ...], int, int]]:
             for j0 in range(0, counts[k - 1], run)]
 
 
-def _open_mesh(axes, block) -> tuple[np.ndarray, ...]:
-    """Per-axis angle arrays of one block, each shaped to broadcast over it."""
+def _open_mesh(full, block) -> tuple[np.ndarray, ...]:
+    """Per-axis angle arrays of one block, each shaped to broadcast over it.
+
+    ``full[j]`` is all of axis j in its broadcast shape; an axis the block
+    spans in full is passed on as that object, the others are sliced from it.
+    """
     outer, j0, j1 = block
-    d = len(axes)
-    parts = [axes[j][i:i + 1] for j, i in enumerate(outer)] + [axes[len(outer)][j0:j1]]
-    parts += axes[len(parts):]
-    return tuple(part.reshape([part.size if k == j else 1 for k in range(d)])
-                 for j, part in enumerate(parts))
+    mesh = list(full)
+    for j, (a, b) in enumerate([(i, i + 1) for i in outer] + [(j0, j1)]):
+        if b - a < full[j].size:
+            mesh[j] = full[j][(slice(None),) * j + (slice(a, b),)]
+    return tuple(mesh)
 
 
 def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
@@ -156,11 +163,15 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
     indices on one axis and spans every later axis in full.  When every axis
     count and ``max_block`` are powers of two the blocks are runs of the
     flattened row-major index.  ``fn`` is called once per block with its open
-    mesh: a tuple of d angle arrays, axis j of shape 1 except along dimension
-    j, which broadcast together to the block's shape.  It returns ``(values,
+    mesh: a tuple of d read-only angle arrays, axis j of shape 1 except along
+    dimension j, which broadcast together to the block's shape; an axis a
+    block spans in full is the same array object in every block of one grid
+    (and a new one in the next call).  It returns ``(values,
     stat)`` where ``values`` is a 1-D array (real or complex) over the
     block's nodes in row-major order and ``stat`` is a float minimum
-    statistic or None.  Returns ``(mean, min_stat)``.
+    statistic or None; ``values`` is summed before ``fn`` is called again on
+    the same thread, so it may be a buffer the integrand reuses.  Returns
+    ``(mean, min_stat)``.
     A grid that evaluates more than 2^26 nodes raises ``ComputationError``
     before ``fn`` is called.
     """
@@ -177,11 +188,13 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
             f"grid {shape} = {total} nodes exceeds the cap of {_MAX_GRID_NODES} (2^26)"
         )
     axis = (np.arange(points) + shift) * (2.0 * math.pi / points)
-    axes = [axis[:n] for n in counts]
+    axis.flags.writeable = False  # every block, on every thread, reads it
+    full = [axis[:n].reshape([n if k == j else 1 for k in range(d)])
+            for j, n in enumerate(counts)]
     blocks = _blocks(counts, max_block)
 
     def work(block):
-        values, stat = fn(_open_mesh(axes, block))
+        values, stat = fn(_open_mesh(full, block))
         s = complex(np.sum(values))
         return s.real, s.imag, stat
 

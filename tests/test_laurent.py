@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mahlerzeta import (
     LaurentPolynomial,
@@ -11,7 +11,7 @@ from mahlerzeta import (
     format_laurent,
     parse_laurent,
 )
-from mahlerzeta.laurent import eval_on_nodes, mesh_evaluator
+from mahlerzeta.laurent import _exponent_matrix, eval_on_nodes, mesh_evaluator
 
 
 # --------------------------------------------------------------------------
@@ -275,6 +275,114 @@ def test_eval_on_nodes_matches_eval_laurent(case):
     # axes on which every exponent is 0 (so trailing ones are dropped from
     # n_vars), constant-only polynomials and complex coefficients all occur
     _check_eval_on_nodes(*case)
+
+
+def _eval_from_zeros(poly, nodes):
+    """The evaluation ``eval_on_nodes`` must match bit for bit: a sum from
+    zeros of per-term products in ``_exponent_matrix`` order, each column's
+    powers by repeated squaring and conjugation."""
+    exps, coeffs = _exponent_matrix(poly)
+    powers = []
+    for j in range(exps.shape[1]):
+        needed = set(exps[:, j].tolist())
+        squares, table = [np.ascontiguousarray(nodes[:, j])], {}
+        for k in sorted({abs(e) for e in needed} - {0}):
+            while k >> len(squares):
+                squares.append(squares[-1] * squares[-1])
+            acc = None
+            for b in range(k.bit_length()):
+                if k >> b & 1:
+                    acc = squares[b] if acc is None else acc * squares[b]
+            table[k] = acc
+        for k in needed:
+            if k < 0:
+                table[k] = np.conj(table[-k])
+        powers.append(table)
+    out = np.zeros(nodes.shape[0], dtype=np.complex128)
+    term = np.empty_like(out)
+    for row, coeff in zip(exps.tolist(), coeffs):
+        factors = [powers[j][e] for j, e in enumerate(row) if e]
+        if not factors:
+            out += coeff
+            continue
+        np.multiply(factors[0], coeff, out=term)
+        for factor in factors[1:]:
+            term *= factor
+        out += term
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 1j, 2.5 - 0.5j, -3.0]),
+                    st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                       allow_infinity=False))
+
+
+@st.composite
+def small_exponent_cases(draw):
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=6,
+                         unique=True))
+    if draw(st.booleans()):
+        rows = [(0,) * d]  # a constant-only polynomial
+    coeffs = draw(st.lists(_COEFFS.filter(lambda c: c != 0), min_size=len(rows),
+                           max_size=len(rows)))
+    terms = dict(zip(rows, coeffs))
+    n_vars = LaurentPolynomial(d, terms).n_vars
+    # grid angles (the shift-0 grid has sin 0 = 0 exactly) or random ones
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        points, shift = draw(st.sampled_from([4, 8, 12])), draw(st.sampled_from([0.0, 0.5]))
+        theta = (np.arange(n * n_vars) % points + shift) * (2 * math.pi / points)
+    else:
+        theta = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(
+            0.0, 2 * math.pi, size=n * n_vars)
+    # the terms, not the polynomial, whose repr has no form for complex coefficients
+    return d, terms, theta.reshape(n, n_vars)
+
+
+_GRID8 = ((np.arange(8) + 0.5) * (math.pi / 4)).reshape(8, 1)
+
+
+@given(small_exponent_cases())
+@settings(max_examples=200, deadline=None)
+# one term whose products underflow to -0.0 at some nodes
+@example((1, {(1,): 5e-324}, _GRID8))
+@example((1, {(-1,): complex(5e-324, -5e-324)}, _GRID8))
+def test_eval_on_nodes_is_the_sum_from_zeros_bit_for_bit(case):
+    d, terms, theta = case
+    poly = LaurentPolynomial(d, terms)
+    rows = np.exp(1j * theta)  # strided columns
+    columns = np.ascontiguousarray(rows.T).T  # contiguous ones, as the Mahler oracle passes
+    expected = _eval_from_zeros(poly, rows)
+    assert _same_bits(eval_on_nodes(poly, rows), expected)
+    scratch = []
+    for nodes in (columns, rows, columns[:len(columns) // 2], columns):
+        got = eval_on_nodes(poly, nodes, scratch)
+        assert _same_bits(got, _eval_from_zeros(poly, nodes))
+    assert _same_bits(got, expected)
+
+
+def test_eval_on_nodes_plan_follows_the_polynomial(rng):
+    # equal but distinct polynomials share a plan; one that differs only in
+    # a coefficient, or in its exponents, must not get a stale one
+    texts = ["3*X1^2*X2^-1 - X2^3 + 2", "3*X1^2*X2^-1 - X2^3 + 5",
+             "3*X1^2*X2^-1 - 2*X2^3 + 2", "3*X1^-2*X2 - X2^3 + 2", "X1 + X2^-4"]
+    nodes = np.exp(1j * rng.uniform(0.0, 2 * math.pi, size=(33, 2)))
+    for _ in range(3):
+        for text in texts:
+            poly = parse_laurent(text)  # a new object each time
+            assert _same_bits(eval_on_nodes(poly, nodes), _eval_from_zeros(poly, nodes))
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (5, 1), (5,), (1, 5, 2)])
+def test_eval_on_nodes_refuses_nodes_of_another_shape(shape):
+    poly = parse_laurent("X1 + X2 + 3")
+    with pytest.raises(ValueError, match=r"nodes must have shape \(n, 2\)"):
+        eval_on_nodes(poly, np.ones(shape, dtype=complex))
 
 
 def test_eval_on_nodes_at_exponent_one_thousand(rng):

@@ -90,7 +90,7 @@ def test_quadrature_and_reduced_share_no_evaluator(text, monkeypatch):
 
 
 def test_quadrature_memory_stays_bounded():
-    # 1024^2 and 2048^2 nodes in blocks of 2^16: the peak is a few blocks'
+    # 1024^2 and 2048^2 nodes in blocks of 2^14: the peak is a few blocks'
     # arrays, and a block array that outlives its block shows up here
     poly, spec = parse_laurent("X1 + X2 + 3"), QuadratureSpec(2048, 0.5, 1e-300, 0)
     tracemalloc.start()

@@ -348,18 +348,100 @@ def test_default_blocks_hold_at_most_2_16_nodes():
     assert sizes == [1 << 16] * 4
 
 
+@settings(max_examples=60, deadline=None)
+@given(_fold_cases())
+def test_an_axis_spanned_in_full_is_one_object_per_grid(case):
+    # an integrand may keep a per-axis table while the axis ``is`` the one it
+    # was built from: within one call such an axis is always the same
+    # read-only array, and the next call builds new ones
+    d, points, fold, max_block = case
+    counts = [points // 2 if j in fold else points for j in range(d)]
+    calls = []
+
+    def fn(mesh):
+        calls[-1].append(mesh)
+        return np.ones(math.prod(np.broadcast_shapes(*(a.shape for a in mesh)))), None
+
+    for _ in range(2):
+        calls.append([])
+        grid_mean(fn, d, points, 0.5, fold=fold, max_block=max_block)
+    full = []
+    for meshes in calls:
+        objects = {}
+        for mesh in meshes:
+            for j, theta in enumerate(mesh):
+                assert not theta.flags.writeable
+                if theta.size == counts[j]:
+                    assert objects.setdefault(j, theta) is theta
+        full.append(objects)
+    assert all(theta is not full[0].get(j) for j, theta in full[1].items())
+
+
+def test_mahler_quadrature_blocks_hold_at_most_2_14_nodes(monkeypatch):
+    # the 256^2 and 512^2 grids are 4 and 16 blocks of 2^14 nodes
+    sizes = []
+    evaluate = mahler_module.eval_on_nodes
+
+    def recording(poly, nodes, *rest):
+        sizes.append(nodes.shape[0])
+        return evaluate(poly, nodes, *rest)
+
+    monkeypatch.setattr(mahler_module, "eval_on_nodes", recording)
+    mahler_module.mahler_quadrature(parse_laurent("X1 + X2 + 3"),
+                                    QuadratureSpec(512, 0.5, 1e-300, 0))
+    assert sizes == [1 << 14] * (4 + 16)
+
+
+def test_log_abs_block_takes_each_axis_value_once_per_grid(monkeypatch):
+    # 512^2 and 1024^2 grids of 16 and 64 blocks: axis 1, spanned in full,
+    # is one cos call per grid, and axis 0 one per block over its run
+    sizes = []
+    cos = np.cos
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(mahler_module.np, "cos", counting)
+    mahler_module.mahler_quadrature(parse_laurent("X1 + X2 + 3"),
+                                    QuadratureSpec(1024, 0.5, 1e-300, 0))
+    assert sizes == [32, 512] + [32] * 15 + [16, 1024] + [16] * 63
+
+
+@pytest.mark.parametrize("text, spec", [
+    ("X1^2 + X1 + 1", QuadratureSpec(1 << 18, 0.5, 1e-300, 0)),
+    ("11*X1*X2 - 4*X1 + 11*X2 - 4", QuadratureSpec(1024, 0.5, 1e-300, 0)),
+    ("X1 + X2*X3^-1 + X3^2 + 2", QuadratureSpec(64, 0.5, 1e-300, 0)),
+])
+def test_mahler_quadrature_same_at_one_and_two_threads(text, spec):
+    # grids of 2 to 80 blocks, spread over two threads that keep their own
+    # buffers and share the per-axis torus points
+    poly = parse_laurent(text)
+    saved = get_thread_count()
+    try:
+        set_thread_count(1)
+        one = mahler_module.mahler_quadrature(poly, spec)
+        set_thread_count(2)
+        two = mahler_module.mahler_quadrature(poly, spec)
+    finally:
+        set_thread_count(saved)
+    assert one.value.hex() == two.value.hex()
+    assert one.error_estimate.hex() == two.error_estimate.hex()
+    assert one.singular_on_torus == two.singular_on_torus
+
+
 @pytest.mark.parametrize("text, d, points", [("X1^2 + X1^-1 + 3", 1, 8),
                                              ("X1*X2^-1 + 2*X2 - 3", 2, 6),
                                              ("X1 + X2*X3 + X3^-2 + 4", 3, 5)])
 def test_log_abs_block_evaluates_the_exp_of_the_block_rows(monkeypatch, text, d, points):
     # the Mahler oracle's (n, d) torus points are e^(i theta) of the rows,
-    # bit for bit
+    # bit for bit; they are copied, as the integrand reuses its row buffer
     seen, meshes = [], []
     evaluate = mahler_module.eval_on_nodes
 
-    def recording(poly, nodes):
-        seen.append(np.ascontiguousarray(nodes))
-        return evaluate(poly, nodes)
+    def recording(poly, nodes, *rest):
+        seen.append(np.array(nodes, order="C"))
+        return evaluate(poly, nodes, *rest)
 
     monkeypatch.setattr(mahler_module, "eval_on_nodes", recording)
     block = mahler_module._log_abs_block(parse_laurent(text))
