@@ -100,7 +100,11 @@ class LaurentPolynomial:
         return hash((self.n_vars, frozenset(self._terms.items())))
 
     def __repr__(self):
-        return f"LaurentPolynomial({format_laurent(self)!r})"
+        try:
+            return f"LaurentPolynomial({format_laurent(self)!r})"
+        except ValueError:  # complex coefficients have no text form
+            terms = {e: self._terms[e] for e in sorted(self._terms, key=_term_key, reverse=True)}
+            return f"LaurentPolynomial({self.n_vars}, {terms!r})"
 
 
 # --------------------------------------------------------------------------

@@ -7,9 +7,10 @@ components at every site.  Sites are enumerated with x_1 varying fastest
 wherever an ordering is exposed.
 
 The return weights on Z^d take the same step without wraparound on the light
-cone: after a steps the field lives on the centred box of side 2a + 1, and
-the weight of r steps is met in the middle from the fields of ceil(r/2) and
-floor(r/2) steps.
+cone: after a steps the field lives on the centred box of side 2a + 1.  Z^d
+is bipartite, so every odd return weight is zero, and the weight of 2a steps
+is met in the middle from the field of a steps,
+W_2a(0) = sum_x W_a(-x) W_a(x); all C_r up to R take floor(R/2) steps.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ def _step_bytes(dim_d: int, side: int, per_site: int) -> int:
 
 
 def _check_state(dim_d: int, side_N: int) -> None:
+    if dim_d < 1 or side_N < 1:
+        raise ValueError(f"dim_d and side_N must be positive, got {dim_d} and {side_N}")
     need = _step_bytes(dim_d, side_N, 2 * dim_d)
     if need > _MAX_WEIGHT_BYTES:
         raise ComputationError(
@@ -109,8 +112,9 @@ def _check_state(dim_d: int, side_N: int) -> None:
 def delta_state(dim_d: int, side_N: int, amplitudes: Sequence[complex] | None = None) -> WalkState:
     """State concentrated at the origin; default internal vector is e_1.
 
-    A torus whose step would hold more than 512 MiB of fields raises
-    ``ComputationError`` before anything is allocated.
+    A non-positive dim_d or side_N raises ``ValueError``, and a torus whose
+    step would hold more than 512 MiB of fields ``ComputationError``, before
+    anything is allocated.
     """
     _check_state(dim_d, side_N)
     field = np.zeros((side_N,) * dim_d + (2 * dim_d,), dtype=np.complex128)
@@ -129,8 +133,7 @@ def uniform_state(dim_d: int, side_N: int) -> WalkState:
     """Flat probability state: every component of every site carries equal mass.
 
     The 1-norm total measure is exactly 1, making this the stationary input
-    for random-walk coins.  A torus whose step would hold more than 512 MiB
-    of fields raises ``ComputationError`` before anything is allocated.
+    for random-walk coins.  Sizes are refused as by ``delta_state``.
     """
     _check_state(dim_d, side_N)
     sites = side_N ** dim_d
@@ -224,7 +227,7 @@ class MatrixWeight:
 
 
 def _check_window(dim_d: int, r: int) -> None:
-    side = 2 * ((r + 1) // 2) + 1
+    side = 2 * (r // 2) + 1
     need = _step_bytes(dim_d, side, (2 * dim_d) ** 2)
     if need > _MAX_WEIGHT_BYTES:
         raise ComputationError(
@@ -267,54 +270,42 @@ def _cone_fields(coin: CoinMatrix, steps: int):
         yield field
 
 
-def _met(fa: np.ndarray, fb: np.ndarray, dim_d: int):
-    """F_a[x] and F_b[-x] site for site over F_b's box, for b <= a: the
-    centred sub-box of F_a and F_b with every spatial axis reversed."""
-    trim = (fa.shape[0] - fb.shape[0]) // 2
-    return (fa[(slice(trim, fa.shape[0] - trim),) * dim_d],
-            fb[(slice(None, None, -1),) * dim_d])
-
-
 def matrix_weight_origin(coin: CoinMatrix, r: int) -> MatrixWeight:
     """Return weight at the origin after r steps of the walk on Z^d.
 
-    The weight is W_r(0) = sum_x W_b(-x) W_a(x) with a = ceil(r/2) and
-    b = floor(r/2), met from a light-cone run of a steps.  At r = 0 the
-    weight is the identity.
+    An odd r returns the zero matrix, since no closed walk has an odd
+    length.  An even r = 2a gives W_r(0) = sum_x W_a(-x) W_a(x), met from a
+    light-cone run of a steps.  At r = 0 the weight is the identity.
     """
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
     d = coin.dim_d
+    if r % 2:
+        return MatrixWeight(d, r, np.zeros((2 * d, 2 * d), dtype=np.complex128))
     _check_window(d, r)
-    a, b = (r + 1) // 2, r // 2
-    prev = field = None
-    # a plain loop keeps at most two fields alive at a time
-    for nxt in _cone_fields(coin, a):
-        prev, field = field, nxt
-    fa, fb = _met(field, field if b == a else prev, d)
-    # sum_x F_a[x] F_b[-x] over the sites and the shared component c
+    # a plain loop keeps one field alive between steps
+    for field in _cone_fields(coin, r // 2):
+        pass
+    # sum_x F_a[x] F_a[-x] over the sites and the shared component c
     spatial = list(range(d))
-    meet = np.tensordot(fa, fb, axes=(spatial + [d + 1], spatial + [d]))
+    meet = np.tensordot(field, field[(slice(None, None, -1),) * d],
+                        axes=(spatial + [d + 1], spatial + [d]))
     return MatrixWeight(d, r, meet.T)
 
 
 def matrix_weight_traces(coin: CoinMatrix, r_max: int) -> list[complex]:
     """Traces of the origin return weights for r = 0..r_max in one pass.
 
-    A light-cone run of ceil(r_max/2) steps meets each field F_a with
-    itself for C_2a and with F_{a-1} for C_{2a-1}.
+    A light-cone run of floor(r_max/2) steps meets each field F_a with
+    itself for C_2a; every odd C_r is 0.
     """
     if r_max < 0:
         raise ValueError(f"r_max must be non-negative, got {r_max}")
     d = coin.dim_d
     _check_window(d, r_max)
     traces = [0j] * (r_max + 1)
-    prev = None
-    for a, field in enumerate(_cone_fields(coin, (r_max + 1) // 2)):
-        # Tr W_{a+b}(0) = sum_x sum_{k,c} F_a[x][k, c] F_b[-x][c, k]
-        for r, fb in ((2 * a - 1, prev), (2 * a, field)):
-            if 0 <= r <= r_max:
-                fa, fb = _met(field, fb, d)
-                traces[r] = complex(np.sum(fa * fb.swapaxes(-1, -2)))
-        prev = field
+    for a, field in enumerate(_cone_fields(coin, r_max // 2)):
+        # Tr W_2a(0) = sum_x sum_{k,c} F_a[x][k, c] F_a[-x][c, k]
+        reflected = field[(slice(None, None, -1),) * d]
+        traces[2 * a] = complex(np.sum(field * reflected.swapaxes(-1, -2)))
     return traces

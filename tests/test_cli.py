@@ -300,6 +300,18 @@ def test_evolve_over_budget_exit_1(capsys):
     assert err.startswith("computation failed: 100000000 steps") and "evolve budget" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--N", "0"],
+    ["--N", "0", "--initial", "uniform"],
+    ["--N", "-2"],
+])
+def test_evolve_non_positive_side_exit_2(capsys, args):
+    code, out, err = run_cli(["evolve", "--coin", "rw", "--steps", "3"] + args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: dim_d and side_N must be positive") and err.count("\n") == 1
+
+
 def test_byte_identical_output(capsys):
     args = ["logzeta", "--coin", "rw", "--d", "1", "--u", "-0.5", "--grid", "256"]
     _, out1, _ = run_cli(args, capsys)

@@ -105,6 +105,14 @@ def test_format_canonical_examples():
     assert format_laurent(LaurentPolynomial(1, {(2,): 1, (1,): 3, (0,): -1})) == "X1^2 + 3*X1 - 1"
 
 
+def test_repr_of_a_complex_polynomial_rebuilds_it():
+    poly = LaurentPolynomial(1, {(1,): 2j, (0,): 1})
+    assert eval(repr(poly), {"LaurentPolynomial": LaurentPolynomial}) == poly
+    two_var = LaurentPolynomial(2, {(1, -2): 0.5 - 1e-300j, (0, 1): -3})
+    assert eval(repr(two_var), {"LaurentPolynomial": LaurentPolynomial}) == two_var
+    assert repr(LaurentPolynomial(1, {(1,): 1, (0,): 2})) == "LaurentPolynomial('X1 + 2')"
+
+
 def test_format_complex_coefficient_rejected():
     poly = LaurentPolynomial(1, {(1,): 1j})
     with pytest.raises(ValueError, match="complex"):
@@ -340,7 +348,6 @@ def small_exponent_cases(draw):
     else:
         theta = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(
             0.0, 2 * math.pi, size=n * n_vars)
-    # the terms, not the polynomial, whose repr has no form for complex coefficients
     return d, terms, theta.reshape(n, n_vars)
 
 

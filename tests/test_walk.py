@@ -164,6 +164,13 @@ def test_state_memory_budget():
         delta_state(2, 2048)
 
 
+@pytest.mark.parametrize("make", [delta_state, uniform_state])
+@pytest.mark.parametrize("dim_d,side_N", [(1, 0), (2, -2), (0, 4), (-1, 3)])
+def test_state_refuses_non_positive_sizes(make, dim_d, side_N):
+    with pytest.raises(ValueError, match="must be positive"):
+        make(dim_d, side_N)
+
+
 def test_evolution_matches_fourier_route():
     # advance Fourier modes with the momentum matrix and transform back
     coin = flip_flop(build_coin("hadamard", 1, 1.1))
@@ -258,19 +265,26 @@ def _brute_force_trace(kind, d, r):
 @given(kind=st.sampled_from(["random_unitary", "random_stochastic"]),
        d=st.integers(1, 3), r=st.integers(0, 6))
 def test_weight_traces_match_brute_force(kind, d, r):
-    # the light-cone run meets two half-length fields; the brute force sums
-    # every closed path of r steps
+    # the light-cone run meets the field of r/2 steps with itself and leaves
+    # an odd trace zero; the brute force sums every closed path of r steps
     traces = matrix_weight_traces(_test_coin(kind, d, None), r)
     assert abs(traces[r] - _brute_force_trace(kind, d, r)) <= 1e-13
 
 
 @pytest.mark.parametrize("kind,d", [("simple_rw", 1), ("simple_rw", 2), ("simple_rw", 3),
-                                    ("grover", 2), ("grover", 3)])
+                                    ("grover", 2), ("grover", 3)]
+                         + [(kind, d) for kind in ("random_unitary", "random_stochastic")
+                            for d in (1, 2, 3)])
 def test_weight_odd_traces_exactly_zero(kind, d):
-    # F_a and F_{a-1} live on sites of opposite parity, so every product
-    # in an odd trace is an exact zero
-    traces = matrix_weight_traces(build_coin(kind, d), 9)
+    # Z^d is bipartite, so no closed walk has an odd length: every odd trace
+    # and weight is an exact +0 with no field met (random_unitary is complex)
+    coin = _test_coin(kind, d, None)
+    traces = matrix_weight_traces(coin, 9)
     assert all(traces[r] == 0 for r in range(1, 10, 2))
+    for r in (1, 3, 9):
+        w = matrix_weight_origin(coin, r).matrix
+        assert w.shape == (2 * d, 2 * d)
+        assert not w.any() and not np.signbit(w.view(np.float64)).any()
 
 
 def test_weight_traces_match_individual_weights():
@@ -300,3 +314,7 @@ def test_weight_traces_rw_d4_exact():
 def test_weight_memory_cap():
     with pytest.raises(ComputationError, match="window"):
         matrix_weight_origin(build_coin("simple_rw", 3), 400)
+    with pytest.raises(ComputationError, match="401\\^3 window"):
+        matrix_weight_traces(build_coin("simple_rw", 3), 401)
+    # an odd weight is zero with no field built, so it needs no window
+    assert not matrix_weight_origin(build_coin("simple_rw", 3), 401).matrix.any()
