@@ -347,51 +347,27 @@ def _column_plan(needed) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple
     return steps, tuple(k for k in needed if k < 0)
 
 
-def _lender(scratch, n: int):
-    """A function that hands out a complex array of n entries per call.
-
-    Without ``scratch`` each array is new.  With it (a list) the calls take
-    its entries in turn, as views of their first n entries; an entry too
-    short is replaced and a missing one appended, so a loop that passes the
-    same list each time allocates in its first call only.
-    """
-    if scratch is None:
-        return lambda: np.empty(n, dtype=np.complex128)
-    taken = 0
-
-    def lend():
-        nonlocal taken
-        if taken == len(scratch):
-            scratch.append(np.empty(n, dtype=np.complex128))
-        elif scratch[taken].size < n:
-            scratch[taken] = np.empty(n, dtype=np.complex128)
-        taken += 1
-        return scratch[taken - 1][:n]
-
-    return lend
-
-
-def _column_powers(z: np.ndarray, plan, lend) -> dict[int, np.ndarray]:
+def _column_powers(z: np.ndarray, plan) -> dict[int, np.ndarray]:
     """z**k for each k of a ``_column_plan``, z a column of unit-torus points.
 
     Positive powers come by repeated squaring; z**-k is the conjugate of
     z**k, which holds because |z| = 1.  z**1 is the column itself; every
-    other table is written into an array from ``lend``.
+    other table is a new array.
     """
     steps, negative = plan
     squares = [z]  # squares[b] is z**(2**b)
     table = {}
     for k, bits in steps:
         while bits[-1] >= len(squares):
-            squares.append(np.multiply(squares[-1], squares[-1], out=lend()))
+            squares.append(squares[-1] * squares[-1])
         acc = squares[bits[0]]
         if len(bits) > 1:
-            acc = np.multiply(acc, squares[bits[1]], out=lend())
+            acc = acc * squares[bits[1]]
             for b in bits[2:]:
                 acc *= squares[b]
         table[k] = acc
     for k in negative:
-        table[k] = np.conj(table[-k], out=lend())
+        table[k] = np.conj(table[-k])
     return table
 
 
@@ -411,7 +387,7 @@ def _node_plan(poly: LaurentPolynomial):
     return columns, terms
 
 
-def eval_on_nodes(poly: LaurentPolynomial, nodes: np.ndarray, scratch=None) -> np.ndarray:
+def eval_on_nodes(poly: LaurentPolynomial, nodes: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an (n, n_vars) block of unit-torus points.
 
     Row k holds the points z_j = exp(i theta_j) of node k, not its angles;
@@ -421,17 +397,14 @@ def eval_on_nodes(poly: LaurentPolynomial, nodes: np.ndarray, scratch=None) -> n
     (``_node_plan``, cached for the last 16 polynomials), not per call.
     Terms are summed in ``_exponent_matrix`` order, starting from the first;
     the result is the sum from zeros bit for bit.
-    ``scratch``, a list the caller keeps for a loop of calls on one thread,
-    holds every array the evaluation writes (see ``_lender``); the result is
-    then a view into it, valid until the next call with that list.
     """
     nodes = np.asarray(nodes)
     if nodes.ndim != 2 or nodes.shape[1] != poly.n_vars:
         raise ValueError(f"nodes must have shape (n, {poly.n_vars}), got {nodes.shape}")
     columns, terms = _node_plan(poly)
-    lend = _lender(scratch, nodes.shape[0])
-    out = lend()
-    powers = [_column_powers(nodes[:, j], plan, lend) for j, plan in enumerate(columns)]
+    n = nodes.shape[0]
+    out = np.empty(n, dtype=np.complex128)
+    powers = [_column_powers(nodes[:, j], plan) for j, plan in enumerate(columns)]
     term = None
     for i, (coeff, factors) in enumerate(terms):
         if not factors:  # the constant term, last in the order
@@ -441,7 +414,7 @@ def eval_on_nodes(poly: LaurentPolynomial, nodes: np.ndarray, scratch=None) -> n
                 out[...] = coeff
             continue
         if i and term is None:
-            term = lend()
+            term = np.empty(n, dtype=np.complex128)
         acc = term if i else out
         (j, e), *rest = factors
         np.multiply(powers[j][e], coeff, out=acc)

@@ -30,7 +30,6 @@ input whose toric points the sample grid cannot resolve ends in
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -105,16 +104,12 @@ def _log_abs_block(poly: LaurentPolynomial):
     The points of each axis come from one ``cos`` and one ``sin`` per angle
     and are kept while a later block passes the same axis object (see
     ``grid_mean``), so an axis every block spans in full is computed once
-    per grid.  Each thread writes its rows, the polynomial's values (through
-    ``eval_on_nodes``' scratch list) and the magnitudes into arrays of its
-    own, reused from block to block; the values returned are valid until
-    that thread's next block.
+    per grid.
     """
     # axis j -> (weak reference to an angle array, its torus points), the
     # last pair seen: a dead reference matches no array, and a live one
     # does not keep a finished grid's angles alive
     held = {}
-    local = threading.local()
 
     def points(j, theta):
         last = held.get(j)  # from another thread it may be stale: then recompute
@@ -130,17 +125,12 @@ def _log_abs_block(poly: LaurentPolynomial):
         d = len(mesh)
         shape = np.broadcast_shapes(*(t.shape for t in mesh))
         n = math.prod(shape)
-        if getattr(local, "mags", None) is None or local.mags.size < n:
-            local.rows = np.empty(d * n, dtype=np.complex128)
-            local.mags = np.empty(n)
-            local.scratch = []
         # row j of one (d, n) array holds axis j broadcast over the block;
         # its transpose is the (n, d) rows, each column contiguous
-        rows = local.rows[:d * n].reshape((d,) + shape)
+        rows = np.empty((d,) + shape, dtype=np.complex128)
         for j, theta in enumerate(mesh):
             rows[j] = points(j, theta)
-        values = eval_on_nodes(poly, rows.reshape(d, n).T, local.scratch)
-        mags = np.abs(values, out=local.mags[:n])
+        mags = np.abs(eval_on_nodes(poly, rows.reshape(d, n).T))
         low = float(mags.min()) if n else None
         with np.errstate(divide="ignore"):
             np.log(mags, out=mags)

@@ -166,12 +166,10 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
     mesh: a tuple of d read-only angle arrays, axis j of shape 1 except along
     dimension j, which broadcast together to the block's shape; an axis a
     block spans in full is the same array object in every block of one grid
-    (and a new one in the next call).  It returns ``(values,
-    stat)`` where ``values`` is a 1-D array (real or complex) over the
-    block's nodes in row-major order and ``stat`` is a float minimum
-    statistic or None; ``values`` is summed before ``fn`` is called again on
-    the same thread, so it may be a buffer the integrand reuses.  Returns
-    ``(mean, min_stat)``.
+    (and a new one in the next call).  It returns ``(values, stat)`` where
+    ``values`` is a 1-D array (real or complex) over the block's nodes in
+    row-major order and ``stat`` is a float minimum statistic or None.
+    Returns ``(mean, min_stat)``.
     A grid that evaluates more than 2^26 nodes raises ``ComputationError``
     before ``fn`` is called.
     """

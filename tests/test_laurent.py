@@ -364,13 +364,11 @@ def test_eval_on_nodes_is_the_sum_from_zeros_bit_for_bit(case):
     poly = LaurentPolynomial(d, terms)
     rows = np.exp(1j * theta)  # strided columns
     columns = np.ascontiguousarray(rows.T).T  # contiguous ones, as the Mahler oracle passes
+    half = columns[:len(columns) // 2]
     expected = _eval_from_zeros(poly, rows)
     assert _same_bits(eval_on_nodes(poly, rows), expected)
-    scratch = []
-    for nodes in (columns, rows, columns[:len(columns) // 2], columns):
-        got = eval_on_nodes(poly, nodes, scratch)
-        assert _same_bits(got, _eval_from_zeros(poly, nodes))
-    assert _same_bits(got, expected)
+    assert _same_bits(eval_on_nodes(poly, columns), expected)
+    assert _same_bits(eval_on_nodes(poly, half), _eval_from_zeros(poly, half))
 
 
 def test_eval_on_nodes_plan_follows_the_polynomial(rng):

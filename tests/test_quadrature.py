@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,9 +385,9 @@ def test_mahler_quadrature_blocks_hold_at_most_2_14_nodes(monkeypatch):
     sizes = []
     evaluate = mahler_module.eval_on_nodes
 
-    def recording(poly, nodes, *rest):
+    def recording(poly, nodes):
         sizes.append(nodes.shape[0])
-        return evaluate(poly, nodes, *rest)
+        return evaluate(poly, nodes)
 
     monkeypatch.setattr(mahler_module, "eval_on_nodes", recording)
     mahler_module.mahler_quadrature(parse_laurent("X1 + X2 + 3"),
@@ -414,8 +417,8 @@ def test_log_abs_block_takes_each_axis_value_once_per_grid(monkeypatch):
     ("X1 + X2*X3^-1 + X3^2 + 2", QuadratureSpec(64, 0.5, 1e-300, 0)),
 ])
 def test_mahler_quadrature_same_at_one_and_two_threads(text, spec):
-    # grids of 2 to 80 blocks, spread over two threads that keep their own
-    # buffers and share the per-axis torus points
+    # grids of 2 to 80 blocks, spread over two threads that share the
+    # per-axis torus points
     poly = parse_laurent(text)
     saved = get_thread_count()
     try:
@@ -435,13 +438,13 @@ def test_mahler_quadrature_same_at_one_and_two_threads(text, spec):
                                              ("X1 + X2*X3 + X3^-2 + 4", 3, 5)])
 def test_log_abs_block_evaluates_the_exp_of_the_block_rows(monkeypatch, text, d, points):
     # the Mahler oracle's (n, d) torus points are e^(i theta) of the rows,
-    # bit for bit; they are copied, as the integrand reuses its row buffer
+    # bit for bit; they are copied to C order for the bitwise view
     seen, meshes = [], []
     evaluate = mahler_module.eval_on_nodes
 
-    def recording(poly, nodes, *rest):
+    def recording(poly, nodes):
         seen.append(np.array(nodes, order="C"))
-        return evaluate(poly, nodes, *rest)
+        return evaluate(poly, nodes)
 
     monkeypatch.setattr(mahler_module, "eval_on_nodes", recording)
     block = mahler_module._log_abs_block(parse_laurent(text))
@@ -456,6 +459,32 @@ def test_log_abs_block_evaluates_the_exp_of_the_block_rows(monkeypatch, text, d,
         expected = np.exp(1j * _rows(mesh))
         assert nodes.shape == expected.shape == (expected.shape[0], d)
         assert np.array_equal(nodes.view(np.uint64), expected.view(np.uint64))
+
+
+def test_log_abs_block_values_of_consecutive_blocks_share_no_memory():
+    block = mahler_module._log_abs_block(parse_laurent("X1 + X2 + 3"))
+    theta = (np.arange(8) + 0.5) * (math.pi / 4)
+    first, _ = block((theta[:4, None], theta[None, :]))
+    kept = first.copy()
+    second, _ = block((theta[4:, None], theta[None, :]))
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+
+
+def test_package_import_leaves_the_thread_pool_unloaded():
+    # grid_mean imports concurrent.futures when it first starts a pool
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "import mahlerzeta\n"
+            "from mahlerzeta.quadrature import grid_mean, set_thread_count\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "set_thread_count(2)\n"
+            "grid_mean(lambda mesh: (sum(mesh).ravel(), None), 2, 8, 0.5, max_block=16)\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_small_block_axes_view_matches_dense_view():
