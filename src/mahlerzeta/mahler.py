@@ -15,7 +15,11 @@ converges algebraically), closed forms for the families X -+ X^-1 + c, and
 the hypergeometric form of m(X1 + X1^-1 + X2 + X2^-1 + c) for c > 4.
 Jensen's formula has one evaluator, ``_fiber_measures`` (the fibers of the
 reduced route, or the one row of a one-variable polynomial), and every
-midpoint torus average one ladder, ``_midpoint_ladder``.  The
+midpoint torus average one ladder, ``_midpoint_ladder``, which refuses a
+grid mean that is not finite.  The quadrature route's ladder reads its
+convergence rate from its grid means (``_halving``): it takes the
+Richardson extrapolant at ratio 2 only where two successive gaps halve, as
+they do when a factor 1 + X_j vanishes midway between the nodes.  The
 Cassaigne-Maillot closed form of m(a + bX + cY), the exact oracle for the
 n = 2 route, lives in the tests.
 
@@ -67,8 +71,10 @@ class MahlerResult:
     """A Mahler measure value with its route tag and error bookkeeping.
 
     ``singular_on_torus`` is set when the minimum of |f| over the sampling
-    grid drops below 1e-6 (quadrature) or a root sits that close to the unit
-    circle (Jensen, and the fiber roots of the Jensen-reduced route).
+    grid drops below 1e-6 or the ladder converged by extrapolating at ratio
+    2, the error model of a zero of f on the torus between the nodes
+    (quadrature), or when a root sits within 1e-6 of the unit circle
+    (Jensen, and the fiber roots of the Jensen-reduced route).
     """
 
     value: float
@@ -139,13 +145,35 @@ def _log_abs_block(poly: LaurentPolynomial):
     return fn
 
 
+def _halving(means: list[float]) -> float | None:
+    """2.0 where the last two gaps of the grid means halve, else None.
+
+    With d_k = v_k - v_{k-1} the ratio d_{k-1} / d_k must lie within 0.02
+    of 2: the error model of an integrand whose log singularities sit
+    midway between the nodes of every grid, as log|1 + X_j| does (its
+    midpoint error is exactly log(2) / M).  A smooth integrand's gaps shrink
+    geometrically and a zero curve's ratios wander (0.3 to 67 for
+    2 + 3 X1 + 4 X2), so neither is extrapolated.  On this ratio the ladder's
+    gap between extrapolants is |2 d_k - d_{k-1}|, so an extrapolant passes
+    the tolerance only where the ratio is 2 to within tol / |d_k|.
+    """
+    if len(means) < 3:
+        return None
+    older, newer = means[-2] - means[-3], means[-1] - means[-2]
+    return 2.0 if abs(older - 2.0 * newer) <= 0.02 * abs(newer) else None
+
+
 def _midpoint_ladder(fn, d: int, spec: QuadratureSpec, *, max_block=None, ratio=None,
                      charge=None):
-    """``refine_to_tol`` over ``grid_mean(fn, ...)``: its result and the smallest block stat.
+    """``refine_to_tol`` over ``grid_mean(fn, ...)``.
 
-    ``ratio(low)`` maps the smallest stat so far to the extrapolation ratio.
-    ``charge(n)`` is called with the node count of each grid before it starts.
+    ``ratio(means)`` maps the real grid means so far, coarsest first, to the
+    extrapolation ratio.  ``charge(n)`` is called with the node count of each
+    grid before it starts.  A grid mean that is not finite (``fn`` met a zero
+    or an overflow at a node) raises ``ComputationError``.  Returns the
+    result, the grid means and the smallest block stat.
     """
+    means = []
     low = math.inf
 
     def eval_at(points):
@@ -153,29 +181,45 @@ def _midpoint_ladder(fn, d: int, spec: QuadratureSpec, *, max_block=None, ratio=
         if charge is not None:
             charge(points ** d)
         mean, stat = grid_mean(fn, d, points, spec.node_shift, max_block=max_block)
+        if not math.isfinite(mean.real):
+            raise ComputationError(
+                f"the torus mean on the {points}^{d} grid is {mean.real}: the "
+                f"integrand is not finite at a node, where f vanishes or overflows")
         if stat is not None:
             low = min(low, stat)
+        means.append(mean.real)
         return mean.real
 
-    order = None if ratio is None else lambda: ratio(low)
-    return refine_to_tol(eval_at, spec, order), low
+    order = None if ratio is None else lambda: ratio(means)
+    return refine_to_tol(eval_at, spec, order), means, low
 
 
 def mahler_quadrature(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) -> MahlerResult:
     """Logarithmic Mahler measure by midpoint torus quadrature.
 
-    Midpoint nodes keep the grid off lattice-aligned zeros; when |f| vanishes
-    on the torus the log singularity is integrable but drops the convergence
-    rate to algebraic.  Once a univariate grid has seen min|f| < 1e-6, the
-    ladder of ``refine_to_tol`` extrapolates against the observed 1/M error
-    model.  Non-convergence is reported through ``error_estimate`` (it stays
-    above the requested tolerance) rather than an exception.
+    A smooth integrand converges geometrically.  When f vanishes on the torus
+    the log singularity is integrable but drops the convergence rate to
+    algebraic, and a zero set that meets the grid (X1 - X2 on its diagonal)
+    gives a node where log|f| = -inf: such a grid raises
+    ``ComputationError``.  The ladder reads its convergence rate from the
+    grid means: where two successive gaps halve (``_halving``, as for a
+    factor 1 + X_j, whose zero lies midway between the nodes of every grid)
+    it takes the Richardson extrapolant at ratio 2, and otherwise the last
+    grid value.  ``singular_on_torus`` is set when min|f| over the nodes
+    drops below 1e-6 or the ladder converged on the ratio-2 model, the error
+    model of a zero of f between the nodes.  A zero at a distance delta off
+    the torus looks the same to grids with M delta << 1: there the
+    extrapolant settles about delta / 2 below m(f), which ``error_estimate``
+    does not see, and the flag is set.  Non-convergence is reported through
+    ``error_estimate`` (it stays above the requested tolerance) rather than
+    an exception.
     """
     d = poly.n_vars
-    res, low = _midpoint_ladder(
+    res, means, low = _midpoint_ladder(
         _log_abs_block(poly), d, quad or _default_spec(d), max_block=_LOG_ABS_BLOCK,
-        ratio=lambda stat: 2.0 if d == 1 and stat < _SINGULAR_MIN else None)
-    return MahlerResult(res.value, "quadrature", res.delta, low < _SINGULAR_MIN)
+        ratio=_halving)
+    halved = res.converged and _halving(means) is not None
+    return MahlerResult(res.value, "quadrature", res.delta, low < _SINGULAR_MIN or halved)
 
 
 def mahler_univariate(poly: LaurentPolynomial) -> MahlerResult:
@@ -608,7 +652,7 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
         values, gap, _ = fibers(mesh)
         return values, float(gap.min())
 
-    res, low = _midpoint_ladder(fn, d, spec, max_block=block, charge=charge)
+    res, _, low = _midpoint_ladder(fn, d, spec, max_block=block, charge=charge)
     return MahlerResult(res.value, "jensen_reduced", res.delta, low < _SINGULAR_MIN)
 
 
@@ -753,9 +797,11 @@ def zeta_mahler(poly: LaurentPolynomial, s: float, quad: QuadratureSpec | None =
     evaluate = mesh_evaluator(*_exponent_matrix(poly))
 
     def fn(mesh):
-        return np.abs(evaluate(mesh)).ravel() ** s, None
+        # a zero (s < 0) or an overflow gives inf, which the ladder refuses
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.abs(evaluate(mesh)).ravel() ** s, None
 
-    res, _ = _midpoint_ladder(fn, d, spec)
+    res, _, _ = _midpoint_ladder(fn, d, spec)
     if not res.converged:
         raise ComputationError(
             f"|f|^s quadrature did not converge (last delta {res.delta:.3e}); "

@@ -89,11 +89,12 @@ class QuadratureSpec:
     """Grid resolution, node placement and convergence policy for torus integrals.
 
     Nodes along each axis sit at ``2*pi*(k + node_shift)/M`` for
-    ``k = 0..M-1``; the default half-node shift keeps grids away from
-    lattice-point zeros.  ``points_per_dim`` is the first full grid: the
-    ladder of ``refine_to_tol`` starts one halving below it and doubles M
-    until its convergence test passes or ``max_refinements`` doublings have
-    been spent.
+    ``k = 0..M-1``; the default half-node shift keeps grids off zeros at
+    theta_j = 0, though not off a zero set such as the diagonal of X1 - X2.
+    ``points_per_dim`` is the first full grid: the ladder of
+    ``refine_to_tol`` starts one halving below it and doubles M until its
+    convergence test passes or ``max_refinements`` doublings have been
+    spent.
     """
 
     points_per_dim: int = 32

@@ -51,6 +51,25 @@ def test_mahler_quadrature_route(capsys):
     assert payload["diagnostics"]["singular_on_torus"] is False
 
 
+def test_mahler_quadrature_vanishing_product_to_rounding(capsys):
+    # (1 + X1)(1 + X2): the grid gaps halve, so the ladder extrapolates at ratio 2
+    code, out, _ = run_cli(
+        ["mahler", "--poly", "X1*X2 + X1 + X2 + 1", "--method", "quadrature"], capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert abs(payload["result"]) < 1e-12
+    assert payload["diagnostics"]["singular_on_torus"] is True
+
+
+def test_mahler_quadrature_zero_on_grid_nodes_exit_1(capsys):
+    # the midpoint diagonal lies on the zero set
+    code, out, err = run_cli(["mahler", "--poly", "X1 - X2", "--method", "quadrature"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("computation failed: the torus mean on the 128^2 grid is -inf") \
+        and err.count("\n") == 1
+
+
 def test_mahler_jensen_several_variables(capsys):
     code, out, _ = run_cli(
         ["mahler", "--poly", "X1 + X2 + X3 + 1", "--method", "jensen"], capsys)

@@ -73,6 +73,69 @@ def test_singular_torus_flag_and_extrapolated_value():
         assert abs(res.value) < 1e-10
 
 
+@pytest.mark.parametrize("text,measure", [
+    ("X1^2 + 4*X1 + 3", math.log(3)),                           # (1 + X1)(X1 + 3)
+    ("11*X1*X2 - 4*X1 + 11*X2 - 4", math.log(11)),              # (1 + X1)(11 X2 - 4)
+    ("2 + X1 + 2.5*X2 + X1*X2 + 0.5*X2^2", math.log(2)),        # (1 + X2)(2 + X1 + X2 / 2)
+    ("4 + X1 + X2 + 4*X3 + X1*X3 + X2*X3", math.log(4)),        # (1 + X3)(4 + X1 + X2)
+])
+def test_vanishing_product_extrapolated_and_flagged(text, measure):
+    # log|1 + X_j| is off by exactly log(2) / M on the midpoint grid, so the
+    # gaps halve and the ratio-2 extrapolant reaches the smooth factor's m(q)
+    res = mahler_quadrature(parse_laurent(text))
+    assert abs(res.value - measure) < 1e-13
+    assert res.singular_on_torus
+
+
+@pytest.mark.parametrize("text", ["X1 - 1", "X1^2 - 1", "X1^3 + 2*X1^2 + 2*X1 + 1"])
+def test_cyclotomic_zeros_between_nodes_give_zero(text):
+    # zeros at 0, pi and 2 pi / 3: the first two lie midway between the nodes
+    # of every even grid, the third contributes no error on power-of-two grids
+    res = mahler_quadrature(parse_laurent(text))
+    assert abs(res.value) < 1e-14
+    assert res.singular_on_torus
+
+
+@pytest.mark.parametrize("poly,spec", [
+    (parse_laurent("2 + 3*X1 + 4*X2"), None),
+    # Rogers k = 1 on a shorter ladder: its default one ends on a 4096^2 grid
+    (parse_laurent("X1 + X1^-1 + X2 + X2^-1 + 1"), QuadratureSpec(256, 0.5, 1e-8, 2)),
+    (parse_laurent("X1 + 1.0001"), None),
+    (LaurentPolynomial(1, {(1,): 1.0, (0,): -np.exp(1j)}), None),
+])
+def test_irregular_ratios_keep_the_plain_ladder(poly, spec):
+    # zero curves, a zero near the circle and a zero at a generic angle: the
+    # gaps never halve at the end of the ladder, so the result is the plain
+    # ladder's, bit for bit
+    d = poly.n_vars
+    spec = spec or mahler_module._default_spec(d)
+    plain, _, low = mahler_module._midpoint_ladder(
+        mahler_module._log_abs_block(poly), d, spec, max_block=mahler_module._LOG_ABS_BLOCK)
+    res = mahler_quadrature(poly, spec)
+    assert res.value.hex() == plain.value.real.hex()
+    assert res.error_estimate.hex() == plain.delta.hex()
+    assert res.singular_on_torus is (low < 1e-6)
+
+
+def test_halving_needs_the_ratio_within_a_percent():
+    assert mahler_module._halving([1.0, 1.5]) is None
+    assert mahler_module._halving([1.0, 1.5, 1.75]) == 2.0
+    # gap ratios 2.01, 1.99 and 2.03
+    assert mahler_module._halving([0.0, 1.005, 1.505]) == 2.0
+    assert mahler_module._halving([0.0, 0.995, 1.495]) == 2.0
+    assert mahler_module._halving([0.0, 1.015, 1.515]) is None
+    # geometric convergence shrinks the gaps far faster
+    assert mahler_module._halving([1.0, 1.1, 1.101]) is None
+
+
+@pytest.mark.parametrize("text", ["X1 - X2", "X1 + X2", "X1^2 - X2^2"])
+def test_zero_set_on_grid_nodes_raises(text):
+    # the midpoint diagonal, or its mirror, lies on the zero set: log|f| is
+    # -inf at those nodes, which no grid mean can carry
+    with pytest.raises(ComputationError, match="not finite at a node"):
+        mahler_quadrature(parse_laurent(text))
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("this route must not call the other route's evaluator")
 
@@ -656,6 +719,13 @@ def test_special_constants_reference_digits():
 
 def test_zeta_mahler_at_zero_power():
     assert zeta_mahler(parse_laurent("X1 + X2 + 1"), 0.0, QuadratureSpec(16)) == 1.0
+
+
+def test_zeta_mahler_zero_on_nodes_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ComputationError, match="not finite at a node"):
+            zeta_mahler(parse_laurent("X1 - X2"), -1.0)
 
 
 def test_zeta_mahler_square_modulus():
