@@ -7,11 +7,11 @@ Every subcommand prints one JSON object::
 
 Numbers carry 17 significant digits; complex entries appear as [re, im]
 pairs.  Exit codes: 0 success, 1 computation failure (non-convergence,
-singular factor, a grid or an evolve run over its work budget, a
-linear-algebra, arithmetic (floating-point, overflow) or memory error), 2
-usage or parse error.  Every error is one line on stderr; a float option that
-is not a finite number (or a ``--tol`` that is not positive) is a usage error,
-refused before any work.
+singular factor, a grid, an evolve run or a light-cone run over its work
+budget, a linear-algebra, arithmetic (floating-point, overflow) or memory
+error), 2 usage or parse error.  Every error is one line on stderr; a float
+option that is not a finite number (or a ``--tol`` that is not positive) is a
+usage error, refused before any work.
 Output is byte-identical for identical inputs; pass --timing to add wall
 time to the diagnostics.
 """
@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 
@@ -48,7 +47,9 @@ from .mahler import (
     mahler_univariate,
     zeta_mahler,
 )
-from .quadrature import QuadratureSpec, set_thread_count
+from .quadrature import QuadratureSpec
+# perfbench's tracer wraps set_thread_count in every module that imports it
+from .quadrature import set_thread_count  # noqa: F401
 from .walk import delta_state, evolve, total_measure, uniform_state
 from .zeta import (
     _real,
@@ -189,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: MZC_THREADS or CPU count)")
+                        help="accepted and ignored: every grid runs on one thread")
     common.add_argument("--timing", action="store_true",
                         help="include wall time in diagnostics (breaks byte-identical output)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -416,14 +417,6 @@ _COMMANDS = {
 }
 
 
-def _default_threads() -> int:
-    text = os.environ.get("MZC_THREADS", "0")
-    try:
-        return int(text) or os.cpu_count() or 1
-    except ValueError:
-        raise ValueError(f"MZC_THREADS must be an integer, got {text!r}") from None
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -431,7 +424,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        set_thread_count(args.threads if args.threads is not None else _default_threads())
         start = time.perf_counter()
         out = _COMMANDS[args.command](args)
         if out is None:

@@ -118,7 +118,7 @@ def _log_abs_block(poly: LaurentPolynomial):
     held = {}
 
     def points(j, theta):
-        last = held.get(j)  # from another thread it may be stale: then recompute
+        last = held.get(j)
         if last is not None and last[0]() is theta:
             return last[1]
         z = np.empty(theta.shape, dtype=np.complex128)

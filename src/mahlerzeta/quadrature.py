@@ -16,7 +16,7 @@ from; only the leading axes and the run axis are sliced per block.  A
 block holds at most ``_GRID_BLOCK`` = 2^16 nodes unless the caller asks for
 fewer, which keeps an integrand's temporaries near 1 MB.  Block sums are
 accumulated in a fixed order with ``math.fsum``, which makes every result
-bit-reproducible and independent of the worker thread count.
+bit-reproducible.
 
 An integrand even in theta_j, f(theta_j) = f(2 pi - theta_j), is averaged on
 half of axis j: with the half-node shift and an even M the grid is closed
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +50,6 @@ __all__ = [
     "get_thread_count",
 ]
 
-_threads = 1
-
 # per-grid work budget: 4x the largest grid of any default spec or suite check
 _MAX_GRID_NODES = 1 << 26
 
@@ -64,24 +62,22 @@ _GRID_BLOCK = 1 << 16
 
 
 def set_thread_count(n: int) -> None:
-    """Set the worker-thread count used for grid evaluation.
+    """Deprecated no-op: every grid runs on the calling thread.
 
-    Chunk boundaries and reduction order are fixed, so the computed values do
-    not depend on this setting.  A pool starts one thread per pending block
-    up to this count, so more than 4 per CPU is rejected.
+    A count below 1 is still refused with ``ValueError``.
     """
-    global _threads
     n = int(n)
     if n < 1:
         raise ValueError(f"thread count must be >= 1, got {n}")
-    limit = 4 * (os.cpu_count() or 1)
-    if n > limit:
-        raise ValueError(f"thread count {n} exceeds 4 per CPU ({limit})")
-    _threads = n
+    warnings.warn("set_thread_count is a no-op: grids run on one thread",
+                  DeprecationWarning, stacklevel=2)
 
 
 def get_thread_count() -> int:
-    return _threads
+    """Deprecated: always 1, the thread every grid runs on."""
+    warnings.warn("get_thread_count is deprecated: grids run on one thread",
+                  DeprecationWarning, stacklevel=2)
+    return 1
 
 
 @dataclass(frozen=True)
@@ -187,25 +183,16 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
             f"grid {shape} = {total} nodes exceeds the cap of {_MAX_GRID_NODES} (2^26)"
         )
     axis = (np.arange(points) + shift) * (2.0 * math.pi / points)
-    axis.flags.writeable = False  # every block, on every thread, reads it
+    axis.flags.writeable = False  # every block reads it
     full = [axis[:n].reshape([n if k == j else 1 for k in range(d)])
             for j, n in enumerate(counts)]
-    blocks = _blocks(counts, max_block)
 
     def work(block):
         values, stat = fn(_open_mesh(full, block))
         s = complex(np.sum(values))
         return s.real, s.imag, stat
 
-    if _threads > 1 and len(blocks) > 1:
-        # imported here: concurrent.futures and the logging it loads would
-        # add to every import of the package, threaded or not
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=_threads) as pool:
-            parts = list(pool.map(work, blocks))
-    else:
-        parts = [work(block) for block in blocks]
+    parts = [work(block) for block in _blocks(counts, max_block)]
 
     mean = complex(math.fsum(p[0] for p in parts) / total,
                    math.fsum(p[1] for p in parts) / total)

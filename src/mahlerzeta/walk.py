@@ -39,8 +39,9 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _MAX_WEIGHT_BYTES = 512 * 1024 * 1024
-# evolve's budget in steps * sites * (2d)^2 (the coin products of a run); a
-# step costs at least as much as 1024 sites in call overhead
+# the work budget of evolve and of a light-cone run, in steps * sites * (2d)^2
+# (the coin products of a run); an evolve step costs at least as much as 1024
+# sites in call overhead
 _MAX_EVOLVE_WORK = 1 << 28
 _MIN_STEP_SITES = 1024
 
@@ -227,12 +228,24 @@ class MatrixWeight:
 
 
 def _check_window(dim_d: int, r: int) -> None:
+    """Refuse a light-cone run for r steps over its memory or its work budget.
+
+    The run takes floor(r/2) steps, each over at most the final window of
+    (2 floor(r/2) + 1)^d sites of (2d)^2 entries; that bound is charged to
+    ``evolve``'s budget of 2^28 site-step coin products.
+    """
     side = 2 * (r // 2) + 1
     need = _step_bytes(dim_d, side, (2 * dim_d) ** 2)
     if need > _MAX_WEIGHT_BYTES:
         raise ComputationError(
             f"step count {r} needs a {side}^{dim_d} window "
             f"({need / 2 ** 20:.0f} MiB > {_MAX_WEIGHT_BYTES / 2 ** 20:.0f} MiB budget)"
+        )
+    work = (r // 2) * side ** dim_d * (2 * dim_d) ** 2
+    if work > _MAX_EVOLVE_WORK:
+        raise ComputationError(
+            f"step count {r} exceeds the light-cone budget on Z^{dim_d} "
+            f"({work} > 2^28 site-step coin products)"
         )
 
 
@@ -297,7 +310,9 @@ def matrix_weight_traces(coin: CoinMatrix, r_max: int) -> list[complex]:
     """Traces of the origin return weights for r = 0..r_max in one pass.
 
     A light-cone run of floor(r_max/2) steps meets each field F_a with
-    itself for C_2a; every odd C_r is 0.
+    itself for C_2a; every odd C_r is 0.  A run over 512 MiB of fields or
+    over 2^28 site-step coin products raises ``ComputationError`` before
+    its first step.
     """
     if r_max < 0:
         raise ValueError(f"r_max must be non-negative, got {r_max}")

@@ -232,6 +232,8 @@ def _site_coords(N: int, d: int):
 
 def dense_walk_matrix(coin: CoinMatrix, N: int) -> np.ndarray:
     """The full 2d*N^d one-step matrix of the walk on the N^d torus."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     d = coin.dim_d
     size = 2 * d * N ** d
     if size > _DENSE_CAP:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mahlerzeta.quadrature import get_thread_count, set_thread_count
-
 # CI runs (GitHub Actions sets CI) draw the same examples on every run and
 # print the blob that replays a failure with @reproduce_failure
 settings.register_profile("ci", derandomize=True, print_blob=True)
@@ -18,15 +16,6 @@ def random_unitary(rng: np.random.Generator, n: int = 2) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
-
-
-@pytest.fixture(autouse=True)
-def _restore_thread_count():
-    # mzc's main() sets the process-wide thread count; keep it from leaking
-    # into later tests, whose integrand callbacks would then run in pool order
-    saved = get_thread_count()
-    yield
-    set_thread_count(saved)
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from mahlerzeta import (
     zeta_mahler,
 )
 from mahlerzeta import mahler as mahler_module
-from mahlerzeta.quadrature import grid_mean, set_thread_count
+from mahlerzeta.quadrature import grid_mean
 
 
 # --------------------------------------------------------------------------
@@ -370,13 +370,11 @@ def test_reduced_refuses_an_aliased_sample(k, monkeypatch):
 def test_reduced_work_budget_counts_grids_before_they_start(monkeypatch):
     # X1 + X2 + X3 + 1 eliminates X3: 3 monomials of X1, X2 and closed-form
     # fibers of degree 1 make 5 units a node.  The 32^2, 64^2 and 128^2
-    # grids fit; the 256^2 one is refused before it starts, at any thread count.
+    # grids fit; the 256^2 one is refused before it starts.
     monkeypatch.setattr(mahler_module, "_MAX_REDUCED_WORK", 5 * (32 ** 2 + 64 ** 2 + 128 ** 2))
     poly, spec = parse_laurent("X1 + X2 + X3 + 1"), QuadratureSpec(64, 0.5, 1e-300, 3)
-    for threads in (1, 2):  # conftest restores the thread count
-        set_thread_count(threads)
-        with pytest.raises(ComputationError, match=r"\(4\.35e\+05 > 1e\+05 units at 5 per row\)"):
-            mahler_reduced(poly, spec)
+    with pytest.raises(ComputationError, match=r"\(4\.35e\+05 > 1e\+05 units at 5 per row\)"):
+        mahler_reduced(poly, spec)
     monkeypatch.undo()
     assert mahler_reduced(poly, spec).method == "jensen_reduced"
 

@@ -1,7 +1,4 @@
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,28 +408,6 @@ def test_log_abs_block_takes_each_axis_value_once_per_grid(monkeypatch):
     assert sizes == [32, 512] + [32] * 15 + [16, 1024] + [16] * 63
 
 
-@pytest.mark.parametrize("text, spec", [
-    ("X1^2 + X1 + 1", QuadratureSpec(1 << 18, 0.5, 1e-300, 0)),
-    ("11*X1*X2 - 4*X1 + 11*X2 - 4", QuadratureSpec(1024, 0.5, 1e-300, 0)),
-    ("X1 + X2*X3^-1 + X3^2 + 2", QuadratureSpec(64, 0.5, 1e-300, 0)),
-])
-def test_mahler_quadrature_same_at_one_and_two_threads(text, spec):
-    # grids of 2 to 80 blocks, spread over two threads that share the
-    # per-axis torus points
-    poly = parse_laurent(text)
-    saved = get_thread_count()
-    try:
-        set_thread_count(1)
-        one = mahler_module.mahler_quadrature(poly, spec)
-        set_thread_count(2)
-        two = mahler_module.mahler_quadrature(poly, spec)
-    finally:
-        set_thread_count(saved)
-    assert one.value.hex() == two.value.hex()
-    assert one.error_estimate.hex() == two.error_estimate.hex()
-    assert one.singular_on_torus == two.singular_on_torus
-
-
 @pytest.mark.parametrize("text, d, points", [("X1^2 + X1^-1 + 3", 1, 8),
                                              ("X1*X2^-1 + 2*X2 - 3", 2, 6),
                                              ("X1 + X2*X3 + X3^-2 + 4", 3, 5)])
@@ -471,22 +446,6 @@ def test_log_abs_block_values_of_consecutive_blocks_share_no_memory():
     assert np.array_equal(first, kept)
 
 
-def test_package_import_leaves_the_thread_pool_unloaded():
-    # grid_mean imports concurrent.futures when it first starts a pool
-    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
-            "import mahlerzeta\n"
-            "from mahlerzeta.quadrature import grid_mean, set_thread_count\n"
-            "print('concurrent.futures' in sys.modules)\n"
-            "set_thread_count(2)\n"
-            "grid_mean(lambda mesh: (sum(mesh).ravel(), None), 2, 8, 0.5, max_block=16)\n"
-            "print('concurrent.futures' in sys.modules)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "True"]
-
-
 def test_small_block_axes_view_matches_dense_view():
     transform = lambda s: 2.0 - s / 3.0
     dense = _cos_log_dense(3, 16, 0.5, transform, max_block=100)
@@ -499,20 +458,22 @@ def test_small_block_axes_view_matches_dense_view():
     assert grid_mean(fn, 3, 16, 0.5, max_block=100)[0].real == dense
 
 
-def test_axes_view_same_at_one_and_two_threads():
+def test_thread_count_is_a_deprecated_no_op():
     def fn(mesh):
         s = np.cos(mesh[0]) + np.cos(mesh[1]) + np.cos(mesh[2])
         return np.log(1.0 - 0.3 * s).ravel(), None
 
-    saved = get_thread_count()
-    try:
-        set_thread_count(1)
-        one = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12)
+    # 64^3 nodes in blocks of 2^12: 64 blocks
+    before = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12)
+    with pytest.warns(DeprecationWarning):
         set_thread_count(2)
-        two = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12)
-    finally:
-        set_thread_count(saved)
-    assert one == two
+    with pytest.warns(DeprecationWarning):
+        assert get_thread_count() == 1
+    with pytest.raises(ValueError, match="thread count must be >= 1, got 0"):
+        set_thread_count(0)
+    after = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12)
+    assert before[0].real.hex() == after[0].real.hex()
+    assert before == after
 
 
 # --------------------------------------------------------------------------

@@ -318,3 +318,14 @@ def test_weight_memory_cap():
         matrix_weight_traces(build_coin("simple_rw", 3), 401)
     # an odd weight is zero with no field built, so it needs no window
     assert not matrix_weight_origin(build_coin("simple_rw", 3), 401).matrix.any()
+
+
+@pytest.mark.parametrize("coin, r", [(build_coin("simple_rw", 1), 20000),
+                                     (build_coin("grover", 2), 800)])
+def test_weight_work_cap(coin, r):
+    # both windows fit in memory; the floor(r/2) steps over them do not fit
+    # the 2^28 budget, and are refused before the first step
+    with pytest.raises(ComputationError, match="light-cone budget"):
+        matrix_weight_traces(coin, r)
+    with pytest.raises(ComputationError, match="light-cone budget"):
+        matrix_weight_origin(coin, r)

@@ -24,7 +24,7 @@ from mahlerzeta import (
     zeta_finite_dense,
 )
 import mahlerzeta.zeta as zeta_module
-from mahlerzeta.quadrature import det_stack, get_thread_count, grid_mean, set_thread_count
+from mahlerzeta.quadrature import det_stack, grid_mean
 from mahlerzeta.laurent import mesh_evaluator
 from mahlerzeta.walk import _momentum_stack
 from mahlerzeta.zeta import (_char_poly, _even_axes, _log_det_block, _principal_log,
@@ -509,19 +509,3 @@ def test_folded_log_zeta_matches_the_unfolded_mean(case):
 
     full, _ = grid_mean(full_grid, coin.dim_d, points, 0.5)
     assert abs(res.value - full) <= 1e-15 * max(largest)
-
-
-def test_log_zeta_same_at_one_and_two_threads():
-    # the folded 128-grid's 64^3 nodes are four grid_mean blocks, so the
-    # second thread has work
-    coin = flip_flop(build_coin("grover", 3))
-    spec = QuadratureSpec(128, 0.5, 1e-10, 0)
-    saved = get_thread_count()
-    try:
-        set_thread_count(1)
-        one = log_zeta_refined(coin, -0.5, spec)
-        set_thread_count(2)
-        two = log_zeta_refined(coin, -0.5, spec)
-    finally:
-        set_thread_count(saved)
-    assert one == two
