@@ -167,21 +167,34 @@ def momentum_matrix(coin: CoinMatrix, k) -> np.ndarray:
     return _momentum_stack(coin, tuple(angles))
 
 
-def _step(field: np.ndarray, entries_t: np.ndarray, dim_d: int) -> np.ndarray:
-    """One periodic step of a field with d spatial axes and a trailing
-    component axis: the coin mixes the components at every site, then
-    component 2j (0-based) moves in from x + e_j and component 2j+1 from
-    x - e_j."""
-    mixed = field @ entries_t
+def _step(field: np.ndarray, entries: np.ndarray, dim_d: int) -> np.ndarray:
+    """One periodic step of a component-major field, of shape (2d, N, ..., N):
+    the coin mixes the components at every site, then component 2j (0-based)
+    moves in from x + e_j and component 2j+1 from x - e_j.
+
+    The mix is one matrix product of the coin with the (2d, N^d) field, and
+    each shift two slice copies.  The field and the coin share one dtype,
+    float64 for a real walk and complex128 otherwise, and so does the result.
+    """
+    n, side = field.shape[0], field.shape[1]
+    mixed = (entries @ field.reshape(n, -1)).reshape(field.shape)
     nxt = np.empty_like(mixed)
     for j in range(dim_d):
-        nxt[..., 2 * j] = np.roll(mixed[..., 2 * j], -1, axis=j)
-        nxt[..., 2 * j + 1] = np.roll(mixed[..., 2 * j + 1], 1, axis=j)
+        # nxt[x] = mixed[x + e_j] for component 2j and mixed[x - e_j] for 2j+1
+        for comp, cut in ((2 * j, 1 % side), (2 * j + 1, side - 1)):
+            axis, rest = (comp,) + (slice(None),) * j, side - cut
+            nxt[axis + (slice(None, rest),)] = mixed[axis + (slice(cut, None),)]
+            nxt[axis + (slice(rest, None),)] = mixed[axis + (slice(None, cut),)]
     return nxt
 
 
 def evolve(state: WalkState, coin: CoinMatrix, steps: int) -> WalkState:
     """Advance the state ``steps`` steps with periodic wraparound.
+
+    When neither the coin entries nor the state's field has an imaginary
+    part, as for a real coin on ``uniform_state`` or on ``delta_state``
+    without amplitudes, the steps run in float64, and otherwise in
+    complex128; the returned state holds complex128 either way.
 
     A run whose steps * max(N^d, 1024) * (2d)^2 exceeds 2^28, or a torus
     whose step would hold more than 512 MiB of fields, raises
@@ -199,11 +212,13 @@ def evolve(state: WalkState, coin: CoinMatrix, steps: int) -> WalkState:
             f"{steps} steps on the {state.side_N}^{d} torus exceed the evolve budget "
             f"({work} > 2^28 site-step coin products)"
         )
-    field = state.field
-    entries_t = coin.entries.T
+    field, entries = state.field, coin.entries
+    if not (entries.imag.any() or field.imag.any()):
+        field, entries = field.real, entries.real
+    field = np.ascontiguousarray(np.moveaxis(field, -1, 0))
     for _ in range(steps):
-        field = _step(field, entries_t, state.dim_d)
-    return WalkState(state.dim_d, state.side_N, field, state.time + steps)
+        field = _step(field, entries, d)
+    return WalkState(d, state.side_N, np.moveaxis(field, 0, -1), state.time + steps)
 
 
 def total_measure(state: WalkState, p: float) -> float:

@@ -48,7 +48,7 @@ from .coins import CoinMatrix, F_TYPE, HADAMARD, M_TYPE
 from .errors import ComputationError
 from .laurent import mesh_evaluator
 from .quadrature import QuadratureSpec, det_stack, grid_mean, refine_to_tol
-from .walk import _momentum_stack, matrix_weight_origin, matrix_weight_traces
+from .walk import _MAX_EVOLVE_WORK, _momentum_stack, matrix_weight_origin, matrix_weight_traces
 
 __all__ = [
     "SeriesCoefficients",
@@ -232,14 +232,17 @@ def _site_coords(N: int, d: int):
 
 def dense_walk_matrix(coin: CoinMatrix, N: int) -> np.ndarray:
     """The full 2d*N^d one-step matrix of the walk on the N^d torus."""
+    return _dense_operator(coin.entries, coin.dim_d, N)
+
+
+def _dense_operator(a: np.ndarray, d: int, N: int) -> np.ndarray:
+    """``dense_walk_matrix`` of the coin entries a, in their dtype."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    d = coin.dim_d
     size = 2 * d * N ** d
     if size > _DENSE_CAP:
         raise ComputationError(f"dense operator size {size} exceeds cap {_DENSE_CAP}")
-    a = coin.entries
-    mat = np.zeros((size, size), dtype=np.complex128)
+    mat = np.zeros((size, size), dtype=a.dtype)
     for coords in _site_coords(N, d):
         s = sum(coords[j] * N ** j for j in range(d))
         for j in range(d):
@@ -252,9 +255,16 @@ def dense_walk_matrix(coin: CoinMatrix, N: int) -> np.ndarray:
 
 
 def zeta_finite_dense(coin: CoinMatrix, N: int, u: float) -> float:
-    """Walk-type zeta function from the assembled dense operator (oracle route)."""
+    """Walk-type zeta function from the assembled dense operator (oracle route).
+
+    A coin with no imaginary part assembles M and takes the determinant of
+    I - u M in float64, any other coin in complex128.  Either way a
+    determinant that vanishes or is not positive real (for a real matrix, a
+    negative one) raises ``ComputationError``.
+    """
     d = coin.dim_d
-    mat = dense_walk_matrix(coin, N)
+    a = coin.entries
+    mat = _dense_operator(a if a.imag.any() else a.real, d, N)
     sign, logabs = np.linalg.slogdet(np.eye(mat.shape[0]) - u * mat)
     if sign == 0:
         raise ComputationError(f"det(I - u M) vanishes for u={u}, N={N}")
@@ -402,6 +412,20 @@ def _series_sum(traces, u: float, d: int) -> tuple[float, float]:
 _METHODS = ("trace_finite", "quad_limit", "path_sum", "closed_form")
 
 
+def _check_series_work(coin: CoinMatrix, r_max: int, side) -> None:
+    """Refuse the trace-power grids for r = 2..r_max, of side(r)^d nodes and
+    r - 1 products per node, once their work passes ``evolve``'s budget."""
+    d = coin.dim_d
+    work = 0
+    for r in range(2, r_max + 1):
+        work += side(r) ** d * (r - 1) * (2 * d) ** 2
+        if work > _MAX_EVOLVE_WORK:
+            raise ComputationError(
+                f"C_r up to r = {r_max} exceeds the grid series budget "
+                f"(over 2^28 node-step coin products by r = {r})"
+            )
+
+
 def compute_series(coin: CoinMatrix, r_max: int, method: str,
                    N: int | None = None) -> SeriesCoefficients:
     """C_r for r = 1..r_max by the requested route.
@@ -409,6 +433,8 @@ def compute_series(coin: CoinMatrix, r_max: int, method: str,
     ``trace_finite`` averages Tr(M_hat^r) on the N^d torus, ``quad_limit``
     on the exact (r+1)^d grid of ``cr_limit``, ``path_sum`` traces the
     return weights, and ``closed_form`` is the one-dimensional formula.
+    The two grid routes raise ``ComputationError`` before their first grid
+    when the grids' sum of node count * (r - 1) * (2d)^2 exceeds 2^28.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -417,8 +443,12 @@ def compute_series(coin: CoinMatrix, r_max: int, method: str,
     if method == "trace_finite":
         if N is None:
             raise ValueError("trace_finite needs the torus size N")
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+        _check_series_work(coin, r_max, lambda r: N)
         values = [(r, cr_finite(coin, N, r)) for r in range(1, r_max + 1)]
     elif method == "quad_limit":
+        _check_series_work(coin, r_max, lambda r: r + 1)
         values = [(r, cr_limit(coin, r)) for r in range(1, r_max + 1)]
     elif method == "path_sum":
         traces = matrix_weight_traces(coin, r_max)

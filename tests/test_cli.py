@@ -176,6 +176,15 @@ def test_zeta_finite_singular_exit_1(capsys):
     assert "singular" in err
 
 
+def test_zeta_finite_dense_negative_determinant_exit_1(capsys):
+    code, out, err = run_cli(
+        ["zeta-finite", "--coin", "grover", "--d", "2", "--N", "3", "--u", "-2", "--dense"],
+        capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "computation failed: determinant is not positive real (arg 3.142e+00)\n"
+
+
 @pytest.mark.parametrize("N", ["0", "-1"])
 def test_zeta_finite_dense_non_positive_side_exit_2(capsys, N):
     code, out, err = run_cli(
@@ -219,6 +228,18 @@ def test_cr_over_the_light_cone_budget_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("computation failed: step count 1000000 exceeds the light-cone budget")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", [["--method", "quad_limit"],
+                                    ["--method", "trace_finite", "--N", "64"]])
+def test_cr_over_the_grid_series_budget_exit_1(capsys, method):
+    start = time.perf_counter()
+    code, out, err = run_cli(["cr", "--coin", "rw", "--r-max", "100000"] + method, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("computation failed: C_r up to r = 100000 exceeds the grid series budget")
     assert err.count("\n") == 1
 
 

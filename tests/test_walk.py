@@ -22,7 +22,8 @@ from mahlerzeta import (
     total_measure,
     uniform_state,
 )
-from conftest import random_unitary
+from conftest import REAL_COIN_KINDS, phase_conjugate, random_unitary, real_coin
+from mahlerzeta.walk import WalkState, _step
 
 
 # --------------------------------------------------------------------------
@@ -188,6 +189,61 @@ def test_evolution_matches_fourier_route():
         modes[k] = np.linalg.matrix_power(m, steps) @ modes[k]
     back = np.fft.ifft(modes * math.sqrt(n), axis=0)
     np.testing.assert_allclose(direct, back, atol=1e-10)
+
+
+def _rolled_step(field, entries, d):
+    """The step by definition, on a site-major field: mix, then roll
+    component 2j in from x + e_j and component 2j+1 in from x - e_j."""
+    mixed = np.einsum("...k,ck->...c", field, entries)
+    out = np.empty_like(mixed)
+    for j in range(d):
+        out[..., 2 * j] = np.roll(mixed[..., 2 * j], -1, axis=j)
+        out[..., 2 * j + 1] = np.roll(mixed[..., 2 * j + 1], 1, axis=j)
+    return out
+
+
+@pytest.mark.parametrize("d,N", [(1, 1), (1, 7), (2, 2), (2, 5), (3, 1), (3, 4)])
+def test_step_is_coin_mix_then_periodic_roll(d, N):
+    # _step takes the component axis first; the result keeps the dtype
+    rng = np.random.default_rng(31 + 10 * d + N)
+    shape = (N,) * d + (2 * d,)
+    field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    entries = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
+    for f, e in ((field, entries), (field.real, entries.real)):
+        got = _step(np.ascontiguousarray(np.moveaxis(f, -1, 0)), e, d)
+        assert got.dtype == f.dtype
+        np.testing.assert_allclose(np.moveaxis(got, 0, -1), _rolled_step(f, e, d),
+                                   rtol=0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(REAL_COIN_KINDS), d=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), xi=st.floats(0.05, 1.5),
+       shift=st.sampled_from(["m", "f"]), initial=st.sampled_from(["origin", "uniform"]),
+       N=st.integers(1, 6), steps=st.integers(0, 8))
+def test_real_walk_matches_its_complex_conjugate(kind, d, seed, xi, shift, initial, N, steps):
+    # D C D^-1 with D a diagonal of seeded phases has complex entries, so it
+    # runs in complex arithmetic; from the state D psi_0 it gives D psi_t.
+    # The complex coin from the real psi_0 and the real coin from the
+    # complex D^-1 psi_0 agree the same way
+    if kind == "hadamard":
+        d = 1
+    coin = real_coin(kind, d, seed, xi)
+    if shift == "f":
+        coin = flip_flop(coin)
+    phases = np.exp(1j * np.random.default_rng(seed + 1).uniform(0, 2 * math.pi, 2 * d))
+    state = delta_state(d, N) if initial == "origin" else uniform_state(d, N)
+    real_run = evolve(state, coin, steps)
+    twisted = WalkState(d, N, state.field * phases, state.time)
+    complex_run = evolve(twisted, phase_conjugate(coin, phases), steps)
+    assert real_run.field.dtype == np.complex128 and not real_run.field.imag.any()
+    np.testing.assert_allclose(complex_run.field, real_run.field * phases, rtol=0, atol=1e-13)
+    for p in (1, 2):
+        assert abs(total_measure(complex_run, p) - total_measure(real_run, p)) <= 1e-13
+    complex_coin_run = evolve(state, phase_conjugate(coin, phases), steps)
+    complex_state_run = evolve(WalkState(d, N, state.field / phases, state.time), coin, steps)
+    np.testing.assert_allclose(complex_coin_run.field, complex_state_run.field * phases,
+                               rtol=0, atol=1e-13)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mahlerzeta import (
     zeta_finite_dense,
 )
 import mahlerzeta.zeta as zeta_module
+from conftest import REAL_COIN_KINDS, phase_conjugate, real_coin
 from mahlerzeta.quadrature import det_stack, grid_mean
 from mahlerzeta.laurent import mesh_evaluator
 from mahlerzeta.walk import _momentum_stack
@@ -113,6 +115,31 @@ def test_zeta_finite_dense_size_cap():
         zeta_finite_dense(build_coin("grover", 2), 64, 0.1)
 
 
+def test_zeta_finite_dense_negative_determinant_refused():
+    # det(I + 2M) < 0 for Grover d = 2 on the 3^2 torus: the float64
+    # determinant's sign -1 is refused with the arg pi of the complex one
+    with pytest.raises(ComputationError, match=r"not positive real \(arg 3.142e\+00\)"):
+        zeta_finite_dense(build_coin("grover", 2), 3, -2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(REAL_COIN_KINDS), d=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), xi=st.floats(0.05, 1.5),
+       shift=st.sampled_from(["m", "f"]), N=st.integers(1, 4), u=st.floats(-0.9, 0.9))
+def test_zeta_finite_dense_real_coin_matches_complex_conjugate(kind, d, seed, xi, shift, N, u):
+    # the complex coin D C D^-1 makes the operator (I x D) M (I x D)^-1,
+    # whose det(I - uM) is the real coin's; it runs in complex arithmetic
+    if kind == "hadamard":
+        d = 1
+    coin = real_coin(kind, d, seed, xi)
+    if shift == "f":
+        coin = flip_flop(coin)
+    phases = np.exp(1j * np.random.default_rng(seed + 1).uniform(0, 2 * math.pi, 2 * d))
+    real_value = zeta_finite_dense(coin, N, u)
+    complex_value = zeta_finite_dense(phase_conjugate(coin, phases), N, u)
+    assert abs(complex_value - real_value) <= 1e-12 * abs(real_value)
+
+
 def test_dense_matrix_is_unitary_for_unitary_coin():
     mat = dense_walk_matrix(flip_flop(build_coin("grover", 2)), 3)
     np.testing.assert_allclose(mat @ mat.conj().T, np.eye(mat.shape[0]), atol=1e-12)
@@ -161,20 +188,11 @@ def test_cr_routes_agree():
             assert abs(cr_limit(coin, r) - cr_limit_pathsum(coin, r)) < 1e-9
 
 
-def _random_custom_coin(seed, d, kind):
-    rng = np.random.default_rng(seed)
-    if kind == "orthogonal":
-        q, _ = np.linalg.qr(rng.normal(size=(2 * d, 2 * d)))
-        return custom_coin(q)
-    cols = rng.uniform(0.05, 1.0, size=(2 * d, 2 * d))
-    return custom_coin(cols / cols.sum(axis=0))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
        st.sampled_from(["orthogonal", "stochastic"]), st.integers(1, 8))
 def test_cr_limit_matches_pathsum_for_random_coins(seed, d, kind, r):
-    coin = _random_custom_coin(seed, d, kind)
+    coin = real_coin(kind, d, seed)
     assert abs(cr_limit(coin, r) - cr_limit_pathsum(coin, r)) < 1e-12
 
 
@@ -307,9 +325,32 @@ def test_closed_form_series_is_the_per_l_values(xi, shift):
         assert value == (0.0 if r % 2 else cr_closed_1d_qw(xi, r // 2, shift))
 
 
+@pytest.mark.parametrize("method,N,d,r_max,r_refused", [
+    # at d = 1, (r + 1) nodes * (r - 1) * 4 summed over r passes 2^28 at r = 586
+    ("quad_limit", None, 1, 100_000, 586),
+    ("quad_limit", None, 3, 40, 32),
+    ("trace_finite", 64, 1, 100_000, 1449),
+])
+def test_compute_series_grid_work_budget(method, N, d, r_max, r_refused):
+    start = time.perf_counter()
+    with pytest.raises(ComputationError, match=f"grid series budget .* by r = {r_refused}\\)"):
+        compute_series(build_coin("simple_rw", d), r_max, method, N=N)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_compute_series_grid_work_budget_boundary():
+    # the largest admitted r_max is the one below the refused r (its grids
+    # are not run here)
+    zeta_module._check_series_work(build_coin("simple_rw", 3), 31, lambda r: r + 1)
+    with pytest.raises(ComputationError):
+        zeta_module._check_series_work(build_coin("simple_rw", 3), 32, lambda r: r + 1)
+
+
 def test_compute_series_validation():
     with pytest.raises(ValueError, match="torus size"):
         compute_series(hadamard(), 4, "trace_finite")
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        compute_series(hadamard(), 4, "trace_finite", N=0)
     with pytest.raises(ValueError, match="hadamard family"):
         compute_series(build_coin("grover", 2), 4, "closed_form")
     with pytest.raises(ValueError, match="method"):
