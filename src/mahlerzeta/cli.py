@@ -10,8 +10,9 @@ pairs.  Exit codes: 0 success, 1 computation failure (non-convergence,
 singular factor, a grid, an evolve run or a light-cone run over its work
 budget, a linear-algebra, arithmetic (floating-point, overflow) or memory
 error), 2 usage or parse error.  Every error is one line on stderr; a float
-option that is not a finite number (or a ``--tol`` that is not positive) is a
-usage error, refused before any work.
+option that is not a finite number, a ``--tol`` that is not positive and a
+``--tol`` or ``--max-refinements`` without ``--grid`` are usage errors,
+refused before any work.
 Output is byte-identical for identical inputs; pass --timing to add wall
 time to the diagnostics.
 """
@@ -164,8 +165,8 @@ def _coin_from_args(args) -> CoinMatrix:
 def _quad_from_args(args) -> QuadratureSpec | None:
     if args.grid is None:
         return None
-    return QuadratureSpec(points_per_dim=args.grid, tol=args.tol,
-                          max_refinements=args.max_refinements)
+    return QuadratureSpec(points_per_dim=args.grid, tol=args.tol or 1e-10,
+                          max_refinements=args.max_refinements or 0)
 
 
 def _add_coin_flags(sub):
@@ -175,11 +176,10 @@ def _add_coin_flags(sub):
     sub.add_argument("--shift", choices=["m", "f"], default="m", help="shift model")
 
 
-def _add_quad_flags(sub, grid_default=None):
-    sub.add_argument("--grid", type=int, default=grid_default,
-                     help="final points per axis (the ladder starts at half)")
-    sub.add_argument("--tol", type=_tolerance, default=1e-10, help="refinement tolerance")
-    sub.add_argument("--max-refinements", type=int, default=0, dest="max_refinements")
+def _add_quad_flags(sub):
+    sub.add_argument("--grid", type=int, help="final points per axis (the ladder starts at half)")
+    sub.add_argument("--tol", type=_tolerance, help="refinement tolerance (needs --grid)")
+    sub.add_argument("--max-refinements", type=int, help="doublings (needs --grid)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("logzeta", parents=[common], help="logarithmic zeta function")
     _add_coin_flags(p)
     p.add_argument("--u", type=_finite, required=True)
-    _add_quad_flags(p, grid_default=None)
+    _add_quad_flags(p)
     p.add_argument("--series", action="store_true", help="use the C_r series route")
     p.add_argument("--r-max", type=int, default=60, dest="r_max")
 
@@ -421,6 +421,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "grid", 0) is None and (args.tol, args.max_refinements) != (None, None):
+            parser.error("--tol and --max-refinements need --grid")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -144,7 +144,7 @@ def _open_mesh(full, block) -> tuple[np.ndarray, ...]:
 
 
 def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
-              max_block: int | None = None) -> tuple[complex, float | None]:
+              max_block: int | None = None) -> tuple[complex | np.ndarray, float | None]:
     """Average ``fn`` over the tensor grid with M = ``points`` nodes per axis.
 
     ``fold`` names the axes on which ``fn`` is even, f(theta_j) =
@@ -164,9 +164,10 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
     dimension j, which broadcast together to the block's shape; an axis a
     block spans in full is the same array object in every block of one grid
     (and a new one in the next call).  It returns ``(values, stat)`` where
-    ``values`` is a 1-D array (real or complex) over the block's nodes in
-    row-major order and ``stat`` is a float minimum statistic or None.
-    Returns ``(mean, min_stat)``.
+    ``values`` is an array (real or complex) whose first axis runs over the
+    block's nodes in row-major order, summed before ``fn`` runs again, and
+    ``stat`` a float minimum statistic or None.  Returns ``(mean, min_stat)``,
+    ``mean`` complex for 1-D ``values``, else an array of their trailing shape.
     A grid that evaluates more than 2^26 nodes raises ``ComputationError``
     before ``fn`` is called.
     """
@@ -189,14 +190,15 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
 
     def work(block):
         values, stat = fn(_open_mesh(full, block))
-        s = complex(np.sum(values))
-        return s.real, s.imag, stat
+        return np.sum(values, axis=0), stat
 
+    # a block's values are freed before the next block is evaluated
     parts = [work(block) for block in _blocks(counts, max_block)]
-
-    mean = complex(math.fsum(p[0] for p in parts) / total,
-                   math.fsum(p[1] for p in parts) / total)
-    stats = [p[2] for p in parts if p[2] is not None]
+    sums = np.asarray([p[0] for p in parts])
+    stats = [p[1] for p in parts if p[1] is not None]
+    means = [complex(math.fsum(c.real) / total, math.fsum(c.imag) / total)
+             for c in sums.reshape(len(sums), -1).T]
+    mean = means[0] if sums.ndim == 1 else np.reshape(means, sums.shape[1:])
     return mean, (min(stats) if stats else None)
 
 

@@ -39,9 +39,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _MAX_WEIGHT_BYTES = 512 * 1024 * 1024
-# the work budget of evolve and of a light-cone run, in steps * sites * (2d)^2
-# (the coin products of a run); an evolve step costs at least as much as 1024
-# sites in call overhead
+# the work budget of evolve, the light cone and the grid power chain, in
+# steps * sites * entries; a step costs at least 1024 sites in call overhead
 _MAX_EVOLVE_WORK = 1 << 28
 _MIN_STEP_SITES = 1024
 
@@ -97,6 +96,14 @@ class WalkState:
 def _step_bytes(dim_d: int, side: int, per_site: int) -> int:
     # a step holds three fields at once: the field, its coin mix and the next
     return 3 * side ** dim_d * per_site * 16
+
+
+def _check_work(steps: int, sites: int, entries: int, what: str) -> None:
+    """Refuse ``steps`` steps over ``sites`` sites (charged at least 1024)
+    of ``entries`` coin-product entries each, once they pass 2^28."""
+    work = steps * max(sites, _MIN_STEP_SITES) * entries
+    if work > _MAX_EVOLVE_WORK:
+        raise ComputationError(f"{what} ({work} > 2^28 site-step coin products)")
 
 
 def _check_state(dim_d: int, side_N: int) -> None:
@@ -206,12 +213,8 @@ def evolve(state: WalkState, coin: CoinMatrix, steps: int) -> WalkState:
         raise ValueError(f"steps must be non-negative, got {steps}")
     d = state.dim_d
     _check_state(d, state.side_N)
-    work = steps * max(state.side_N ** d, _MIN_STEP_SITES) * (2 * d) ** 2
-    if work > _MAX_EVOLVE_WORK:
-        raise ComputationError(
-            f"{steps} steps on the {state.side_N}^{d} torus exceed the evolve budget "
-            f"({work} > 2^28 site-step coin products)"
-        )
+    _check_work(steps, state.side_N ** d, (2 * d) ** 2,
+                f"{steps} steps on the {state.side_N}^{d} torus exceed the evolve budget")
     field, entries = state.field, coin.entries
     if not (entries.imag.any() or field.imag.any()):
         field, entries = field.real, entries.real
@@ -247,7 +250,7 @@ def _check_window(dim_d: int, r: int) -> None:
 
     The run takes floor(r/2) steps, each over at most the final window of
     (2 floor(r/2) + 1)^d sites of (2d)^2 entries; that bound is charged to
-    ``evolve``'s budget of 2^28 site-step coin products.
+    ``evolve``'s budget of 2^28 site-step coin products (``_check_work``).
     """
     side = 2 * (r // 2) + 1
     need = _step_bytes(dim_d, side, (2 * dim_d) ** 2)
@@ -256,12 +259,8 @@ def _check_window(dim_d: int, r: int) -> None:
             f"step count {r} needs a {side}^{dim_d} window "
             f"({need / 2 ** 20:.0f} MiB > {_MAX_WEIGHT_BYTES / 2 ** 20:.0f} MiB budget)"
         )
-    work = (r // 2) * side ** dim_d * (2 * dim_d) ** 2
-    if work > _MAX_EVOLVE_WORK:
-        raise ComputationError(
-            f"step count {r} exceeds the light-cone budget on Z^{dim_d} "
-            f"({work} > 2^28 site-step coin products)"
-        )
+    _check_work(r // 2, side ** dim_d, (2 * dim_d) ** 2,
+                f"step count {r} exceeds the light-cone budget on Z^{dim_d}")
 
 
 def _cone_step(field: np.ndarray, entries_t: np.ndarray, dim_d: int) -> np.ndarray:

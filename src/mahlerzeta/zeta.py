@@ -22,7 +22,8 @@ coefficients with ``laurent.mesh_evaluator``, as the Mahler routes evaluate
 theirs; only a finite torus of side N < 3, with fewer nodes than P_u has
 coefficients, takes its N^d determinants directly.  The coefficients C_r of
 log zeta = sum_r C_r u^r / r are averaged traces of powers of M_hat, equal to
-the trace of the step-r return weight.
+the trace of the step-r return weight.  Each route gives them all up to r_max
+in one pass, and each single-r function reads the last entry of its pass.
 
 ``log_zeta`` folds every axis on which P_u is even onto [0, pi) (see
 ``quadrature.grid_mean``).  Evenness in Theta_j is read off the coin
@@ -48,7 +49,7 @@ from .coins import CoinMatrix, F_TYPE, HADAMARD, M_TYPE
 from .errors import ComputationError
 from .laurent import mesh_evaluator
 from .quadrature import QuadratureSpec, det_stack, grid_mean, refine_to_tol
-from .walk import _MAX_EVOLVE_WORK, _momentum_stack, matrix_weight_origin, matrix_weight_traces
+from .walk import _check_work, _momentum_stack, matrix_weight_traces
 
 __all__ = [
     "SeriesCoefficients",
@@ -274,27 +275,42 @@ def zeta_finite_dense(coin: CoinMatrix, N: int, u: float) -> float:
     return math.exp(-logabs / N ** d)
 
 
-def _trace_power_block(coin: CoinMatrix, r: int):
-    def fn(mesh):
-        mats = _momentum_stack(coin, mesh).reshape(-1, 2 * coin.dim_d, 2 * coin.dim_d)
-        power = mats
-        for _ in range(r - 1):
-            power = power @ mats
-        return np.einsum("...ii->...", power), None
+def _trace_powers(coin: CoinMatrix, N: int, r_max: int) -> list[float]:
+    """C_1..C_r_max on the N^d torus from one grid: the means of Tr(M_hat(k)^r).
 
-    return fn
+    Each node's M is built once and P <- P M carried up to r_max, its trace
+    after the product for r going to column r - 1.  The r_max - 1 products
+    are charged before the first block at max((2d)^2, 64) entries a matrix:
+    a batched product costs 0.3-1.1 us a matrix for 2d <= 6 (1 BLAS thread).
+    """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    d = coin.dim_d
+    n = 2 * d
+    _check_work(r_max - 1, N ** d, max(n * n, 64),
+                f"C_r up to r = {r_max} exceeds the grid series budget")
+
+    def fn(mesh):
+        mats = _momentum_stack(coin, mesh).reshape(-1, n, n)
+        traces = np.empty((r_max, mats.shape[0]), dtype=np.complex128)
+        power = mats
+        for r in range(r_max):
+            if r:
+                power = power @ mats
+            traces[r] = np.einsum("kii->k", power)
+        # node-major view: each column is summed contiguously
+        return traces.T, None
+
+    # a block's matrices and traces hold at most 2^22 entries
+    means, _ = grid_mean(fn, d, N, 0.0, max_block=max(1, (1 << 22) // (n * n + r_max)))
+    return [_real(mean, 1e-10, f"the finite-torus C_{r}") for r, mean in enumerate(means, 1)]
 
 
 def cr_finite(coin: CoinMatrix, N: int, r: int) -> float:
     """C_r on the finite torus: the grid average of Tr(M_hat(k)^r)."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    d = coin.dim_d
-    mean, _ = grid_mean(_trace_power_block(coin, r), d, N, 0.0,
-                        max_block=_matrix_block_cap(d))
-    return _real(mean, 1e-10, f"the finite-torus C_{r}")
+    return _trace_powers(coin, N, r)[-1]
 
 
 def cr_limit(coin: CoinMatrix, r: int) -> float:
@@ -311,8 +327,7 @@ def cr_limit_pathsum(coin: CoinMatrix, r: int) -> float:
     """Infinite-lattice C_r as the trace of the step-r return weight."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    tr = complex(np.trace(matrix_weight_origin(coin, r).matrix))
-    return _real(tr, 1e-12, f"the step-{r} return weight trace")
+    return _real(matrix_weight_traces(coin, r)[r], 1e-12, f"the step-{r} return weight trace")
 
 
 def cr_closed_1d_qw(xi: float, l: int, shift_type: str) -> float:
@@ -412,47 +427,28 @@ def _series_sum(traces, u: float, d: int) -> tuple[float, float]:
 _METHODS = ("trace_finite", "quad_limit", "path_sum", "closed_form")
 
 
-def _check_series_work(coin: CoinMatrix, r_max: int, side) -> None:
-    """Refuse the trace-power grids for r = 2..r_max, of side(r)^d nodes and
-    r - 1 products per node, once their work passes ``evolve``'s budget."""
-    d = coin.dim_d
-    work = 0
-    for r in range(2, r_max + 1):
-        work += side(r) ** d * (r - 1) * (2 * d) ** 2
-        if work > _MAX_EVOLVE_WORK:
-            raise ComputationError(
-                f"C_r up to r = {r_max} exceeds the grid series budget "
-                f"(over 2^28 node-step coin products by r = {r})"
-            )
-
-
 def compute_series(coin: CoinMatrix, r_max: int, method: str,
                    N: int | None = None) -> SeriesCoefficients:
-    """C_r for r = 1..r_max by the requested route.
+    """C_r for r = 1..r_max by the requested route, each one pass.
 
     ``trace_finite`` averages Tr(M_hat^r) on the N^d torus, ``quad_limit``
-    on the exact (r+1)^d grid of ``cr_limit``, ``path_sum`` traces the
-    return weights, and ``closed_form`` is the one-dimensional formula.
-    The two grid routes raise ``ComputationError`` before their first grid
-    when the grids' sum of node count * (r - 1) * (2d)^2 exceeds 2^28.
+    on the (r_max+1)^d grid, exact for every r <= r_max; ``path_sum``
+    traces the return weights, and ``closed_form`` is the one-dimensional
+    formula.  The grid routes raise ``ComputationError`` before their grid
+    when (r_max - 1) * max(nodes, 1024) * max((2d)^2, 64) exceeds 2^28.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    if method == "trace_finite":
+    if method in ("trace_finite", "quad_limit"):
+        N = r_max + 1 if method == "quad_limit" else N
         if N is None:
             raise ValueError("trace_finite needs the torus size N")
-        if N < 1:
-            raise ValueError(f"N must be >= 1, got {N}")
-        _check_series_work(coin, r_max, lambda r: N)
-        values = [(r, cr_finite(coin, N, r)) for r in range(1, r_max + 1)]
-    elif method == "quad_limit":
-        _check_series_work(coin, r_max, lambda r: r + 1)
-        values = [(r, cr_limit(coin, r)) for r in range(1, r_max + 1)]
+        values = list(enumerate(_trace_powers(coin, N, r_max), 1))
     elif method == "path_sum":
         traces = matrix_weight_traces(coin, r_max)
-        values = [(r, traces[r].real) for r in range(1, r_max + 1)]
+        values = [(r, _real(traces[r], 1e-12, f"C_{r}")) for r in range(1, r_max + 1)]
     else:
         if coin.kind != HADAMARD or coin.xi is None:
             raise ValueError("closed_form is available for the hadamard family only")

@@ -415,6 +415,20 @@ def test_non_positive_tolerance_exit_2_with_or_without_grid(capsys, argv):
     assert err.count("\n") == 1 and "tolerance must be positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["logzeta", "--coin", "rw", "--u", "0.3", "--tol", "1e-3"],
+    ["mahler", "--poly", "X1 + X2 + X3 + 1", "--method", "quadrature", "--tol", "1e-2"],
+    ["stgf", "--d", "2", "--u", "0.9", "--max-refinements", "3"],
+    ["lambda", "--d", "3", "--tol", "1e-2", "--max-refinements", "9"],
+])
+def test_tol_and_max_refinements_without_grid_exit_2(capsys, argv):
+    # the ladder they would set runs only from --grid: without it they used
+    # to be ignored
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "mzc: error: --tol and --max-refinements need --grid\n"
+
+
 def test_usage_error_exit_2(capsys):
     code, _, _ = run_cli(["no-such-command"], capsys)
     assert code == 2

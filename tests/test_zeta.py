@@ -25,7 +25,7 @@ from mahlerzeta import (
     zeta_finite_dense,
 )
 import mahlerzeta.zeta as zeta_module
-from conftest import REAL_COIN_KINDS, phase_conjugate, real_coin
+from conftest import REAL_COIN_KINDS, phase_conjugate, random_unitary, real_coin
 from mahlerzeta.quadrature import det_stack, grid_mean
 from mahlerzeta.laurent import mesh_evaluator
 from mahlerzeta.walk import _momentum_stack
@@ -325,25 +325,86 @@ def test_closed_form_series_is_the_per_l_values(xi, shift):
         assert value == (0.0 if r % 2 else cr_closed_1d_qw(xi, r // 2, shift))
 
 
-@pytest.mark.parametrize("method,N,d,r_max,r_refused", [
-    # at d = 1, (r + 1) nodes * (r - 1) * 4 summed over r passes 2^28 at r = 586
-    ("quad_limit", None, 1, 100_000, 586),
-    ("quad_limit", None, 3, 40, 32),
-    ("trace_finite", 64, 1, 100_000, 1449),
-])
-def test_compute_series_grid_work_budget(method, N, d, r_max, r_refused):
+def _series_charge(r_max, nodes, d):
+    # (r_max - 1) products over max(nodes, 1024) sites of max((2d)^2, 64) entries
+    return (r_max - 1) * max(nodes, 1024) * max((2 * d) ** 2, 64)
+
+
+# (method, N, coin, d, the largest admitted r_max)
+_SERIES_BUDGET_CASES = [
+    ("quad_limit", None, "simple_rw", 1, 2048),
+    ("quad_limit", None, "simple_rw", 3, 44),
+    ("quad_limit", None, "grover", 2, 160),
+    # fewer than 1024 nodes are charged as 1024
+    ("trace_finite", 64, "simple_rw", 1, 4097),
+    ("trace_finite", 1, "grover", 3, 4097),
+]
+
+
+@pytest.mark.parametrize("method,N,d", [("quad_limit", None, 1), ("quad_limit", None, 3),
+                                        ("trace_finite", 64, 1)])
+def test_compute_series_grid_work_budget(method, N, d):
     start = time.perf_counter()
-    with pytest.raises(ComputationError, match=f"grid series budget .* by r = {r_refused}\\)"):
-        compute_series(build_coin("simple_rw", d), r_max, method, N=N)
+    with pytest.raises(ComputationError,
+                       match="C_r up to r = 100000 exceeds the grid series budget"):
+        compute_series(build_coin("simple_rw", d), 100_000, method, N=N)
     assert time.perf_counter() - start < 1.0
 
 
-def test_compute_series_grid_work_budget_boundary():
-    # the largest admitted r_max is the one below the refused r (its grids
-    # are not run here)
-    zeta_module._check_series_work(build_coin("simple_rw", 3), 31, lambda r: r + 1)
-    with pytest.raises(ComputationError):
-        zeta_module._check_series_work(build_coin("simple_rw", 3), 32, lambda r: r + 1)
+def test_compute_series_grid_work_budget_boundary(monkeypatch):
+    # the admitted run reaches its grid, stubbed out here, and one more r is
+    # refused before it
+    def grid_reached(*args, **kwargs):
+        raise LookupError("grid reached")
+
+    monkeypatch.setattr(zeta_module, "grid_mean", grid_reached)
+    for method, N, kind, d, r_max in _SERIES_BUDGET_CASES:
+        side = [r_max + 1, r_max + 2] if N is None else [N, N]
+        assert _series_charge(r_max, side[0] ** d, d) <= 2 ** 28
+        assert _series_charge(r_max + 1, side[1] ** d, d) > 2 ** 28
+        coin = build_coin(kind, d)
+        with pytest.raises(LookupError):
+            compute_series(coin, r_max, method, N=N)
+        with pytest.raises(ComputationError, match="grid series budget"):
+            compute_series(coin, r_max + 1, method, N=N)
+
+
+def test_compute_series_quad_limit_at_the_old_budget_runs_in_time():
+    # r_max = 585 was the largest the per-r grids admitted, at about 35 s
+    start = time.perf_counter()
+    series = compute_series(build_coin("simple_rw", 1), 585, "quad_limit")
+    assert time.perf_counter() - start < 2.0
+    assert len(series.values) == 585
+
+
+@st.composite
+def _series_coins(draw):
+    kind = draw(st.sampled_from(REAL_COIN_KINDS))
+    d = 1 if kind == "hadamard" else draw(st.integers(1, 3))
+    coin = real_coin(kind, d, draw(st.integers(0, 2 ** 32 - 1)), draw(st.floats(0.1, 1.4)))
+    return flip_flop(coin) if draw(st.booleans()) else coin
+
+
+@settings(max_examples=40, deadline=None)
+@given(coin=_series_coins(), r_max=st.integers(1, 12), N=st.integers(1, 6),
+       r=st.integers(1, 12))
+def test_grid_series_is_one_pass(coin, r_max, N, r):
+    # quad_limit is the pass on the (r_max + 1)^d grid, exact for every r <= r_max
+    r = min(r, r_max)
+    quad = compute_series(coin, r_max, "quad_limit").values
+    assert quad == compute_series(coin, r_max, "trace_finite", N=r_max + 1).values
+    path = compute_series(coin, r_max, "path_sum").values
+    assert all(abs(a - b) < 1e-12 for (_, a), (_, b) in zip(quad, path))
+    finite = compute_series(coin, r_max, "trace_finite", N=N).values
+    assert cr_finite(coin, N, r) == finite[r - 1][1]
+
+
+@pytest.mark.parametrize("method", ["quad_limit", "trace_finite", "path_sum"])
+def test_compute_series_refuses_a_complex_trace(rng, method):
+    # a complex unitary coin has complex C_r; no route may keep only the real part
+    coin = custom_coin(random_unitary(rng, 2))
+    with pytest.raises(ComputationError, match="imaginary residual"):
+        compute_series(coin, 4, method, N=5)
 
 
 def test_compute_series_validation():
