@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .laurent import MAX_VAR_INDEX
+
 __all__ = [
     "HADAMARD",
     "GROVER",
@@ -103,11 +105,11 @@ def build_coin(kind: str, d: int, xi: float | None = None) -> CoinMatrix:
     Raises
     ------
     ValueError
-        For an unknown kind, a missing or stray ``xi``, or a dimension
-        mismatch.
+        For an unknown kind, a missing or stray ``xi``, a dimension
+        mismatch, or d above 32 (``laurent.MAX_VAR_INDEX``).
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    if not isinstance(d, int) or not 1 <= d <= MAX_VAR_INDEX:
+        raise ValueError(f"d must be a positive integer up to {MAX_VAR_INDEX}, got {d!r}")
     if kind == HADAMARD:
         if d != 1:
             raise ValueError(f"hadamard coins are one-dimensional, got d={d}")
@@ -128,12 +130,13 @@ def build_coin(kind: str, d: int, xi: float | None = None) -> CoinMatrix:
 
 
 def custom_coin(entries, shift_type: str = M_TYPE) -> CoinMatrix:
-    """Wrap an arbitrary even-sized square matrix as a coin."""
+    """Wrap an arbitrary even-sized square matrix, of size at most 64, as a coin."""
     entries = np.asarray(entries, dtype=np.complex128)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"coin entries must be square, got shape {entries.shape}")
-    if entries.shape[0] % 2 != 0 or entries.shape[0] == 0:
-        raise ValueError(f"coin size must be a positive even number, got {entries.shape[0]}")
+    if entries.shape[0] % 2 != 0 or not 0 < entries.shape[0] <= 2 * MAX_VAR_INDEX:
+        raise ValueError(f"coin size must be a positive even number up to {2 * MAX_VAR_INDEX}, "
+                         f"got {entries.shape[0]}")
     return CoinMatrix(entries.shape[0] // 2, entries, CUSTOM, shift_type)
 
 

@@ -271,7 +271,7 @@ def verify_rw(d: int, u: float,
     carry the closed form log((1+sqrt(1-u^2))/2) and the central-binomial
     series; for d = 2 the 4F3 form and the squared-binomial series.  No
     other d computes a series: its return weights to r = 60 meet on a
-    light-cone field of 61^d sites.
+    light-cone field of 31^d sites.
     ``tol`` defaults to the suite's ``rw_d<d>`` tolerance, and to 1e-6 for a
     dimension the suite does not check.
     """

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,25 +106,9 @@ _LOG_ABS_BLOCK = 1 << 14
 def _log_abs_block(poly: LaurentPolynomial):
     """The log|f| integrand of ``grid_mean``, on (n, d) rows of torus points.
 
-    The points of each axis come from one ``cos`` and one ``sin`` per angle
-    and are kept while a later block passes the same axis object (see
-    ``grid_mean``), so an axis every block spans in full is computed once
-    per grid.
+    Each block takes one ``cos`` and one ``sin`` per angle of each of its
+    axes and broadcasts those points into its rows.
     """
-    # axis j -> (weak reference to an angle array, its torus points), the
-    # last pair seen: a dead reference matches no array, and a live one
-    # does not keep a finished grid's angles alive
-    held = {}
-
-    def points(j, theta):
-        last = held.get(j)
-        if last is not None and last[0]() is theta:
-            return last[1]
-        z = np.empty(theta.shape, dtype=np.complex128)
-        np.cos(theta, out=z.real)
-        np.sin(theta, out=z.imag)
-        held[j] = (weakref.ref(theta), z)
-        return z
 
     def fn(mesh):
         d = len(mesh)
@@ -135,7 +118,10 @@ def _log_abs_block(poly: LaurentPolynomial):
         # its transpose is the (n, d) rows, each column contiguous
         rows = np.empty((d,) + shape, dtype=np.complex128)
         for j, theta in enumerate(mesh):
-            rows[j] = points(j, theta)
+            z = np.empty(theta.shape, dtype=np.complex128)
+            np.cos(theta, out=z.real)
+            np.sin(theta, out=z.imag)
+            rows[j] = z
         mags = np.abs(eval_on_nodes(poly, rows.reshape(d, n).T))
         low = float(mags.min()) if n else None
         with np.errstate(divide="ignore"):

@@ -10,13 +10,13 @@ indices on one axis and spans every later axis in full.  An integrand sees a
 block as its open mesh, d per-axis angle arrays that broadcast together, so
 it can work on per-axis tables (cosines, powers of e^(i theta_j)) and build
 per-node rows only where it needs them.  An axis a block spans in full is
-the same read-only array object in every block of one grid, so such a table
-can be kept from block to block while the axis ``is`` the one it was built
-from; only the leading axes and the run axis are sliced per block.  A
-block holds at most ``_GRID_BLOCK`` = 2^16 nodes unless the caller asks for
-fewer, which keeps an integrand's temporaries near 1 MB.  Block sums are
-accumulated in a fixed order with ``math.fsum``, which makes every result
-bit-reproducible.
+the same read-only array object in every block of one grid; only the leading
+axes and the run axis are sliced per block.  A block holds at most
+``_GRID_BLOCK`` = 2^16 nodes unless the caller asks for fewer, which keeps an
+integrand's temporaries near 1 MB; before its first block a process frees
+one untouched 16 MiB array, so that they are reused, not faulted in afresh.
+Block sums are accumulated in a fixed order with ``math.fsum``, which makes
+every result bit-reproducible.
 
 An integrand even in theta_j, f(theta_j) = f(2 pi - theta_j), is averaged on
 half of axis j: with the half-node shift and an even M the grid is closed
@@ -59,6 +59,18 @@ _MAX_GRID_NODES = 1 << 26
 # host: about 9,700 minor faults and 99 MB peak RSS at 2^20, 2,300 and
 # 54 MB at 2^16); at 2^14 the per-block Python overhead outweighs the saving
 _GRID_BLOCK = 1 << 16
+
+_allocator_settled = False
+
+
+def _settle_allocator() -> None:
+    """Free one untouched 16 MiB array, once per process: glibc then raises
+    its mmap threshold to that size (its trim threshold to twice it), so
+    block temporaries are reused from the heap, not faulted in afresh."""
+    global _allocator_settled
+    if not _allocator_settled:
+        _allocator_settled = True
+        np.empty(1 << 21)
 
 
 def set_thread_count(n: int) -> None:
@@ -192,6 +204,7 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
         values, stat = fn(_open_mesh(full, block))
         return np.sum(values, axis=0), stat
 
+    _settle_allocator()
     # a block's values are freed before the next block is evaluated
     parts = [work(block) for block in _blocks(counts, max_block)]
     sums = np.asarray([p[0] for p in parts])

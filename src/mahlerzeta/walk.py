@@ -7,10 +7,12 @@ components at every site.  Sites are enumerated with x_1 varying fastest
 wherever an ordering is exposed.
 
 The return weights on Z^d take the same step without wraparound on the light
-cone: after a steps the field lives on the centred box of side 2a + 1.  Z^d
-is bipartite, so every odd return weight is zero, and the weight of 2a steps
-is met in the middle from the field of a steps,
-W_2a(0) = sum_x W_a(-x) W_a(x); all C_r up to R take floor(R/2) steps.
+cone, on the grid of u_0 = sum_j x_j and u_k = sum_j x_j - 2 x_k (k >= 1):
+a site reached in a steps has every u_k in {-a, -a+2, ..., a}, so the field
+of a steps lives on the (a+1)^d grid of i_k = (u_k + a)/2, 2^d fewer sites
+than the box of side 2a + 1, and x -> -x is i -> a - i.  Z^d is bipartite,
+so every odd return weight is zero, and the weight of 2a steps is met in the
+middle, W_2a(0) = sum_x W_a(-x) W_a(x); all C_r up to R take floor(R/2) steps.
 """
 
 from __future__ import annotations
@@ -248,8 +250,8 @@ class MatrixWeight:
 def _check_window(dim_d: int, r: int) -> None:
     """Refuse a light-cone run for r steps over its memory or its work budget.
 
-    The run takes floor(r/2) steps, each over at most the final window of
-    (2 floor(r/2) + 1)^d sites of (2d)^2 entries; that bound is charged to
+    The run takes floor(r/2) steps; each is charged the enclosing window of
+    (2 floor(r/2) + 1)^d sites of (2d)^2 entries, 2^d times the u-grid, to
     ``evolve``'s budget of 2^28 site-step coin products (``_check_work``).
     """
     side = 2 * (r // 2) + 1
@@ -264,33 +266,34 @@ def _check_window(dim_d: int, r: int) -> None:
 
 
 def _cone_step(field: np.ndarray, entries_t: np.ndarray, dim_d: int) -> np.ndarray:
-    """One step of a centred light-cone field into a zero box one site larger
-    on every side: the coin mixes the components at every site, then
+    """One step of a light-cone field on the u-grid into a zero grid one
+    larger on every axis: the coin mixes the components at every site, then
     component 2j (0-based) moves to x - e_j and component 2j+1 to x + e_j."""
     side, n = field.shape[0], field.shape[-1]
     mixed = (field.reshape(-1, n) @ entries_t).reshape(field.shape)
-    nxt = np.zeros((side + 2,) * dim_d + (n, n), dtype=np.complex128)
-    inner = slice(1, side + 1)
+    nxt = np.zeros((side + 1,) * dim_d + (n, n), dtype=field.dtype)
+    low, high = slice(0, side), slice(1, side + 1)
     for j in range(dim_d):
-        for comp, lo in ((2 * j, 0), (2 * j + 1, 2)):
-            box = [inner] * dim_d
-            box[j] = slice(lo, lo + side)
-            nxt[tuple(box) + (slice(None), comp)] = mixed[..., comp]
+        # x - e_j is one index up on axis j >= 1 alone, x + e_j on the others
+        minus = tuple(high if k == j > 0 else low for k in range(dim_d))
+        plus = tuple(low if k == j > 0 else high for k in range(dim_d))
+        nxt[minus + (slice(None), 2 * j)] = mixed[..., 2 * j]
+        nxt[plus + (slice(None), 2 * j + 1)] = mixed[..., 2 * j + 1]
     return nxt
 
 
 def _cone_fields(coin: CoinMatrix, steps: int):
     """Yield the light-cone fields F_0, F_1, ..., F_steps of the walk on Z^d.
 
-    F_a has shape (2a+1,)*d + (2d, 2d): index a on each spatial axis is the
-    origin, and F_a[x][k, c] is component c at x of the state started from
-    component k at the origin, so the weight W_a(x) is F_a[x].T.  No site
-    outside the box is reachable in a steps, so no step wraps around.
+    F_a has shape (a+1,)*d + (2d, 2d), on the u-grid: x sits at
+    i_0 = (sum_j x_j + a)/2 and i_k = i_0 - x_k, and a node with |x|_1 > a is
+    0.  F_a[i][k, c] is component c at x of the state started from component
+    k at the origin, so W_a(x) is F_a[i].T.  The fields are float64 for a
+    coin with no imaginary part and complex128 otherwise.
     """
-    d = coin.dim_d
-    n = 2 * d
-    field = np.eye(n, dtype=np.complex128).reshape((1,) * d + (n, n))
-    entries_t = coin.entries.T
+    d, n, entries = coin.dim_d, coin.size, coin.entries
+    entries_t = (entries if entries.imag.any() else entries.real).T
+    field = np.eye(n, dtype=entries_t.dtype).reshape((1,) * d + (n, n))
     yield field
     for _ in range(steps):
         field = _cone_step(field, entries_t, d)

@@ -231,6 +231,25 @@ def test_cr_over_the_light_cone_budget_exit_1(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("refused, accepted", [
+    ("zeta-finite --coin grover --d 33 --N 1 --u -0.5",
+     "zeta-finite --coin rw --d 32 --N 1 --u -0.5"),
+    ("cr --coin grover --d 33 --r-max 1 --method trace_finite --N 1",
+     "cr --coin grover --d 32 --r-max 1 --method trace_finite --N 1"),
+    ("coin --coin grover --d 2000", "coin --coin grover --d 32"),
+])
+def test_dimension_above_32_exit_2(capsys, refused, accepted):
+    # numpy takes at most 32 axes in some calls, so d stops at 32; the
+    # refusal is one stderr line before anything is built
+    code, out, err = run_cli(refused.split(), capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: d must be a positive integer up to 32, got {refused.split()[4]}\n"
+    code, out, _ = run_cli(accepted.split(), capsys)
+    assert code == 0
+    assert json.loads(out)["inputs"]["d"] == 32
+
+
 @pytest.mark.parametrize("method", [["--method", "quad_limit"],
                                     ["--method", "trace_finite", "--N", "64"]])
 def test_cr_over_the_grid_series_budget_exit_1(capsys, method):

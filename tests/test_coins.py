@@ -49,6 +49,9 @@ def test_build_coin_errors():
         build_coin("grover", 2, xi=0.3)
     with pytest.raises(ValueError, match="positive integer"):
         build_coin("grover", 0)
+    with pytest.raises(ValueError, match="up to 32, got 33"):
+        build_coin("grover", 33)
+    assert build_coin("simple_rw", 32).size == 64
 
 
 def test_flip_flop_hadamard():
@@ -114,6 +117,9 @@ def test_coin_matrix_validation():
         custom_coin(np.ones((2, 3)))
     with pytest.raises(ValueError, match="even"):
         custom_coin(np.ones((3, 3)))
+    with pytest.raises(ValueError, match="up to 64, got 66"):
+        custom_coin(np.eye(66))
+    assert custom_coin(np.eye(64)).dim_d == 32
 
 
 def test_entries_are_locked():

@@ -11,6 +11,7 @@ from mahlerzeta import (
     ComputationError,
     MomentumPoint,
     build_coin,
+    cr_limit,
     custom_coin,
     delta_state,
     evolve,
@@ -23,7 +24,7 @@ from mahlerzeta import (
     uniform_state,
 )
 from conftest import REAL_COIN_KINDS, phase_conjugate, random_unitary, real_coin
-from mahlerzeta.walk import WalkState, _step
+from mahlerzeta.walk import WalkState, _cone_fields, _step
 
 
 # --------------------------------------------------------------------------
@@ -357,6 +358,49 @@ def test_weight_trace_real_for_even_steps():
         for r in (2, 4, 6):
             tr = np.trace(matrix_weight_origin(coin, r).matrix)
             assert abs(tr.imag) < 1e-12
+
+
+@pytest.mark.parametrize("d,r_max", [(1, 60), (2, 60), (3, 24)])
+def test_weight_traces_rw_match_return_probability(d, r_max):
+    # the float64 u-grid run of the simple walk against its exact return
+    # probabilities, far past the dyadic range of the d = 4 test below
+    traces = matrix_weight_traces(build_coin("simple_rw", d), r_max)
+    for r in range(2, r_max + 1, 2):
+        exact = float(return_probability(d, r))
+        assert traces[r].imag == 0
+        assert abs(traces[r].real - exact) <= 2e-15 * exact
+
+
+@pytest.mark.parametrize("shift", ["m", "f"])
+def test_weight_traces_grover_d3_match_momentum_route(shift):
+    # cr_limit is the exact torus mean of Tr M_hat^r, a route that shares
+    # no field with the light cone
+    coin = build_coin("grover", 3)
+    if shift == "f":
+        coin = flip_flop(coin)
+    traces = matrix_weight_traces(coin, 16)
+    for r in range(1, 17):
+        assert abs(traces[r] - cr_limit(coin, r)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind,d,dtype", [("simple_rw", 1, np.float64),
+                                          ("grover", 2, np.float64),
+                                          ("random_stochastic", 3, np.float64),
+                                          ("random_unitary", 1, np.complex128),
+                                          ("random_unitary", 2, np.complex128),
+                                          ("random_unitary", 3, np.complex128)])
+def test_cone_fields_live_on_the_u_grid(kind, d, dtype):
+    # F_a is (a+1)^d sites of (2d, 2d) entries in the coin's dtype; the site
+    # x sits at i_0 = (sum x + a)/2 and i_k = i_0 - x_k, and every node
+    # whose x leaves the l1 ball of radius a is exactly zero
+    for a, field in enumerate(_cone_fields(_test_coin(kind, d, None), 5)):
+        assert field.shape == (a + 1,) * d + (2 * d, 2 * d)
+        assert field.dtype == dtype
+        for i in itertools.product(range(a + 1), repeat=d):
+            x = [i[0] - i[k] for k in range(1, d)]
+            x0 = 2 * i[0] - a - sum(x)
+            if abs(x0) + sum(map(abs, x)) > a:
+                assert not field[i].any()
 
 
 def test_weight_traces_rw_d4_exact():
