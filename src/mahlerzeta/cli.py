@@ -9,18 +9,25 @@ Numbers carry 17 significant digits; complex entries appear as [re, im]
 pairs.  Exit codes: 0 success, 1 computation failure (non-convergence,
 singular factor, a grid, an evolve run or a light-cone run over its work
 budget, a linear-algebra, arithmetic (floating-point, overflow) or memory
-error), 2 usage or parse error.  Every error is one line on stderr; a float
-option that is not a finite number, a ``--tol`` that is not positive and a
-``--tol`` or ``--max-refinements`` without ``--grid`` are usage errors,
-refused before any work.
+error, or a result over the output budget), 2 usage or parse error.  Every
+error is one line on stderr; a float option that is not a finite number, a
+``--tol`` that is not positive and a ``--tol`` or ``--max-refinements``
+without ``--grid`` are usage errors, refused before any work.  A result that
+would print more than 2^20 values (``coin`` entries, ``cr`` coefficients,
+``evolve --emit-field`` amplitudes) is refused before any work, exit 1.
 Output is byte-identical for identical inputs; pass --timing to add wall
 time to the diagnostics.
+
+``main(argv)`` may be called any number of times in one process: every call
+shares one parser, built on the first call, and prints what a fresh process
+prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -152,6 +159,17 @@ def _floats(text: str) -> list[float]:
     return [_finite(part) for part in text.split(",") if part.strip() != ""]
 
 
+# the most values (coin entries, C_r coefficients, field amplitudes) one
+# call may print; a larger result is refused before any work
+_MAX_OUTPUT_VALUES = 1 << 20
+
+
+def _check_output(count: int, what: str) -> None:
+    if count > _MAX_OUTPUT_VALUES:
+        raise ComputationError(f"{what} would print {count} values "
+                               f"(> {_MAX_OUTPUT_VALUES} output budget)")
+
+
 def _coin_from_args(args) -> CoinMatrix:
     kind = {"hadamard": "hadamard", "grover": "grover", "rw": "simple_rw"}.get(args.coin)
     if kind is None:
@@ -182,7 +200,11 @@ def _add_quad_flags(sub):
     sub.add_argument("--max-refinements", type=int, help="doublings (needs --grid)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # one parser per process, which no caller changes: parse_args keeps no
+    # state between calls, and argparse looks up sys.stdout and sys.stderr
+    # only when it prints
     parser = _Parser(
         prog="mzc",
         description="Walk zeta functions, Mahler measures, and their cross-checks",
@@ -265,6 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_coin(args):
     coin = _coin_from_args(args)
+    _check_output(coin.entries.size, f"coin --d {args.d}")
     inputs = {"coin": args.coin, "d": args.d, "xi": args.xi, "shift": args.shift}
     result = {
         "entries": coin.entries,
@@ -277,6 +300,9 @@ def _cmd_coin(args):
 
 def _cmd_evolve(args):
     coin = _coin_from_args(args)
+    if args.emit_field:
+        _check_output(2 * args.d * args.N ** args.d,
+                      f"evolve --emit-field on the {args.N}^{args.d} torus")
     state = (delta_state(args.d, args.N) if args.initial == "origin"
              else uniform_state(args.d, args.N))
     final = evolve(state, coin, args.steps)
@@ -302,6 +328,7 @@ def _cmd_zeta_finite(args):
 
 def _cmd_cr(args):
     coin = _coin_from_args(args)
+    _check_output(args.r_max, f"cr --r-max {args.r_max}")
     series = compute_series(coin, args.r_max, args.method, N=args.N)
     inputs = {"coin": args.coin, "d": args.d, "xi": args.xi, "shift": args.shift,
               "r_max": args.r_max, "method": args.method, "N": args.N}

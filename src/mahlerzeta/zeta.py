@@ -435,7 +435,9 @@ def compute_series(coin: CoinMatrix, r_max: int, method: str,
     on the (r_max+1)^d grid, exact for every r <= r_max; ``path_sum``
     traces the return weights, and ``closed_form`` is the one-dimensional
     formula.  The grid routes raise ``ComputationError`` before their grid
-    when (r_max - 1) * max(nodes, 1024) * max((2d)^2, 64) exceeds 2^28.
+    when (r_max - 1) * max(nodes, 1024) * max((2d)^2, 64) exceeds 2^28, and
+    ``closed_form`` before its recurrence when floor(r_max / 2) * 1024 does
+    (r_max above 524,289).
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -452,6 +454,8 @@ def compute_series(coin: CoinMatrix, r_max: int, method: str,
     else:
         if coin.kind != HADAMARD or coin.xi is None:
             raise ValueError("closed_form is available for the hadamard family only")
+        # one recurrence term per even r, charged as one scalar site
+        _check_work(r_max // 2, 1, 1, f"C_r up to r = {r_max} exceeds the closed-form budget")
         even = _cr_closed_values(coin.xi, r_max // 2, coin.shift_type) if r_max > 1 else []
         values = [(r, 0.0 if r % 2 else even[r // 2 - 1]) for r in range(1, r_max + 1)]
     return SeriesCoefficients(repr(coin), tuple(values), method)

@@ -344,8 +344,10 @@ def test_lambda_grid_budget_counts_folded_nodes(capsys):
 
 def test_verify_tol_file(tmp_path, capsys):
     tol_file = tmp_path / "tols.json"
-    tol_file.write_text(json.dumps({"catalan": 0.0}))
-    code, out, _ = run_cli(["verify", "--suite", "constants",
+    # the three-variable Smyth route converges algebraically, so its gap is
+    # never 0 (the special constants are correctly rounded and can be)
+    tol_file.write_text(json.dumps({"smyth_3var": 0.0}))
+    code, out, _ = run_cli(["verify", "--suite", "smyth",
                             "--tol-file", str(tol_file)], capsys)
     payload = json.loads(out)
     assert code == 1
@@ -542,3 +544,71 @@ def test_module_entry_point_prints_main_output(capsys):
                          capture_output=True, env=env, timeout=120)
     assert out.returncode == 0
     assert out.stdout == expected.encode()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cr", "--coin", "hadamard", "--xi", "0.5", "--method", "closed_form",
+      "--r-max", "1000000"],
+     "computation failed: C_r up to r = 1000000 exceeds the closed-form budget"),
+    (["cr", "--coin", "hadamard", "--xi", "0.5", "--method", "closed_form",
+      "--r-max", "10000000"],
+     "computation failed: cr --r-max 10000000 would print 10000000 values "
+     "(> 1048576 output budget)"),
+    (["cr", "--coin", "rw", "--r-max", "1048577", "--format", "csv"],
+     "computation failed: cr --r-max 1048577 would print 1048577 values"),
+    (["evolve", "--coin", "rw", "--d", "1", "--N", "1000000", "--steps", "1", "--emit-field"],
+     "computation failed: evolve --emit-field on the 1000000^1 torus would print "
+     "2000000 values (> 1048576 output budget)"),
+])
+def test_output_and_closed_form_budgets_exit_1(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_coin_over_output_budget_exit_1(monkeypatch, capsys):
+    # the d <= 32 cap keeps a coin to 4096 entries, so shrink the budget
+    monkeypatch.setattr(cli, "_MAX_OUTPUT_VALUES", 16)
+    code, out, _ = run_cli(["coin", "--coin", "grover", "--d", "2"], capsys)
+    assert code == 0 and len(json.loads(out)["result"]["entries"]) == 4
+    start = time.perf_counter()
+    code, out, err = run_cli(["coin", "--coin", "grover", "--d", "3"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "computation failed: coin --d 3 would print 36 values (> 16 output budget)\n"
+
+
+def test_parser_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    _, first, _ = run_cli(["lambda", "--d", "2"], capsys)
+    code, out, err = run_cli(["lambda", "--d", "x"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("mzc lambda: error: argument --d: invalid int value")
+    code, out, err = run_cli(["--version"], capsys)
+    assert (code, out, err) == (0, f"mzc {cli.__version__}\n", "")
+    code, out, err = run_cli(["-h"], capsys)
+    assert code == 0 and out.startswith("usage: mzc") and err == ""
+    code, out, err = run_cli(["no-such-command"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("mzc: error: argument command: invalid choice: 'no-such-command'")
+    code, last, err = run_cli(["lambda", "--d", "2"], capsys)
+    assert (code, last, err) == (0, first, "")
+
+
+def test_in_process_calls_print_what_fresh_processes_print(capsys):
+    calls = [["cr", "--coin", "rw", "--d", "1", "--r-max", "8", "--format", "csv"],
+             ["mahler", "--poly", "X1 + X2 + 1", "--grid", "1024"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in calls:
+        code, out, err = run_cli(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "mahlerzeta.cli", *argv],
+                               capture_output=True, env=env, timeout=120)
+        assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout,
+                                                     fresh.stderr)

@@ -366,7 +366,13 @@ def test_run_suite_quick_subset_passes():
 def test_run_suite_zero_tolerance_fails():
     tols = {key: 0.0 for key in DEFAULT_TOLERANCES}
     reports = run_suite(tolerances=tols, params=_QUICK_PARAMS)
-    assert all(not rep.passed for rep in reports)
+    assert all(rep.tolerance == 0.0 for rep in reports)
+    # the Catalan constant is correctly rounded, so only its gap is 0; every
+    # walk identity keeps a rounding gap and fails
+    exact = [rep.identity_name == "constants: catalan constant" for rep in reports]
+    assert exact.count(True) == 1
+    assert [rep.abs_diff == 0.0 for rep in reports] == exact
+    assert [rep.passed for rep in reports] == exact
 
 
 def test_run_suite_empty_params():

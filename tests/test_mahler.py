@@ -715,6 +715,17 @@ def test_special_constants_reference_digits():
     assert abs(consts["catalan_G"] - 0.91596) < 1e-5
 
 
+def test_special_constants_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    consts = special_constants()
+    with mpmath.workdps(30):
+        third = mpmath.mpf(1) / 3
+        exact = {"zeta3": mpmath.zeta(3), "catalan_G": mpmath.catalan,
+                 "L_chi3_2": (mpmath.zeta(2, third) - mpmath.zeta(2, 2 * third)) / 9}
+        for name, value in exact.items():
+            assert abs(mpmath.mpf(consts[name]) - value) < 2e-16, name
+
+
 def test_zeta_mahler_at_zero_power():
     assert zeta_mahler(parse_laurent("X1 + X2 + 1"), 0.0, QuadratureSpec(16)) == 1.0
 

@@ -369,6 +369,24 @@ def test_compute_series_grid_work_budget_boundary(monkeypatch):
             compute_series(coin, r_max + 1, method, N=N)
 
 
+def test_compute_series_closed_form_budget_boundary(monkeypatch):
+    # floor(r_max / 2) recurrence terms at 1024 units each: the admitted run
+    # reaches the recurrence, stubbed out here, and one more r is refused
+    def recurrence_reached(*args, **kwargs):
+        raise LookupError("recurrence reached")
+
+    monkeypatch.setattr(zeta_module, "_cr_closed_values", recurrence_reached)
+    coin = hadamard(0.5)
+    with pytest.raises(LookupError):
+        compute_series(coin, 524_289, "closed_form")
+    start = time.perf_counter()
+    for r_max in (524_290, 10_000_000):
+        with pytest.raises(ComputationError,
+                           match=f"C_r up to r = {r_max} exceeds the closed-form budget"):
+            compute_series(coin, r_max, "closed_form")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_compute_series_quad_limit_at_the_old_budget_runs_in_time():
     # r_max = 585 was the largest the per-r grids admitted, at about 35 s
     start = time.perf_counter()
