@@ -23,6 +23,7 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coins import F_TYPE, M_TYPE, SIMPLE_RW, build_coin, flip_flop
 from .errors import ComputationError
@@ -30,7 +31,8 @@ from .laurent import LaurentPolynomial
 from .mahler import hyper_pfq, mahler_reduced, mahler_walk_1d, special_constants
 # perfbench's tracer wraps mahler_quadrature in every module that imports it
 from .mahler import mahler_quadrature  # noqa: F401
-from .quadrature import QuadratureSpec, grid_mean, refine_to_tol
+from .quadrature import (_GRID_BLOCK, QuadratureSpec, _blocks, _grid_counts, _settle_allocator,
+                         grid_mean, refine_to_tol)
 from .walk import matrix_weight_traces
 from .zeta import _series_sum, log_zeta
 # perfbench's tracer wraps log_zeta_series in every module that imports it
@@ -142,37 +144,87 @@ def verify_1d_qw(xi: float, u: float, shift_type: str,
     )
 
 
-def _cos_sum_grid(d: int, points: int, shift: float, integrand) -> float:
-    """Average of integrand(sum_j cos theta_j) over one M^d grid.
+def _cos_excess(theta: np.ndarray, beta: float) -> np.ndarray:
+    """beta (cos theta - 1), as -2 beta sin^2(theta/2): no cancellation near theta = 0."""
+    half = np.sin(0.5 * theta)
+    return (-2.0 * beta) * (half * half)
 
-    The integrand is even in every theta_j, so ``grid_mean`` folds every
-    axis: with the half-node shift and an even M it evaluates only the
-    (M/2)^d nodes in [0, pi)^d.
 
-    The block's cosine sum is broadcast from the per-axis cosines and added
-    left to right, the order in which ``np.sum(..., axis=1)`` adds a row of
-    fewer than 8 entries (longer rows it adds pairwise).
+def _cos_sum_grid(d: int, points: int, shift: float, alpha: float, beta: float,
+                  ufunc) -> float:
+    """Average of ufunc(alpha + beta sum_j cos theta_j) over one M^d grid.
+
+    ``ufunc`` (``np.log`` or ``np.reciprocal``) is called as ``ufunc(block,
+    out=block)``.  A node's argument is c + sum_j e_j, with c = alpha + d beta
+    and e_j = beta (cos theta_j - 1) = -2 beta sin^2(theta_j / 2), so an
+    argument that vanishes at theta = 0 (lambda_d) keeps its digits near it.
+    The integrand is even in every theta_j: at the half-node shift and an even
+    M each axis keeps its n = M/2 nodes in [0, pi), otherwise all n = M, and
+    an n^d over 2^26 raises ``ComputationError``.  ``grid_mean`` runs d = 1.
+
+    For d >= 2 the last two axes, each carrying t_j = c/2 + e_j, are taken
+    as unordered pairs: row r holds t_j + t_{(j+r) mod n}, j = 0..n-1, and
+    rows r and n - r hold the same pairs, so rows 0..floor(n/2), weighted 2
+    but for row 0 and (even n) row n/2, sum every ordered pair once.  With
+    the leading d - 2 axes as a product set, ``_blocks`` cuts the
+    (floor(n/2) + 1) n^(d-1) nodes into blocks of at most ``_GRID_BLOCK``.
+    Weighted row sums are added per block by ``np.sum`` and the blocks joined
+    by ``math.fsum``, so no BLAS call touches the result.
     """
-    def fn(mesh):
-        s = np.cos(mesh[0])
-        for theta in mesh[1:]:
-            s = s + np.cos(theta)
-        return integrand(s).ravel(), None
+    # correctly rounded: a rounding of d * beta would shift every node alike,
+    # which near a zero of the argument (the Green function as u -> 1) biases
+    # the mean by far more than rounding the nodes one by one
+    constant = math.fsum([alpha] + [beta] * d)
+    if d == 1:
+        def fn(mesh):
+            t = _cos_excess(mesh[0], beta)
+            t += constant
+            return ufunc(t, out=t), None
 
-    mean, _ = grid_mean(fn, d, points, shift, fold=range(d))
-    return mean.real
+        return grid_mean(fn, 1, points, shift, fold=(0,))[0].real
+    n = _grid_counts(d, points, shift, range(d))[0]
+    e = _cos_excess((np.arange(n) + shift) * (2.0 * math.pi / points), beta)
+    t = 0.5 * constant + e
+    rows = n // 2 + 1
+    weights = np.full(rows, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0  # row n/2 is its own mirror
+    windows = sliding_window_view(np.concatenate((t, t)), n)  # row r: t[(j + r) % n]
+    pairs = None
+    _settle_allocator()
+    sums = []
+    for outer, j0, j1 in _blocks([n] * (d - 2) + [rows, n], _GRID_BLOCK):
+        lead = sum(e[i] for i in outer)  # the leading nodes the block fixes
+        if len(outer) == d - 2:  # a run of pair rows
+            block = windows[j0:j1] + t
+            if outer:
+                block += lead
+            w = weights[j0:j1]
+        else:  # a run on leading axis len(outer); later axes and pair rows in full
+            lead = lead + e[j0:j1]
+            for _ in range(len(outer) + 1, d - 2):
+                lead = np.add.outer(lead, e)
+            if pairs is None:
+                pairs = windows[:rows] + t
+            block = np.add.outer(lead, pairs)
+            w = weights
+        ufunc(block, out=block)
+        sums.append(np.sum(np.sum(block, axis=-1) * w))
+    return math.fsum(sums) / n ** d
 
 
-def _cos_log_mean(d: int, spec: QuadratureSpec, transform, ratio: float | None = None) -> float:
-    """Refined torus average of log(transform(sum_j cos theta_j)).
+def _cos_log_mean(d: int, spec: QuadratureSpec, alpha: float, beta: float,
+                  ratio: float | None = None) -> float:
+    """Refined torus average of log(alpha + beta sum_j cos theta_j).
 
     Without ``ratio`` a ladder that does not converge raises.  With it, the
     ladder extrapolates at that fixed error ratio and its last extrapolant is
     returned as it stands.
     """
-    integrand = lambda s: np.log(transform(s))
-    res = refine_to_tol(lambda points: _cos_sum_grid(d, points, spec.node_shift, integrand),
-                        spec, None if ratio is None else (lambda: ratio))
+    res = refine_to_tol(
+        lambda points: _cos_sum_grid(d, points, spec.node_shift, alpha, beta, np.log),
+        spec, None if ratio is None else (lambda: ratio))
     if ratio is None and not res.converged:
         raise ComputationError(
             f"scalar quadrature did not converge (last delta {res.delta:.3e})"
@@ -219,7 +271,7 @@ def verify_grover(d: int, u: float,
         tol = DEFAULT_TOLERANCES.get(f"grover_d{d}", 1e-4)
     spec = quad or _grover_spec(d)
     base = (d - 1) * math.log(1.0 - u * u)
-    lhs = base + _cos_log_mean(d, spec, lambda s: 1.0 - (2.0 * u / d) * s + u * u)
+    lhs = base + _cos_log_mean(d, spec, 1.0 + u * u, -2.0 * u / d)
     c = -d * (u + 1.0 / u)
     poly = _lattice_polynomial(d, c)
     mahler = mahler_reduced(poly, spec)
@@ -281,7 +333,7 @@ def verify_rw(d: int, u: float,
     if tol is None:
         tol = DEFAULT_TOLERANCES.get(f"rw_d{d}", 1e-6)
     spec = quad or _rw_spec(d)
-    lhs = _cos_log_mean(d, spec, lambda s: 1.0 - (u / d) * s)
+    lhs = _cos_log_mean(d, spec, 1.0, -u / d)
     c = -2.0 * d / u
     poly = _lattice_polynomial(d, c)
     mahler = mahler_reduced(poly, spec)
@@ -329,10 +381,10 @@ def stgf(d: int, u: float, quad: QuadratureSpec | None = None) -> float:
         raise ValueError(f"u must lie in (0, 1], got {u}")
     if u == 1.0:
         spec = quad or _tree_spec(d)
-        integral = _cos_log_mean(d, spec, lambda s: 1.0 - s / d, 2.0 if d == 1 else 4.0)
+        integral = _cos_log_mean(d, spec, 1.0, -1.0 / d, 2.0 if d == 1 else 4.0)
     else:
         spec = quad or _rw_spec(d)
-        integral = _cos_log_mean(d, spec, lambda s: 1.0 / u - s / d)
+        integral = _cos_log_mean(d, spec, 1.0 / u, -1.0 / d)
     return math.log(2 * d) + integral
 
 
@@ -445,9 +497,9 @@ def _rw_probe_points(d: int, u: float) -> int:
     # midpoint rule's error falls like exp(-M * strip), and 19/strip nodes
     # put it near e^-19 of the value; a grid past the per-d cap is refused,
     # since a clamped one would return G off by far more with no warning.
-    # The grid is folded (``_cos_sum_grid``): at the caps it evaluates 2048,
-    # 512^2 and 128^3 nodes, about 0.1, 3 and 17 ms at 1 thread on a
-    # 2-core x86 host
+    # The grid is folded and its last two axes paired (``_cos_sum_grid``):
+    # at the caps it evaluates 2048, 257 x 512 and 65 x 128^2 nodes, about
+    # 0.05, 0.3 and 1.7 ms at 1 thread on a 2-core x86 host
     strip = math.acosh(d / u - (d - 1))
     points = int(math.ceil(19.0 / strip))
     cap = 4096 if d == 1 else (1024 if d == 2 else 256)
@@ -483,8 +535,8 @@ def transience_probe(d: int, u_values) -> TransienceProbe:
             f"u={us[-1]} too close to 1 for the probe grids (limit {_PROBE_U_MAX})"
         )
     # one grid per u, no ladder: the probe sets its own resolution
-    greens = [_cos_sum_grid(d, _rw_probe_points(d, u), 0.5,
-                            lambda s, u=u: 1.0 / (1.0 - (u / d) * s)) for u in us]
+    greens = [_cos_sum_grid(d, _rw_probe_points(d, u), 0.5, 1.0, -u / d, np.reciprocal)
+              for u in us]
     derivs = [1.0 - g for g in greens]
     increments = [abs(b - a) for a, b in zip(derivs, derivs[1:])]
     bounded = len(increments) >= 2 and increments[-1] * 2.0 < increments[-2]
@@ -588,9 +640,9 @@ def _lattice_smyth(n: int) -> LaurentPolynomial:
 
 
 _REFERENCE_CONSTANTS = {
-    # independently published decimal expansions
+    # independently published decimal expansions, each the correctly rounded double
     "zeta3": ("zeta(3)", 1.2020569031595943, "zeta3"),
-    "l_chi3": ("L(chi_-3, 2)", 0.7813024128964864, "L_chi3_2"),
+    "l_chi3": ("L(chi_-3, 2)", 0.7813024128964863, "L_chi3_2"),
     "catalan": ("catalan constant", 0.915965594177219015, "catalan_G"),
 }
 

@@ -155,6 +155,22 @@ def _open_mesh(full, block) -> tuple[np.ndarray, ...]:
     return tuple(mesh)
 
 
+def _grid_counts(d: int, points: int, shift: float, fold) -> list[int]:
+    """Nodes on each axis of the grid ``grid_mean(fn, d, points, shift, fold=fold)`` evaluates.
+
+    Raises ``ComputationError`` when their product exceeds the 2^26 cap.
+    """
+    folded = set(fold) if shift == 0.5 and points % 2 == 0 else set()
+    counts = [points // 2 if j in folded else points for j in range(d)]
+    total = math.prod(counts)
+    if total > _MAX_GRID_NODES:
+        shape = f"{counts[0]}^{d}" if len(set(counts)) == 1 else "x".join(map(str, counts))
+        raise ComputationError(
+            f"grid {shape} = {total} nodes exceeds the cap of {_MAX_GRID_NODES} (2^26)"
+        )
+    return counts
+
+
 def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
               max_block: int | None = None) -> tuple[complex | np.ndarray, float | None]:
     """Average ``fn`` over the tensor grid with M = ``points`` nodes per axis.
@@ -187,14 +203,8 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
         max_block = _GRID_BLOCK
     if d < 1 or max_block < 1:
         raise ValueError(f"need d >= 1 and max_block >= 1, got d={d}, max_block={max_block}")
-    folded = set(fold) if shift == 0.5 and points % 2 == 0 else set()
-    counts = [points // 2 if j in folded else points for j in range(d)]
+    counts = _grid_counts(d, points, shift, fold)
     total = math.prod(counts)
-    if total > _MAX_GRID_NODES:
-        shape = f"{counts[0]}^{d}" if len(set(counts)) == 1 else "x".join(map(str, counts))
-        raise ComputationError(
-            f"grid {shape} = {total} nodes exceeds the cap of {_MAX_GRID_NODES} (2^26)"
-        )
     axis = (np.arange(points) + shift) * (2.0 * math.pi / points)
     axis.flags.writeable = False  # every block reads it
     full = [axis[:n].reshape([n if k == j else 1 for k in range(d)])

@@ -330,9 +330,9 @@ def test_mahler_grid_over_budget_exit_1(capsys):
 
 
 def test_lambda_grid_budget_counts_folded_nodes(capsys):
-    # the cos-sum grids evaluate (M/2)^3 nodes: the ladder 256, 512 of
-    # --grid 512 fits the 2^26 budget, and the 1024 rung of --grid 1024
-    # (512^3 nodes) does not
+    # the 2^26 budget counts the folded (M/2)^3 grid, of which the pair rows
+    # evaluate about half: the ladder 256, 512 of --grid 512 fits it, and
+    # the 1024 rung of --grid 1024 (512^3 nodes) does not
     code, out, _ = run_cli(["lambda", "--d", "3", "--grid", "512"], capsys)
     assert code == 0
     assert json.loads(out)["result"] == 1.6733892978492759

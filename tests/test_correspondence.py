@@ -27,12 +27,28 @@ from mahlerzeta import (
     verify_rw,
 )
 from mahlerzeta.correspondence import (
+    _REFERENCE_CONSTANTS,
     SUITE_CHECKS,
     SUITE_GROUPS,
     _grover_spec,
     _lattice_polynomial,
     _rw_spec,
 )
+
+
+# --------------------------------------------------------------------------
+# reference constants
+
+def test_reference_literals_are_correctly_rounded():
+    # each literal of the constants checks is the double nearest its 30-digit value
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        third = mpmath.mpf(1) / 3
+        exact = {"zeta3": mpmath.zeta(3), "catalan": mpmath.catalan,
+                 "l_chi3": (mpmath.zeta(2, third) - mpmath.zeta(2, 2 * third)) / 9}
+        assert set(exact) == set(_REFERENCE_CONSTANTS)
+        for key, value in exact.items():
+            assert _REFERENCE_CONSTANTS[key][1] == float(value), key
 
 
 # --------------------------------------------------------------------------

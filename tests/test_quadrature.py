@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from mahlerzeta import ComputationError, QuadratureSpec, parse_laurent
 from mahlerzeta import mahler as mahler_module
 from mahlerzeta.correspondence import _cos_sum_grid
-from mahlerzeta.quadrature import (_blocks, det_stack, get_thread_count, grid_mean,
-                                   refine_to_tol, set_thread_count)
+from mahlerzeta.quadrature import (_blocks, _settle_allocator, det_stack, get_thread_count,
+                                   grid_mean, refine_to_tol, set_thread_count)
 
 
 def _recording(model):
@@ -148,34 +149,37 @@ def _rows(mesh):
     return np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, len(mesh))
 
 
-def _cos_log_dense(d, points, shift, transform, max_block=None, fold=False):
-    # folded: the halved rows of the (M/2)-grid, the M-grid's nodes in [0, pi)^d
-    scale = 0.5 if fold else 1.0
-
+def _cos_log_dense(d, points, shift, transform, max_block=None):
     def fn(mesh):
-        return np.log(transform(np.sum(np.cos(scale * _rows(mesh)), axis=1))), None
+        return np.log(transform(np.sum(np.cos(_rows(mesh)), axis=1))), None
 
-    return grid_mean(fn, d, points // 2 if fold else points, shift, max_block=max_block)[0].real
+    return grid_mean(fn, d, points, shift, max_block=max_block)[0].real
+
+
+def _cos_sum_dense(d, points, shift, alpha, beta, ufunc):
+    """Every node of the n^d grid ``_cos_sum_grid`` stands for, added by ``math.fsum``.
+
+    n = M/2 nodes in [0, pi) per axis at shift 0.5 and even M, else all M.
+    """
+    n = points // 2 if shift == 0.5 and points % 2 == 0 else points
+    cosines = np.cos((np.arange(n) + shift) * (2.0 * math.pi / points))
+    s = sum(cosines.reshape([n if k == j else 1 for k in range(d)]) for j in range(d))
+    return math.fsum(ufunc(alpha + beta * s).ravel()) / n ** d
 
 
 @pytest.mark.parametrize("d, points", [(1, 4096), (2, 1024), (3, 128), (4, 32), (5, 12),
                                        (7, 6), (8, 4), (9, 3)])
 def test_cos_sum_axes_view_matches_dense_view(d, points):
-    # per-axis cosine tables against per-node rows built from the mesh, on
-    # the same nodes: the half-angle grid at shift 0.5 and even M, the full
-    # grid at shift 0 or odd M.  A grid of more than 2^16 nodes spans
-    # several blocks, up to 32 for the full (3, 128) grid.  Below 8 axes both
-    # add a row's cosines left to right; numpy adds longer rows pairwise, so
-    # from 8 axes on they agree to rounding only
-    transform = lambda s: 1.0 - (0.9 / d) * s
+    # per-axis terms and pair rows against per-node cosine sums on the grid
+    # they stand for: the half-angle grid at shift 0.5 and even M, the full
+    # grid at shift 0 or odd M.  The (2, 1024) pair rows and the (3, 128)
+    # grids span several blocks.  The integrand lies within 2.3 of 0 and the
+    # two routes round its argument apart by an ulp or so, so the means agree
+    # within 4 ulp of 1 (measured: under 1)
     for shift in (0.5, 0.0):
-        axes = _cos_sum_grid(d, points, shift, lambda s: np.log(transform(s)))
-        dense = _cos_log_dense(d, points, shift, transform,
-                               fold=shift == 0.5 and points % 2 == 0)
-        if d < 8:
-            assert axes == dense
-        else:
-            assert axes == pytest.approx(dense, rel=1e-14, abs=1e-16)
+        axes = _cos_sum_grid(d, points, shift, 1.0, -0.9 / d, np.log)
+        dense = _cos_sum_dense(d, points, shift, 1.0, -0.9 / d, np.log)
+        assert abs(axes - dense) <= 4 * 2.0 ** -52
 
 
 @st.composite
@@ -191,34 +195,59 @@ def _folded_grids(draw):
 @given(_folded_grids())
 def test_folded_cos_sum_mean_matches_full_grid(case):
     # the M-grid at shift 0.5 is closed under theta_j -> 2 pi - theta_j, so
-    # its nodes in [0, pi)^d carry the full mean; the Green integrand's mean
-    # is at least 1, so the relative bound is a bound on rounding
+    # its nodes in [0, pi)^d carry the full mean, and the pair rows of the
+    # last two axes sum every ordered pair; the Green integrand's mean is at
+    # least 1, so the relative bound is a bound on rounding
     d, points, a = case
 
-    def full(integrand):
+    def full(ufunc):
         def fn(mesh):
             s = sum(np.cos(theta) for theta in mesh)
-            return integrand(s).ravel(), None
+            return ufunc(1.0 - a * s / d).ravel(), None
 
         return grid_mean(fn, d, points, 0.5)[0].real
 
-    for integrand in (lambda s: 1.0 / (1.0 - a * s / d), lambda s: np.log(1.0 - a * s / d)):
-        assert _cos_sum_grid(d, points, 0.5, integrand) == pytest.approx(
-            full(integrand), rel=1e-14, abs=1e-15)
+    for ufunc in (np.reciprocal, np.log):
+        assert _cos_sum_grid(d, points, 0.5, 1.0, -a / d, ufunc) == pytest.approx(
+            full(ufunc), rel=1e-14, abs=1e-15)
 
 
 @pytest.mark.parametrize("d, points, shift, nodes", [
     (1, 4096, 0.5, 2048), (2, 10, 0.5, 25), (3, 128, 0.5, 64 ** 3),
     (2, 9, 0.5, 81), (3, 7, 0.5, 343), (2, 10, 0.0, 100), (3, 16, 0.25, 16 ** 3)])
 def test_cos_sum_grid_evaluates_folded_nodes_only(d, points, shift, nodes):
+    # ``nodes`` is the n^d grid the mean stands for (folded at shift 0.5 and
+    # even M); the ufunc sees its n nodes for d = 1, and for d >= 2 the
+    # floor(n/2) + 1 pair rows of n under each of the n^(d-2) leading nodes
+    n = points // 2 if shift == 0.5 and points % 2 == 0 else points
+    assert n ** d == nodes
     seen = []
 
-    def integrand(s):
-        seen.append(s.size)
-        return 1.0 - 0.5 * s / d
+    def identity(block, out):
+        seen.append(block.size)
+        assert out is block
+        return block
 
-    assert _cos_sum_grid(d, points, shift, integrand) == pytest.approx(1.0, abs=1e-14)
-    assert sum(seen) == nodes
+    # the mean of alpha + beta sum_j cos theta_j is alpha on every grid
+    assert _cos_sum_grid(d, points, shift, 1.0, -0.5 / d, identity) == pytest.approx(
+        1.0, abs=1e-14)
+    assert sum(seen) == (n if d == 1 else (n // 2 + 1) * n ** (d - 1))
+
+
+@pytest.mark.parametrize("d, points", [(2, 8192), (4, 64)])
+def test_cos_sum_grid_memory_stays_per_block(d, points):
+    # pair rows and leading sums are built per block of at most 2^16 nodes
+    # (512 KiB): the whole (2049 x 4096) pair matrix of the d = 2 grid would
+    # take 67 MB, the 17 x 32^3 pair rows of the d = 4 grid 4.5 MB.  The
+    # allocator's one-off 16 MiB array is freed before tracing starts
+    _settle_allocator()
+    tracemalloc.start()
+    try:
+        _cos_sum_grid(d, points, 0.5, 1.0, -0.9 / d, np.log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 @settings(max_examples=80, deadline=None)
