@@ -31,8 +31,8 @@ from .laurent import LaurentPolynomial
 from .mahler import hyper_pfq, mahler_reduced, mahler_walk_1d, special_constants
 # perfbench's tracer wraps mahler_quadrature in every module that imports it
 from .mahler import mahler_quadrature  # noqa: F401
-from .quadrature import (_GRID_BLOCK, QuadratureSpec, _blocks, _grid_counts, _settle_allocator,
-                         grid_mean, refine_to_tol)
+from .quadrature import (_GRID_BLOCK, QuadratureSpec, _blocks, _grid_counts, _nodes,
+                         _settle_allocator, grid_mean, refine_to_tol)
 from .walk import matrix_weight_traces
 from .zeta import _series_sum, log_zeta
 # perfbench's tracer wraps log_zeta_series in every module that imports it
@@ -160,7 +160,10 @@ def _cos_sum_grid(d: int, points: int, shift: float, alpha: float, beta: float,
     argument that vanishes at theta = 0 (lambda_d) keeps its digits near it.
     The integrand is even in every theta_j: at the half-node shift and an even
     M each axis keeps its n = M/2 nodes in [0, pi), otherwise all n = M, and
-    an n^d over 2^26 raises ``ComputationError``.  ``grid_mean`` runs d = 1.
+    an n^d over 2^26 raises ``ComputationError``.  ``grid_mean`` runs d = 1,
+    which at shift 0 folds onto the weighted nodes k = 0..floor(M/2); for
+    d >= 2 the pair rows below need one uniform, unweighted axis, so a
+    shift-0 grid keeps all its n = M nodes per axis.
 
     For d >= 2 the last two axes, each carrying t_j = c/2 + e_j, are taken
     as unordered pairs: row r holds t_j + t_{(j+r) mod n}, j = 0..n-1, and
@@ -182,8 +185,9 @@ def _cos_sum_grid(d: int, points: int, shift: float, alpha: float, beta: float,
             return ufunc(t, out=t), None
 
         return grid_mean(fn, 1, points, shift, fold=(0,))[0].real
-    n = _grid_counts(d, points, shift, range(d))[0]
-    e = _cos_excess((np.arange(n) + shift) * (2.0 * math.pi / points), beta)
+    # at shift 0 no axis is folded: a weighted axis cannot be paired
+    n = _grid_counts(d, points, shift, () if shift == 0.0 else range(d))[0]
+    e = _cos_excess(_nodes(points, shift, 0, n), beta)
     t = 0.5 * constant + e
     rows = n // 2 + 1
     weights = np.full(rows, 2.0)

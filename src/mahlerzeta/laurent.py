@@ -430,22 +430,25 @@ def eval_on_nodes(poly: LaurentPolynomial, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def mesh_evaluator(exps, coeffs):
-    """Plan sum_t c_t z^e_t, z_j = exp(i theta_j), for evaluation on open meshes.
+# exponent matrices of at most this many entries have their mesh plan cached:
+# a d = 3 char poly's 81, a Mahler test polynomial's few dozen; a key and
+# its plan then stay under ~100 KB
+_MESH_PLAN_CACHE_ENTRIES = 1 << 12
 
-    ``exps`` is a (T, d) matrix of distinct integer exponent rows; ``coeffs``
-    has T rows, whose trailing axes are carried into the result.  The returned
-    function maps an open mesh (d broadcastable angle arrays of d dimensions)
-    to values of shape (mesh shape) + coeffs.shape[1:].  It contracts the axes
-    last to first against per-axis tables of z_j^e, merging terms that share
-    their exponents on the axes still left; that grouping is planned here.
+
+def _mesh_plan(exps: np.ndarray):
+    """The row order and per-axis grouping ``mesh_evaluator`` contracts an exponent matrix by.
+
+    Rows are sorted lexicographically; for each axis j, last to first, every
+    exponent e on it maps the groups of rows that share their exponents on
+    axes 0..j-1 to the row holding e there (one past the last row if none).
+    Its index arrays are read-only: a cached plan serves every caller.
     """
-    order = np.lexsort(np.asarray(exps).T[::-1])
-    exps = np.asarray(exps, dtype=np.int64)[order]
-    coeffs = np.asarray(coeffs, dtype=np.complex128)[order]
-    d, trail = exps.shape[1], coeffs.ndim - 1
+    order = np.lexsort(exps.T[::-1])
+    order.setflags(write=False)
+    exps = exps[order]
     plan = []
-    for j in range(d - 1, -1, -1):
+    for j in range(exps.shape[1] - 1, -1, -1):
         # the rows are sorted, so those that share exps[:, :j] are consecutive
         first = np.concatenate([[True], np.any(exps[1:, :j] != exps[:-1, :j], axis=1)])
         group = np.cumsum(first) - 1
@@ -454,9 +457,38 @@ def mesh_evaluator(exps, coeffs):
             rows = np.flatnonzero(exps[:, j] == e)
             src = np.full(group[-1] + 1, len(exps))  # a group without this exponent reads a zero
             src[group[rows]] = rows
+            src.setflags(write=False)
             parts.append((e, src))
         plan.append((j, parts))
         exps = exps[first, :j]
+    return order, plan
+
+
+@lru_cache(maxsize=16)
+def _cached_mesh_plan(shape: tuple[int, int], data: bytes):
+    """``_mesh_plan`` of the int64 matrix of that shape and those bytes, kept for reuse."""
+    return _mesh_plan(np.frombuffer(data, dtype=np.int64).reshape(shape))
+
+
+def mesh_evaluator(exps, coeffs):
+    """Plan sum_t c_t z^e_t, z_j = exp(i theta_j), for evaluation on open meshes.
+
+    ``exps`` is a (T, d) matrix of distinct integer exponent rows; ``coeffs``
+    has T rows, whose trailing axes are carried into the result.  The returned
+    function maps an open mesh (d broadcastable angle arrays of d dimensions)
+    to values of shape (mesh shape) + coeffs.shape[1:].  It contracts the axes
+    last to first against per-axis tables of z_j^e, merging terms that share
+    their exponents on the axes still left; that grouping (``_mesh_plan``)
+    depends on ``exps`` alone and is cached for the last 16 matrices of at
+    most 4096 entries.
+    """
+    exps = np.asarray(exps, dtype=np.int64)
+    if exps.size <= _MESH_PLAN_CACHE_ENTRIES:
+        order, plan = _cached_mesh_plan(exps.shape, exps.tobytes())
+    else:
+        order, plan = _mesh_plan(exps)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)[order]
+    d, trail = exps.shape[1], coeffs.ndim - 1
 
     def evaluate(mesh):
         # axis 0 of ``out`` runs over the groups, the mesh axes follow

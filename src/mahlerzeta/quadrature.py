@@ -4,14 +4,15 @@ Uniform tensor grids on [0, 2*pi)^d, midpoint-shifted by default.  For smooth
 periodic integrands the periodic trapezoid/midpoint rule converges
 geometrically, so refinement doubles the per-axis node count.
 
-``grid_mean`` builds every node from one per-axis angle vector and cuts the
-grid into product-set blocks: a block fixes the leading axes, takes a run of
-indices on one axis and spans every later axis in full.  An integrand sees a
-block as its open mesh, d per-axis angle arrays that broadcast together, so
-it can work on per-axis tables (cosines, powers of e^(i theta_j)) and build
-per-node rows only where it needs them.  An axis a block spans in full is
-the same read-only array object in every block of one grid; only the leading
-axes and the run axis are sliced per block.  A block holds at most
+``grid_mean`` cuts the grid into product-set blocks: a block fixes the
+leading axes, takes a run of indices on one axis and spans every later axis
+in full.  An integrand sees a block as its open mesh, d per-axis angle arrays
+that broadcast together, so it can work on per-axis tables (cosines, powers
+of e^(i theta_j)) and build per-node rows only where it needs them.  An axis
+a block spans in full is the same read-only array object in every block of
+one grid; only the leading axes and the run axis are sliced per block, and
+an axis longer than a block is built per block from its index range, so a
+grid never holds more than a few blocks' worth of angles.  A block holds at most
 ``_GRID_BLOCK`` = 2^16 nodes unless the caller asks for fewer, which keeps an
 integrand's temporaries near 1 MB; before its first block a process frees
 one untouched 16 MiB array, so that they are reused, not faulted in afresh.
@@ -19,11 +20,15 @@ Block sums are accumulated in a fixed order with ``math.fsum``, which makes
 every result bit-reproducible.
 
 An integrand even in theta_j, f(theta_j) = f(2 pi - theta_j), is averaged on
-half of axis j: with the half-node shift and an even M the grid is closed
-under that mirror and has no node on its fixed points 0 and pi, so the M/2
-nodes in [0, pi) carry the mean (``grid_mean``'s ``fold``).  The midpoint
-rule on a symmetric grid keeps its accuracy under the fold; only rounding
-differs.
+half of axis j (``grid_mean``'s ``fold``).  With the half-node shift and an
+even M the grid is closed under that mirror and has no node on its fixed
+points 0 and pi, so the M/2 nodes in [0, pi) carry the mean.  With no shift
+(the finite torus) every M is closed under it, and nodes 0 and (even M) M/2
+are its fixed points: the floor(M/2) + 1 nodes in [0, pi] carry the mean,
+each weighted 2 for itself and its mirror but for the fixed points, weighted
+1.  The weights are powers of 2, so applying them is exact, and a folded
+mean differs from the full grid's by rounding alone.  The 2^26-node budget
+counts the nodes a grid evaluates, folded or not.
 
 ``refine_to_tol`` is the one refinement ladder: every refined torus average
 in the package runs through it, with or without Richardson extrapolation.
@@ -35,6 +40,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,27 +147,62 @@ def _blocks(counts, max_block: int) -> list[tuple[tuple[int, ...], int, int]]:
             for j0 in range(0, counts[k - 1], run)]
 
 
-def _open_mesh(full, block) -> tuple[np.ndarray, ...]:
-    """Per-axis angle arrays of one block, each shaped to broadcast over it.
+def _nodes(points: int, shift: float, a: int, b: int) -> np.ndarray:
+    """Angles 2 pi (k + shift) / M of the nodes k = a..b-1 of one axis, read-only.
 
-    ``full[j]`` is all of axis j in its broadcast shape; an axis the block
-    spans in full is passed on as that object, the others are sliced from it.
+    A node's value depends on k alone, so a run built from its index range
+    holds the same bits as the slice of the whole axis.
     """
-    outer, j0, j1 = block
-    mesh = list(full)
-    for j, (a, b) in enumerate([(i, i + 1) for i in outer] + [(j0, j1)]):
-        if b - a < full[j].size:
-            mesh[j] = full[j][(slice(None),) * j + (slice(a, b),)]
-    return tuple(mesh)
+    theta = (np.arange(a, b) + shift) * (2.0 * math.pi / points)
+    theta.setflags(write=False)
+    return theta
+
+
+def _mirror_weights(points: int, a: int, b: int) -> np.ndarray:
+    """Weights of the nodes k = a..b-1 of an axis folded at shift 0: 2, but 1 at k = 0 and k = M/2.
+
+    Node k > 0 stands for itself and its mirror M - k; nodes 0 and (even M)
+    M/2 are their own mirrors.  The weights of nodes 0..floor(M/2) sum to M.
+    """
+    w = np.full(b - a, 2.0)
+    if a == 0 < b:
+        w[0] = 1.0
+    if points % 2 == 0 and b == points // 2 + 1:
+        w[-1] = 1.0
+    return w
+
+
+@lru_cache(maxsize=16)
+def _trailing_weights(points: int, weighted: tuple[bool, ...]) -> np.ndarray:
+    """Row-major node weights of the axes a block spans in full, read-only.
+
+    Axis i has its floor(M/2) + 1 weighted nodes where ``weighted[i]``, else
+    M nodes of weight 1.  At most a block's worth of weights per grid shape.
+    """
+    w = np.ones(1)
+    for folded in weighted:
+        axis = _mirror_weights(points, 0, points // 2 + 1) if folded else np.ones(points)
+        w = np.multiply.outer(w, axis).ravel()
+    w.setflags(write=False)
+    return w
 
 
 def _grid_counts(d: int, points: int, shift: float, fold) -> list[int]:
     """Nodes on each axis of the grid ``grid_mean(fn, d, points, shift, fold=fold)`` evaluates.
 
-    Raises ``ComputationError`` when their product exceeds the 2^26 cap.
+    A folded axis keeps its M/2 nodes in [0, pi) at shift 0.5 and an even
+    M, its floor(M/2) + 1 nodes in [0, pi] at shift 0 and M >= 3, and all M
+    nodes otherwise.  Raises ``ComputationError`` when the product of the
+    counts exceeds the 2^26 cap.
     """
-    folded = set(fold) if shift == 0.5 and points % 2 == 0 else set()
-    counts = [points // 2 if j in folded else points for j in range(d)]
+    if shift == 0.5 and points % 2 == 0:
+        kept = points // 2
+    elif shift == 0.0 and points > 2:
+        kept = points // 2 + 1
+    else:
+        kept = points
+    folded = set(fold)
+    counts = [kept if j in folded else points for j in range(d)]
     total = math.prod(counts)
     if total > _MAX_GRID_NODES:
         shape = f"{counts[0]}^{d}" if len(set(counts)) == 1 else "x".join(map(str, counts))
@@ -179,7 +220,13 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
     f(2 pi - theta_j).  With shift 0.5 and an even M every folded axis keeps
     only its M/2 nodes in [0, pi): the grid is closed under the mirror and
     has no node on its fixed points 0 and pi, so those nodes carry the full
-    mean up to rounding.  For an odd M or another shift ``fold`` is ignored.
+    mean up to rounding.  With shift 0 and M >= 3 every folded axis keeps
+    its nodes k = 0..floor(M/2), each weighted 2 for itself and its mirror
+    M - k but for the mirror's fixed points k = 0 and (even M) k = M/2,
+    weighted 1; the mean still divides by M^d.  The weights are exact, so a
+    block's values are multiplied by them elementwise before its sum and the
+    result is the full grid's mean up to rounding.  For an odd M at shift
+    0.5, or another shift, ``fold`` is ignored.
 
     The grid is cut into product-set blocks of at most ``max_block`` nodes
     (default ``_GRID_BLOCK`` = 2^16, which keeps an integrand's per-block
@@ -191,37 +238,74 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
     mesh: a tuple of d read-only angle arrays, axis j of shape 1 except along
     dimension j, which broadcast together to the block's shape; an axis a
     block spans in full is the same array object in every block of one grid
-    (and a new one in the next call).  It returns ``(values, stat)`` where
+    (and a new one in the next call).  An axis of at most ``max_block`` nodes
+    is built once per grid and sliced per block; a longer one, which no block
+    spans, is built per block from its index range, so no grid holds more
+    than O(d max_block) angles.  ``fn`` returns ``(values, stat)`` where
     ``values`` is an array (real or complex) whose first axis runs over the
     block's nodes in row-major order, summed before ``fn`` runs again, and
     ``stat`` a float minimum statistic or None.  Returns ``(mean, min_stat)``,
     ``mean`` complex for 1-D ``values``, else an array of their trailing shape.
     A grid that evaluates more than 2^26 nodes raises ``ComputationError``
-    before ``fn`` is called.
+    before ``fn`` is called: the cap counts the nodes evaluated, not M^d.
     """
     if max_block is None:
         max_block = _GRID_BLOCK
     if d < 1 or max_block < 1:
         raise ValueError(f"need d >= 1 and max_block >= 1, got d={d}, max_block={max_block}")
     counts = _grid_counts(d, points, shift, fold)
-    total = math.prod(counts)
-    axis = (np.arange(points) + shift) * (2.0 * math.pi / points)
-    axis.flags.writeable = False  # every block reads it
-    full = [axis[:n].reshape([n if k == j else 1 for k in range(d)])
+    blocks = _blocks(counts, max_block)
+    # a folded axis at shift 0 has fewer than M nodes, weighted to sum to M
+    mirrored = shift == 0.0 and min(counts) < points
+    total = points ** d if mirrored else math.prod(counts)
+    # axes of at most max_block nodes are built once and sliced per block;
+    # a longer one, which no block spans, per block from its index range
+    axis = _nodes(points, shift, 0, min(max(counts), max_block))
+    full = [axis[:n].reshape([n if k == j else 1 for k in range(d)]) if n <= max_block else None
             for j, n in enumerate(counts)]
+    run_axis = len(blocks[0][0])  # every block spans the axes after it in full
+    if mirrored:
+        weighted = [n < points for n in counts]
+        trailing = (_trailing_weights(points, tuple(weighted[run_axis + 1:]))
+                    if run_axis < d - 1 else None)
+
+    def block_weights(outer, j0, j1):
+        # row-major: the product of the fixed leading nodes' weights, times
+        # the run's, times the trailing axes' (exact: all powers of 2)
+        w = _mirror_weights(points, j0, j1) if weighted[run_axis] else np.ones(j1 - j0)
+        if outer:
+            lead = math.prod(1.0 if i == 0 or 2 * i == points else 2.0
+                             for i, folded in zip(outer, weighted) if folded)
+            w = w * lead
+        return w if trailing is None else np.multiply.outer(w, trailing).ravel()
 
     def work(block):
-        values, stat = fn(_open_mesh(full, block))
+        outer, j0, j1 = block
+        mesh = list(full)
+        for j, (a, b) in enumerate([(i, i + 1) for i in outer] + [(j0, j1)]):
+            if b - a == counts[j]:
+                continue
+            if full[j] is None:
+                mesh[j] = _nodes(points, shift, a, b).reshape([b - a if k == j else 1
+                                                               for k in range(d)])
+            else:
+                mesh[j] = full[j][(slice(None),) * j + (slice(a, b),)]
+        values, stat = fn(tuple(mesh))
+        if mirrored:
+            w = block_weights(outer, j0, j1)
+            values = values * w.reshape(w.shape + (1,) * (values.ndim - 1))
         return np.sum(values, axis=0), stat
 
     _settle_allocator()
     # a block's values are freed before the next block is evaluated
-    parts = [work(block) for block in _blocks(counts, max_block)]
+    parts = [work(block) for block in blocks]
     sums = np.asarray([p[0] for p in parts])
     stats = [p[1] for p in parts if p[1] is not None]
-    means = [complex(math.fsum(c.real) / total, math.fsum(c.imag) / total)
-             for c in sums.reshape(len(sums), -1).T]
-    mean = means[0] if sums.ndim == 1 else np.reshape(means, sums.shape[1:])
+    if sums.ndim == 1:
+        mean = complex(math.fsum(sums.real) / total, math.fsum(sums.imag) / total)
+    else:
+        mean = np.reshape([complex(math.fsum(c.real) / total, math.fsum(c.imag) / total)
+                           for c in sums.reshape(len(sums), -1).T], sums.shape[1:])
     return mean, (min(stats) if stats else None)
 
 

@@ -25,23 +25,30 @@ log zeta = sum_r C_r u^r / r are averaged traces of powers of M_hat, equal to
 the trace of the step-r return weight.  Each route gives them all up to r_max
 in one pass, and each single-r function reads the last entry of its pass.
 
-``log_zeta`` folds every axis on which P_u is even onto [0, pi) (see
-``quadrature.grid_mean``).  Evenness in Theta_j is read off the coin
-exactly: swapping the phases of rows 2j and 2j+1 is conjugation by the swap
-of components 2j and 2j+1, so the determinant is unchanged when that swap
-maps the coin to itself, or to itself conjugated by the sign flip of
-component 2j+1.  Grover and simple-RW coins fold on every axis in both
-shifts: the moving-shift coins are unchanged by any permutation of the
-components, and the flip-flop row swap commutes with the axis swap.  The
-flip-flop Hadamard coin folds its one axis by the sign flip.  The moving-shift
-Hadamard coin, with P_u = 1 - 2iu cos(xi) sin(Theta) - u^2, is not even,
-and a custom coin folds only where its entries are mirrored exactly.
+Every grid route folds every axis on which P_u is even (see
+``quadrature.grid_mean``): ``log_zeta`` onto its M/2 nodes in [0, pi), and
+the finite-torus routes (``zeta_finite``, ``cr_finite``, ``cr_limit`` and
+the ``trace_finite`` and ``quad_limit`` series) onto the nodes
+k = 0..floor(N/2), weighted for their mirrors.  Evenness in Theta_j is read
+off the coin exactly: swapping the phases of rows 2j and 2j+1 is
+conjugation by the swap of components 2j and 2j+1, so the determinant is
+unchanged when that swap maps the coin to itself, or to itself conjugated
+by the sign flip of component 2j+1.  Grover and simple-RW coins fold on
+every axis in both shifts: the moving-shift coins are unchanged by any
+permutation of the components, and the flip-flop row swap commutes with the
+axis swap.  The flip-flop Hadamard coin folds its one axis by the sign flip.
+The moving-shift Hadamard coin, with P_u = 1 - 2iu cos(xi) sin(Theta) - u^2,
+is not even, and a custom coin folds only where its entries are mirrored
+exactly.  The same mirror makes Tr(M_hat^r) even on those axes:
+M_hat(-Theta_j) is P M_hat P when P C P = C, and (P S) M_hat (S P) when
+P C P = S C S, a similarity either way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,6 +185,9 @@ def _principal_log(z: np.ndarray) -> np.ndarray:
     return z
 
 
+# coins are immutable and hash by identity: a lookup costs well under a
+# microsecond where the bitwise test takes 10-50 us, once per route call
+@lru_cache(maxsize=64)
 def _even_axes(coin: CoinMatrix) -> tuple[int, ...]:
     """The axes j on which det(I - u M_hat) is even in Theta_j, read off the coin exactly.
 
@@ -186,7 +196,7 @@ def _even_axes(coin: CoinMatrix) -> tuple[int, ...]:
     det(I - u D(-Theta_j) C) = det(I - u D P C P).  Axis j is even when
     P C P is C, or is S C S with S = I but -1 at 2j+1, since S D S = D makes
     det(I - u D S C S) = det(S (I - u D C) S).  The matrices are compared
-    bitwise, with no tolerance.
+    bitwise, with no tolerance.  Tr(M_hat^r) is even on the same axes.
     """
     c = coin.entries
     axes = []
@@ -205,17 +215,22 @@ def zeta_finite_log_mean(coin: CoinMatrix, N: int, u: float) -> complex:
     """Grid mean of log det(I - u M_hat(k)) over the N^d momentum lattice.
 
     The imaginary part is the residual left after conjugate momenta cancel;
-    callers requiring a real zeta value must check it.  ``grid_mean``'s
-    2^26-node budget is the only cap on N^d.  For N < 3 the N^d
-    determinants are taken directly, fewer than the 3^d it takes to find
-    the coefficients of det(I - u M_hat).
+    callers requiring a real zeta value must check it.  Every axis on which
+    the determinant is even (``_even_axes``) is folded onto its nodes
+    k = 0..floor(N/2), weighted for their mirrors N - k, so a grid of an
+    even coin evaluates (floor(N/2) + 1)^d nodes.  ``grid_mean``'s
+    2^26-node budget on the evaluated nodes is the only cap on N.  For N < 3
+    the N^d determinants are taken directly, fewer than the 3^d it takes to
+    find the coefficients of det(I - u M_hat); no axis of so small a grid
+    folds.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     d = coin.dim_d
     direct = N < 3
     fn = _log_det_block(coin, u, require_positive=False, direct=direct)
-    mean, _ = grid_mean(fn, d, N, 0.0, max_block=_matrix_block_cap(d) if direct else None)
+    mean, _ = grid_mean(fn, d, N, 0.0, fold=_even_axes(coin),
+                        max_block=_matrix_block_cap(d) if direct else None)
     return mean
 
 
@@ -243,16 +258,16 @@ def _dense_operator(a: np.ndarray, d: int, N: int) -> np.ndarray:
     size = 2 * d * N ** d
     if size > _DENSE_CAP:
         raise ComputationError(f"dense operator size {size} exceeds cap {_DENSE_CAP}")
-    mat = np.zeros((size, size), dtype=a.dtype)
-    for coords in _site_coords(N, d):
-        s = sum(coords[j] * N ** j for j in range(d))
-        for j in range(d):
-            s_up = s + ((coords[j] + 1) % N - coords[j]) * N ** j
-            s_dn = s + ((coords[j] - 1) % N - coords[j]) * N ** j
-            # component 2j (0-based) reads from x + e_j, component 2j+1 from x - e_j
-            mat[2 * d * s + 2 * j, 2 * d * s_up: 2 * d * s_up + 2 * d] = a[2 * j]
-            mat[2 * d * s + 2 * j + 1, 2 * d * s_dn: 2 * d * s_dn + 2 * d] = a[2 * j + 1]
-    return mat
+    # mat[s, c, t] is the block of row c at site s and the columns of site t,
+    # sites numbered with x_1 fastest
+    sites = np.arange(N ** d)
+    mat = np.zeros((N ** d, 2 * d, N ** d, 2 * d), dtype=a.dtype)
+    for j in range(d):
+        x = sites // N ** j % N
+        # component 2j (0-based) reads from x + e_j, component 2j+1 from x - e_j
+        mat[sites, 2 * j, sites + ((x + 1) % N - x) * N ** j] = a[2 * j]
+        mat[sites, 2 * j + 1, sites + ((x - 1) % N - x) * N ** j] = a[2 * j + 1]
+    return mat.reshape(size, size)
 
 
 def zeta_finite_dense(coin: CoinMatrix, N: int, u: float) -> float:
@@ -279,9 +294,13 @@ def _trace_powers(coin: CoinMatrix, N: int, r_max: int) -> list[float]:
     """C_1..C_r_max on the N^d torus from one grid: the means of Tr(M_hat(k)^r).
 
     Each node's M is built once and P <- P M carried up to r_max, its trace
-    after the product for r going to column r - 1.  The r_max - 1 products
-    are charged before the first block at max((2d)^2, 64) entries a matrix:
-    a batched product costs 0.3-1.1 us a matrix for 2d <= 6 (1 BLAS thread).
+    after the product for r going to column r - 1.  Tr(M_hat^r) is even on
+    every axis on which det(I - u M_hat) is (``_even_axes``: the mirror is a
+    similarity of M_hat), so those axes fold onto their nodes
+    k = 0..floor(N/2), weighted for their mirrors.  The r_max - 1 products
+    are charged before the first block at max((2d)^2, 64) entries a matrix
+    for all N^d nodes, folded or not: a batched product costs 0.3-1.1 us a
+    matrix for 2d <= 6 (1 BLAS thread).
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -302,7 +321,8 @@ def _trace_powers(coin: CoinMatrix, N: int, r_max: int) -> list[float]:
         return traces.T, None
 
     # a block's matrices and traces hold at most 2^22 entries
-    means, _ = grid_mean(fn, d, N, 0.0, max_block=max(1, (1 << 22) // (n * n + r_max)))
+    means, _ = grid_mean(fn, d, N, 0.0, fold=_even_axes(coin),
+                         max_block=max(1, (1 << 22) // (n * n + r_max)))
     return [_real(mean, 1e-10, f"the finite-torus C_{r}") for r, mean in enumerate(means, 1)]
 
 

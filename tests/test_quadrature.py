@@ -267,12 +267,16 @@ def test_blocks_over_per_axis_counts_cover_the_grid_once(counts, max_block):
 
 
 @st.composite
-def _fold_cases(draw):
-    d = draw(st.integers(1, 3))
-    points = draw(st.sampled_from([4, 6, 8, 10, 16, 24]))
+def _fold_cases(draw, max_d=3, points=(4, 6, 8, 10, 16, 24)):
+    d = draw(st.integers(1, max_d))
+    points = draw(st.sampled_from(points))
     fold = draw(st.sets(st.integers(0, d - 1)))
     max_block = draw(st.sampled_from([7, 64, 1 << 20]))
     return d, points, fold, max_block
+
+
+# odd and even M for the shift-0 fold, M <= 2 among them (nothing to fold)
+_SHIFT_0_POINTS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11)
 
 
 def _recorded_rows(d, points, shift, fold, max_block):
@@ -298,7 +302,7 @@ def test_fold_keeps_the_nodes_in_zero_to_pi_of_each_folded_axis(case):
     assert np.array_equal(_recorded_rows(d, points, 0.5, fold, max_block), expected)
 
 
-@pytest.mark.parametrize("points, shift", [(9, 0.5), (7, 0.5), (8, 0.0), (8, 0.25), (6, 0.75)])
+@pytest.mark.parametrize("points, shift", [(9, 0.5), (7, 0.5), (8, 0.25), (6, 0.75)])
 def test_fold_is_ignored_for_odd_points_or_another_shift(points, shift):
     def fn(mesh):
         s = np.cos(mesh[0]) + np.sin(2 * mesh[1]) * np.cos(mesh[2])
@@ -308,6 +312,58 @@ def test_fold_is_ignored_for_odd_points_or_another_shift(points, shift):
     assert grid_mean(fn, 3, points, shift, fold=range(3)) == plain
     rows = _recorded_rows(3, points, shift, {0, 1, 2}, 1 << 20)
     assert rows.shape[0] == points ** 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fold_cases(4, _SHIFT_0_POINTS))
+def test_shift_0_fold_keeps_nodes_0_to_half_of_each_folded_axis(case):
+    # nodes k = 0..floor(M/2) of each folded axis, each once, in row-major
+    # order; an axis longer than the block is built per block, bit for bit
+    d, points, fold, max_block = case
+    axis = (np.arange(points) + 0.0) * (2.0 * math.pi / points)
+    axes = [axis[:points // 2 + 1] if j in fold else axis for j in range(d)]
+    expected = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert np.array_equal(_recorded_rows(d, points, 0.0, fold, max_block), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fold_cases(4, _SHIFT_0_POINTS), st.floats(-0.9, 0.9), st.floats(-3.0, 3.0))
+def test_shift_0_folded_mean_of_an_even_integrand_matches_the_full_grid(case, a, b):
+    # weights 2 on the folded nodes, 1 on the mirror's fixed points 0 and
+    # M/2, and the mean over M^d: the full grid's mean but for rounding.  A
+    # node's mirror 2 pi - theta is rounded on its own, which moves
+    # a cos((j + 1) theta) by up to 4 * 0.9 * 2 pi * 2^-53 per folded axis.
+    # The mean's imaginary part stays above 1, so the bound is relative;
+    # the gap measured under 1e-14 over blocks of 7 nodes to the whole grid
+    d, points, fold, max_block = case
+
+    def fn(mesh):
+        s = 2.0 + b * np.sin(sum(mesh[j] for j in range(d) if j not in fold))
+        for j in range(d):
+            s = s + (a * np.cos((j + 1) * mesh[j]) if j in fold else np.cos(mesh[j]) / (3 + j))
+        values = np.log(np.abs(s) + 1.0).ravel() + 1j * s.ravel()
+        return np.stack([values, 2.0 * values], axis=-1), None
+
+    folded, _ = grid_mean(fn, d, points, 0.0, fold=fold, max_block=max_block)
+    full, _ = grid_mean(fn, d, points, 0.0, max_block=max_block)
+    assert folded.shape == (2,)
+    assert np.all(np.abs(folded - full) <= 2e-14 * np.abs(full))
+
+
+@pytest.mark.parametrize("shift", [0.5, 0.0])
+def test_one_axis_grid_builds_its_angles_per_block(shift):
+    # the folded axis of M = 2^20 holds 2^19 (shift 0.5) or 2^19 + 1 nodes
+    # (shift 0), more than a block: each block builds its run of angles, and
+    # of weights, from its index range.  The whole axis with its arange
+    # would take 16 MB
+    _settle_allocator()
+    tracemalloc.start()
+    try:
+        _cos_sum_grid(1, 1 << 20, shift, 1.0, -0.9, np.log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,7 +30,7 @@ from mahlerzeta.quadrature import det_stack, grid_mean
 from mahlerzeta.laurent import mesh_evaluator
 from mahlerzeta.walk import _momentum_stack
 from mahlerzeta.zeta import (_char_poly, _even_axes, _log_det_block, _principal_log,
-                             zeta_finite_log_mean)
+                             _site_coords, zeta_finite_log_mean)
 
 
 def hadamard(xi=math.pi / 4, shift="m"):
@@ -75,8 +75,85 @@ def test_zeta_finite_large_torus_matches_limit():
 
 
 def test_zeta_finite_grid_cap():
-    with pytest.raises(ComputationError, match=r"exceeds the cap of 67108864 \(2\^26\)"):
-        zeta_finite(build_coin("simple_rw", 3), 407, 0.5)
+    # the cap counts evaluated nodes: the simple walk folds every axis onto
+    # floor(N/2) + 1 nodes, so sides 812 and 813 evaluate 407^3, the first
+    # grid over the cap
+    with pytest.raises(ComputationError, match=r"grid 407\^3 = 67419143 nodes "
+                                               r"exceeds the cap of 67108864 \(2\^26\)"):
+        zeta_finite(build_coin("simple_rw", 3), 813, 0.5)
+
+
+# the built-in coins whose det(I - u M_hat) is even on every axis
+_EVEN_COINS = [("simple_rw", 1, "m"), ("simple_rw", 2, "m"), ("simple_rw", 3, "m"),
+               ("grover", 2, "m"), ("grover", 2, "f"), ("grover", 3, "m"), ("grover", 3, "f"),
+               ("hadamard", 1, "f")]
+
+
+def _even_coin(kind, d, shift):
+    coin = build_coin(kind, d, 0.7 if kind == "hadamard" else None)
+    coin = coin if shift == "m" else flip_flop(coin)
+    assert _even_axes(coin) == tuple(range(d))
+    return coin
+
+
+@pytest.mark.parametrize("kind, d, shift", _EVEN_COINS)
+def test_folded_zeta_finite_matches_the_dense_operator(kind, d, shift):
+    # nodes 0..floor(N/2) per axis, weighted for their mirrors, against the
+    # determinant of the assembled 2d N^d operator, odd and even N
+    coin = _even_coin(kind, d, shift)
+    for N in range(3, 9):
+        dense = zeta_finite_dense(coin, N, -0.3)
+        assert abs(zeta_finite(coin, N, -0.3) - dense) <= 1e-12 * dense, N
+
+
+@pytest.mark.parametrize("kind, d, shift", _EVEN_COINS)
+def test_folded_trace_series_matches_the_path_sum(kind, d, shift):
+    # a torus of side N > r_max holds every closed walk of r <= r_max steps
+    # unwrapped, so its folded grid gives C_r exactly, odd N and even
+    coin = _even_coin(kind, d, shift)
+    r_max = 6
+    path = compute_series(coin, r_max, "path_sum").values
+    for N in (r_max + 1, r_max + 2, r_max + 5):
+        grid = compute_series(coin, r_max, "trace_finite", N).values
+        assert [r for r, _ in grid] == list(range(1, r_max + 1))
+        for (r, value), (_, expected) in zip(grid, path):
+            assert abs(value - expected) < 1e-12, (N, r)
+
+
+def test_only_even_axes_fold(monkeypatch):
+    # the finite-torus grids count their integrand's rows: a seeded
+    # orthogonal coin, even on no axis, evaluates all N^d nodes, the simple
+    # walk (floor(N/2) + 1)^d, and a seeded coin made even on axis 0 alone
+    # (floor(N/2) + 1) N, each at the dense operator's value
+    a = np.random.default_rng(7).normal(size=(4, 4))
+    swap = [1, 0, 2, 3]
+    mirrored = (a + a[np.ix_(swap, swap)]) / 2  # P C P = C bit for bit on axis 0
+    partly = custom_coin(mirrored / np.linalg.norm(mirrored, 2))
+    assert _even_axes(partly) == (0,)
+    rows = []
+
+    def counting(fn, *args, **kwargs):
+        def counted(mesh):
+            values, stat = fn(mesh)
+            rows.append(values.shape[0])
+            return values, stat
+
+        return grid_mean(counted, *args, **kwargs)
+
+    monkeypatch.setattr(zeta_module, "grid_mean", counting)
+    odd = real_coin("orthogonal", 2, 20240813)
+    assert _even_axes(odd) == ()
+    even = build_coin("simple_rw", 2)
+    for N in (3, 4, 7, 8):
+        for coin, nodes in ((odd, N ** 2), (even, (N // 2 + 1) ** 2), (partly, (N // 2 + 1) * N)):
+            rows.clear()
+            value = zeta_finite(coin, N, 0.3)
+            assert sum(rows) == nodes
+            dense = zeta_finite_dense(coin, N, 0.3)
+            assert abs(value - dense) <= 1e-12 * dense
+            rows.clear()
+            cr_finite(coin, N, 3)
+            assert sum(rows) == nodes
 
 
 @pytest.mark.parametrize("kind", ["grover", "simple_rw", "flip_flop"])
@@ -143,6 +220,30 @@ def test_zeta_finite_dense_real_coin_matches_complex_conjugate(kind, d, seed, xi
 def test_dense_matrix_is_unitary_for_unitary_coin():
     mat = dense_walk_matrix(flip_flop(build_coin("grover", 2)), 3)
     np.testing.assert_allclose(mat @ mat.conj().T, np.eye(mat.shape[0]), atol=1e-12)
+
+
+def _dense_by_sites(a, d, N):
+    """The one-step matrix assembled site by site, x_1 fastest: the reference."""
+    mat = np.zeros((2 * d * N ** d,) * 2, dtype=a.dtype)
+    for s, coords in enumerate(_site_coords(N, d)):
+        for j in range(d):
+            s_up = s + ((coords[j] + 1) % N - coords[j]) * N ** j
+            s_dn = s + ((coords[j] - 1) % N - coords[j]) * N ** j
+            mat[2 * d * s + 2 * j, 2 * d * s_up: 2 * d * (s_up + 1)] = a[2 * j]
+            mat[2 * d * s + 2 * j + 1, 2 * d * s_dn: 2 * d * (s_dn + 1)] = a[2 * j + 1]
+    return mat
+
+
+@pytest.mark.parametrize("d, N", [(1, 1), (1, 2), (1, 3), (1, 32), (2, 1), (2, 2), (2, 3),
+                                  (2, 6), (3, 1), (3, 2), (3, 3), (3, 4)])
+def test_dense_operator_matches_the_site_loop(d, N):
+    # the index-array assembly writes each coin row where the site loop does
+    rng = np.random.default_rng(d * 100 + N)
+    a = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
+    for entries in (a, a.real):
+        mat = zeta_module._dense_operator(entries, d, N)
+        assert mat.dtype == entries.dtype
+        assert np.array_equal(mat, _dense_by_sites(entries, d, N))
 
 
 # --------------------------------------------------------------------------
