@@ -14,9 +14,13 @@ integrated by tanh-sinh, which reaches rounding level where the ladder
 converges algebraically), closed forms for the families X -+ X^-1 + c, and
 the hypergeometric form of m(X1 + X1^-1 + X2 + X2^-1 + c) for c > 4.
 Jensen's formula has one evaluator, ``_fiber_measures`` (the fibers of the
-reduced route, or the one row of a one-variable polynomial), and every
-midpoint torus average one ladder, ``_midpoint_ladder``, which refuses a
-grid mean that is not finite.  The quadrature route's ladder reads its
+reduced route, or the one fiber of a one-variable polynomial).  It takes its
+stack coefficient-major, (D + 1, n) with each coefficient contiguous, and
+returns each fiber's largest |coefficient| beside its measure, root gap and
+count inside; the reduced route transposes each block of its evaluator's
+(n, D + 1) rows once and caps the gap with that maximum.  Every midpoint
+torus average has one ladder, ``_midpoint_ladder``, which refuses a grid
+mean that is not finite.  The quadrature route's ladder reads its
 convergence rate from its grid means (``_halving``): it takes the
 Richardson extrapolant at ratio 2 only where two successive gaps halve, as
 they do when a factor 1 + X_j vanishes midway between the nodes.  The
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -231,7 +235,7 @@ _MAX_JENSEN_DEGREE = 512
 
 
 def _jensen(column: np.ndarray, coeffs: np.ndarray) -> MahlerResult:
-    """Jensen's formula on sum_t coeffs[t] x^column[t], as one row of ``_fiber_measures``.
+    """Jensen's formula on sum_t coeffs[t] x^column[t], as one fiber of ``_fiber_measures``.
 
     Warns when a root lies within 1e-3 of the unit circle, and flags one
     within 1e-6 of it or a constant below 1e-6.
@@ -241,14 +245,14 @@ def _jensen(column: np.ndarray, coeffs: np.ndarray) -> MahlerResult:
     if degree > _MAX_JENSEN_DEGREE:
         raise ComputationError(
             f"degree {degree} exceeds the one-variable budget of {_MAX_JENSEN_DEGREE}")
-    row = np.zeros((1, degree + 1), dtype=np.complex128)
-    row[0, column - low] = coeffs
+    fiber = np.zeros((degree + 1, 1), dtype=np.complex128)
+    fiber[column - low, 0] = coeffs
     try:
-        values, gap, _ = _fiber_measures(row)
+        values, gap, _, _ = _fiber_measures(fiber)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"root finding failed: {exc}") from exc
     # a constant has no roots: its own modulus is the statistic
-    gap = float(gap[0]) if degree else float(abs(row[0, 0]))
+    gap = float(gap[0]) if degree else float(abs(fiber[0, 0]))
     if degree and gap < 1e-3:
         warnings.warn("a root lies within 1e-3 of the unit circle; "
                       "max(|root|, 1) is numerically delicate there", stacklevel=3)
@@ -259,8 +263,9 @@ def _jensen(column: np.ndarray, coeffs: np.ndarray) -> MahlerResult:
 # per node and its stack ~D^2 per node
 _MAX_FIBER_DEGREE = 32
 # the work budget of one mahler_reduced call, over all its fiber evaluations,
-# in rows weighted by their cost: one unit is about 0.085 us on a 2-core x86
-# host, so a refused call has spent about 17 s
+# in rows weighted by their cost.  On a 2-core x86 host a unit took
+# 0.054-0.068 us in companion rows and 0.007-0.021 us in closed-form ones, so
+# a refused call has spent at most about 13 s (X1^32 + X2^32 + 1: 11.2 s)
 _MAX_REDUCED_WORK = 200_000_000
 
 
@@ -278,55 +283,66 @@ def _eliminated(poly: LaurentPolynomial) -> tuple[int, list[int], int]:
     return var, [j for j in used if j != var], int(span[var])
 
 
-def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jensen's formula on a stack of one-variable polynomials.
+def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Jensen's formula on a stack of one-variable polynomials, coefficient-major.
 
-    Row i of ``a`` holds the coefficients of x^0 .. x^D of one fiber.  Returns
-    the Mahler measure of each row, its root gap min_k ||root_k| - 1| (inf
-    for a constant, which has no roots) and the number of its roots inside
+    ``a`` has shape (D + 1, n): row k holds the x^k coefficient of every
+    fiber, contiguous, so column i holds the coefficients of fiber i.
+    Returns per fiber its Mahler measure, its root gap min_k ||root_k| - 1|
+    (inf for a constant, which has no roots), the number of its roots inside
     the unit disc, a root at 0 included and one at infinity (a vanishing x^D
-    coefficient) not.  The gap is over the roots of the orientation solved
-    (see below); the reciprocal roots of x^D f(1/x) meet the circle where
-    those of f do.
+    coefficient) not, and its largest |coefficient| max_k |a_k|.  The gap is
+    over the roots of the orientation solved (see below); the reciprocal
+    roots of x^D f(1/x) meet the circle where those of f do.  |a| is taken
+    once, and every statistic but the companion solve's is elementwise
+    along the fibers: numpy reduces along a short axis at tens of ns a row.
     """
     mags = np.abs(a)
+    top = reduce(np.maximum, mags)
     # x^D f(1/x) has the same measure; taking the larger end coefficient as
     # the leading one keeps a vanishing leading coefficient harmless.  It
     # maps the roots inside the disc to those outside, which the count undoes.
-    flip = mags[:, 0] > mags[:, -1]
-    a = np.where(flip[:, None], a[:, ::-1], a)
-    degree = a.shape[1] - 1
+    flip = mags[0] > mags[-1]
+    degree = a.shape[0] - 1
+
+    def flipped(rows, k):
+        return np.where(flip, rows[degree - k], rows[k])
 
     def done(values, gap, inside):
-        return values, gap, np.where(flip, degree - inside, inside)
+        return values, gap, np.where(flip, degree - inside, inside), top
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if degree == 0:
-            return done(np.log(mags[:, 0]), np.full(len(a), math.inf), np.zeros(len(a), dtype=int))
+            return done(np.log(mags[0]), np.full(a.shape[1], math.inf),
+                        np.zeros(a.shape[1], dtype=int))
         if degree == 1:
-            lead, tail = np.abs(a[:, 1]), np.abs(a[:, 0])
+            lead, tail = flipped(mags, 1), flipped(mags, 0)
             return done(np.log(lead), np.abs(tail / lead - 1.0), (tail < lead).astype(int))
         if degree == 2:
-            a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+            # the middle coefficient is its own mirror
+            a0, a1, a2 = flipped(a, 0), a[1], flipped(a, 2)
+            abs0, abs2 = flipped(mags, 0), flipped(mags, 2)
             root = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
             # the sign that avoids cancellation in a1 +- root
             root = np.where((a1.conj() * root).real >= 0.0, root, -root)
             big = np.abs(0.5 * (a1 + root))
             # roots q / a2 and a0 / q with q = -(a1 + root) / 2; q = 0 only
             # when a1 = a0 = 0, where the fiber is a2 x^2
-            small = np.where(big > 0.0, np.abs(a0) / big, 0.0)
-            values = np.log(np.maximum(np.abs(a2), big)) + np.log(np.maximum(small, 1.0))
-            gap = np.fmin(np.abs(big / np.abs(a2) - 1.0), np.abs(small - 1.0))
-            inside = (big < np.abs(a2)).astype(int) + (small < 1.0)
+            small = np.where(big > 0.0, abs0 / big, 0.0)
+            values = np.log(np.maximum(abs2, big)) + np.log(np.maximum(small, 1.0))
+            gap = np.fmin(np.abs(big / abs2 - 1.0), np.abs(small - 1.0))
+            inside = (big < abs2).astype(int) + (small < 1.0)
             return done(values, gap, inside)
-        lead = a[:, -1]
-        monic = a[:, :-1] / lead[:, None]
-    values = np.empty(len(a))
-    gap = np.empty(len(a))
-    inside = np.zeros(len(a), dtype=int)
-    ok = np.all(np.isfinite(monic), axis=1)
+        a = np.where(flip, a[::-1], a)
+        lead = a[-1]
+        monic = a[:-1] / lead
+    n = a.shape[1]
+    values = np.empty(n)
+    gap = np.empty(n)
+    inside = np.zeros(n, dtype=int)
+    ok = np.all(np.isfinite(monic), axis=0)
     comp = np.zeros((int(ok.sum()), degree, degree), dtype=np.complex128)
-    comp[:, 0, :] = -monic[ok, ::-1]
+    comp[:, 0, :] = -monic[::-1, ok].T
     comp[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
     moduli = np.abs(np.linalg.eigvals(comp))
     values[ok] = np.log(np.abs(lead[ok])) + np.log(np.maximum(moduli, 1.0)).sum(axis=1)
@@ -337,11 +353,11 @@ def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # (their roots lie beyond 1e300 and would overflow the companion matrix),
     # and solve those rare fibers one at a time
     for i in np.flatnonzero(~ok):
-        nonzero = np.flatnonzero(a[i])
+        nonzero = np.flatnonzero(a[:, i])
         if nonzero.size == 0:
             values[i], gap[i] = -math.inf, math.inf
             continue
-        row = a[i, nonzero[0]:nonzero[-1] + 1][::-1]
+        row = a[nonzero[0]:nonzero[-1] + 1, i][::-1]
         row = row[int(np.argmax(np.abs(row) > np.abs(row).max() * 1e-300)):]
         moduli = np.abs(np.roots(row))
         values[i] = math.log(abs(row[0])) + float(np.log(np.maximum(moduli, 1.0)).sum())
@@ -580,7 +596,7 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     monomials it evaluates plus the cost of its fiber (a companion eigensolve
     counts about 10 D^2 of them), and an evaluation that would take the total
     past 2e8 raises ``ComputationError`` before it starts, after at most
-    about 17 s of work on a 2-core host.
+    about 13 s of work on a 2-core host.
     """
     var, rest, degree = _eliminated(poly)
     exps, coeffs = _exponent_matrix(poly)
@@ -614,11 +630,13 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     block = _GRID_BLOCK // degree ** 2
 
     def fibers(mesh):
-        a = evaluate(mesh).reshape(-1, degree + 1)
-        values, gap, inside = _fiber_measures(a)
+        # the evaluator's (nodes, D + 1) rows, transposed once to the kernel's
+        # coefficient-major layout
+        a = np.ascontiguousarray(evaluate(mesh).reshape(-1, degree + 1).T)
+        values, gap, inside, top = _fiber_measures(a)
         # a fiber whose coefficients all nearly vanish is as singular as a
         # root on the circle
-        return values, np.fmin(gap, np.abs(a).max(axis=1)), inside
+        return values, np.fmin(gap, top), inside
 
     d = len(rest)
     spec = quad or _default_spec(d)

@@ -16,8 +16,9 @@ grid never holds more than a few blocks' worth of angles.  A block holds at most
 ``_GRID_BLOCK`` = 2^16 nodes unless the caller asks for fewer, which keeps an
 integrand's temporaries near 1 MB; before its first block a process frees
 one untouched 16 MiB array, so that they are reused, not faulted in afresh.
-Block sums are accumulated in a fixed order with ``math.fsum``, which makes
-every result bit-reproducible.
+Each block is summed pairwise along a contiguous node axis, whatever the
+memory layout of its values, and the block sums are accumulated in a fixed
+order with ``math.fsum``, which makes every result bit-reproducible.
 
 An integrand even in theta_j, f(theta_j) = f(2 pi - theta_j), is averaged on
 half of axis j (``grid_mean``'s ``fold``).  With the half-node shift and an
@@ -243,9 +244,11 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
     spans, is built per block from its index range, so no grid holds more
     than O(d max_block) angles.  ``fn`` returns ``(values, stat)`` where
     ``values`` is an array (real or complex) whose first axis runs over the
-    block's nodes in row-major order, summed before ``fn`` runs again, and
-    ``stat`` a float minimum statistic or None.  Returns ``(mean, min_stat)``,
-    ``mean`` complex for 1-D ``values``, else an array of their trailing shape.
+    block's nodes in row-major order, summed before ``fn`` runs again (each
+    column pairwise along its node axis, made contiguous where it is not, so
+    the sum does not depend on the memory layout of ``values``), and ``stat``
+    a float minimum statistic or None.  Returns ``(mean, min_stat)``, ``mean``
+    complex for 1-D ``values``, else an array of their trailing shape.
     A grid that evaluates more than 2^26 nodes raises ``ComputationError``
     before ``fn`` is called: the cap counts the nodes evaluated, not M^d.
     """
@@ -294,7 +297,12 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
         if mirrored:
             w = block_weights(outer, j0, j1)
             values = values * w.reshape(w.shape + (1,) * (values.ndim - 1))
-        return np.sum(values, axis=0), stat
+        # numpy sums pairwise only along a contiguous axis (across C-ordered
+        # rows it adds one row at a time), so every column is summed along a
+        # contiguous node axis: the same bits for any memory layout of values
+        if values.ndim > 1:
+            values = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+        return values.sum(axis=-1), stat
 
     _settle_allocator()
     # a block's values are freed before the next block is evaluated

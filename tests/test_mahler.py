@@ -230,7 +230,7 @@ def test_jensen_solves_the_roots_once(monkeypatch):
     solve = mahler_module._fiber_measures
     monkeypatch.setattr(mahler_module, "_fiber_measures", lambda a: calls.append(a) or solve(a))
     res = mahler_univariate(parse_laurent("0.0001*X1^5 + 0.0002"))
-    assert len(calls) == 1
+    assert [a.shape for a in calls] == [(6, 1)]
     assert res.value == pytest.approx(math.log(2e-4), abs=1e-15)
     assert not res.singular_on_torus
 
@@ -240,8 +240,49 @@ def test_fiber_root_gap_is_apart_from_the_coefficient_size(row, gap):
     # the root 2 of the first row is solved as 1/2, a root of the reversed
     # row; the second row's root is 0.  Neither gap is capped at the largest
     # |coefficient| (2e-4 and 1e-4), which the reduced route adds on its own
-    _, stat, _ = mahler_module._fiber_measures(np.array([row], dtype=complex))
+    _, stat, _, top = mahler_module._fiber_measures(np.array(row, dtype=complex)[:, None])
     assert stat[0] == gap
+    assert top[0] == max(abs(c) for c in row)
+
+
+# a coefficient: 1e-3 to 1e3 in modulus at any phase, or exactly 0
+_COEFF = st.one_of(st.just(0j), st.builds(lambda e, t: 10.0 ** e * complex(math.cos(t), math.sin(t)),
+                                          st.floats(-3.0, 3.0), st.floats(0.0, 2.0 * math.pi)))
+
+
+@st.composite
+def _fiber_stacks(draw):
+    # degrees 0-2 (closed forms) and 3-5 (companion solve); each fiber may
+    # have a zero low or high end, or both (the one-at-a-time solve), or vanish
+    degree = draw(st.integers(0, 5))
+    fibers = []
+    for _ in range(draw(st.integers(1, 12))):
+        coeffs = [draw(_COEFF) for _ in range(degree + 1)]
+        ends = draw(st.sampled_from(["none", "low", "high", "both", "all"]))
+        if ends in ("low", "both", "all"):
+            coeffs[0] = 0j
+        if ends in ("high", "both", "all"):
+            coeffs[-1] = 0j
+        if ends == "all":
+            coeffs = [0j] * (degree + 1)
+        fibers.append(coeffs)
+    return np.ascontiguousarray(np.array(fibers, dtype=complex).T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fiber_stacks())
+def test_fiber_kernel_solves_a_stack_as_its_fibers_one_at_a_time(a):
+    # coefficient-major (D + 1, n): every fiber's value, gap, count inside
+    # and largest |coefficient| are the bits of its solve as a one-fiber stack
+    assert a.flags.c_contiguous
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        stack = mahler_module._fiber_measures(a)
+        single = [mahler_module._fiber_measures(a[:, [i]]) for i in range(a.shape[1])]
+    for k, result in enumerate(stack):
+        assert result.shape == (a.shape[1],)
+        assert result.tobytes() == np.concatenate([one[k] for one in single]).tobytes()
+    assert stack[3].tobytes() == np.abs(a).max(axis=0).tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -477,7 +518,7 @@ def test_breakpoint_sample_holds_a_block_at_a_time():
     # held about 128 B a node when the whole sample was kept
     def fibers(theta):
         ones = np.ones(theta.size, dtype=complex)
-        return mahler_module._fiber_measures(np.stack([1.0 + np.exp(1j * theta), ones], axis=1))
+        return mahler_module._fiber_measures(np.stack([1.0 + np.exp(1j * theta), ones]))[:3]
 
     tracemalloc.start()
     try:
@@ -498,7 +539,7 @@ def test_reduced_fiber_rows_per_call_stay_within_a_block(monkeypatch, text, poin
     measures = mahler_module._fiber_measures
 
     def recording(a):
-        seen.append(a.shape[0])
+        seen.append(a.shape[1])
         return measures(a)
 
     monkeypatch.setattr(mahler_module, "_fiber_measures", recording)

@@ -350,6 +350,29 @@ def test_shift_0_folded_mean_of_an_even_integrand_matches_the_full_grid(case, a,
     assert np.all(np.abs(folded - full) <= 2e-14 * np.abs(full))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_fold_cases(4, _SHIFT_0_POINTS), st.sampled_from([0.5, 0.0]),
+       st.sampled_from([(2,), (3,), (2, 3)]), st.floats(-3.0, 3.0))
+def test_block_sums_do_not_depend_on_the_memory_layout_of_values(case, shift, trailing, b):
+    # the same values, C-ordered (nodes across rows) or F-ordered (nodes
+    # contiguous), give the same bits, folded or not
+    d, points, fold, max_block = case
+
+    def integrand(order):
+        def fn(mesh):
+            s = 2.0 + sum(np.cos((j + 1) * mesh[j]) / (3 + j) for j in range(d))
+            s = s.ravel() + 1j * b * s.ravel() ** 2
+            scale = np.arange(1.0, math.prod(trailing) + 1.0).reshape(trailing)
+            values = np.log(s)[(...,) + (None,) * len(trailing)] * scale
+            return np.asarray(values, order=order), None
+        return fn
+
+    c_means, _ = grid_mean(integrand("C"), d, points, shift, fold=fold, max_block=max_block)
+    f_means, _ = grid_mean(integrand("F"), d, points, shift, fold=fold, max_block=max_block)
+    assert c_means.shape == trailing
+    assert c_means.tobytes() == f_means.tobytes()
+
+
 @pytest.mark.parametrize("shift", [0.5, 0.0])
 def test_one_axis_grid_builds_its_angles_per_block(shift):
     # the folded axis of M = 2^20 holds 2^19 (shift 0.5) or 2^19 + 1 nodes
