@@ -63,7 +63,7 @@ from .mahler import (
     special_constants,
     zeta_mahler,
 )
-from .quadrature import QuadratureSpec, get_thread_count, set_thread_count
+from .quadrature import QuadratureSpec, set_thread_count
 from .walk import (
     MatrixWeight,
     MomentumPoint,

@@ -31,8 +31,8 @@ from .laurent import LaurentPolynomial
 from .mahler import hyper_pfq, mahler_reduced, mahler_walk_1d, special_constants
 # perfbench's tracer wraps mahler_quadrature in every module that imports it
 from .mahler import mahler_quadrature  # noqa: F401
-from .quadrature import (_GRID_BLOCK, QuadratureSpec, _blocks, _grid_counts, _nodes,
-                         _settle_allocator, grid_mean, refine_to_tol)
+from .quadrature import (_GRID_BLOCK, QuadratureSpec, _blocks, _grid_counts, _mirror_weights,
+                         _nodes, _settle_allocator, grid_mean, refine_to_tol)
 from .walk import matrix_weight_traces
 from .zeta import _series_sum, log_zeta
 # perfbench's tracer wraps log_zeta_series in every module that imports it
@@ -168,7 +168,9 @@ def _cos_sum_grid(d: int, points: int, shift: float, alpha: float, beta: float,
     For d >= 2 the last two axes, each carrying t_j = c/2 + e_j, are taken
     as unordered pairs: row r holds t_j + t_{(j+r) mod n}, j = 0..n-1, and
     rows r and n - r hold the same pairs, so rows 0..floor(n/2), weighted 2
-    but for row 0 and (even n) row n/2, sum every ordered pair once.  With
+    but for row 0 and (even n) row n/2, which are their own mirrors, sum
+    every ordered pair once.  These are the weights of an axis of n nodes
+    folded at shift 0, ``_mirror_weights(n, 0, floor(n/2) + 1)``.  With
     the leading d - 2 axes as a product set, ``_blocks`` cuts the
     (floor(n/2) + 1) n^(d-1) nodes into blocks of at most ``_GRID_BLOCK``.
     Weighted row sums are added per block by ``np.sum`` and the blocks joined
@@ -190,10 +192,7 @@ def _cos_sum_grid(d: int, points: int, shift: float, alpha: float, beta: float,
     e = _cos_excess(_nodes(points, shift, 0, n), beta)
     t = 0.5 * constant + e
     rows = n // 2 + 1
-    weights = np.full(rows, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0  # row n/2 is its own mirror
+    weights = _mirror_weights(n, 0, rows)
     windows = sliding_window_view(np.concatenate((t, t)), n)  # row r: t[(j + r) % n]
     pairs = None
     _settle_allocator()

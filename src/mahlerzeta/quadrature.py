@@ -21,15 +21,17 @@ memory layout of its values, and the block sums are accumulated in a fixed
 order with ``math.fsum``, which makes every result bit-reproducible.
 
 An integrand even in theta_j, f(theta_j) = f(2 pi - theta_j), is averaged on
-half of axis j (``grid_mean``'s ``fold``).  With the half-node shift and an
-even M the grid is closed under that mirror and has no node on its fixed
-points 0 and pi, so the M/2 nodes in [0, pi) carry the mean.  With no shift
-(the finite torus) every M is closed under it, and nodes 0 and (even M) M/2
-are its fixed points: the floor(M/2) + 1 nodes in [0, pi] carry the mean,
-each weighted 2 for itself and its mirror but for the fixed points, weighted
-1.  The weights are powers of 2, so applying them is exact, and a folded
-mean differs from the full grid's by rounding alone.  The 2^26-node budget
-counts the nodes a grid evaluates, folded or not.
+half of axis j (``grid_mean``'s ``fold``) by one rule: a folded axis keeps the
+nodes that carry the mean, each weighted by the grid nodes it stands for, and
+a block slices its angles and weights with the same cut.  With the half-node
+shift and an even M the grid is closed under the mirror and has no node on
+its fixed points 0 and pi, so each of the M/2 nodes in [0, pi) stands for
+two, a common factor the mean leaves out.  With no shift (the finite torus)
+every M is closed under it and nodes 0 and (even M) M/2 are its fixed
+points: the floor(M/2) + 1 nodes in [0, pi] carry the mean, weighted 2 but 1
+at the fixed points.  Every weight is 1 or 2, so their products are exact in
+any order, and a folded mean differs from the full grid's by rounding alone.
+The 2^26-node budget counts the nodes a grid evaluates, folded or not.
 
 ``refine_to_tol`` is the one refinement ladder: every refined torus average
 in the package runs through it, with or without Richardson extrapolation.
@@ -41,7 +43,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
 
 import numpy as np
 
@@ -54,7 +56,6 @@ __all__ = [
     "refine_to_tol",
     "det_stack",
     "set_thread_count",
-    "get_thread_count",
 ]
 
 # per-grid work budget: 4x the largest grid of any default spec or suite check
@@ -90,13 +91,6 @@ def set_thread_count(n: int) -> None:
         raise ValueError(f"thread count must be >= 1, got {n}")
     warnings.warn("set_thread_count is a no-op: grids run on one thread",
                   DeprecationWarning, stacklevel=2)
-
-
-def get_thread_count() -> int:
-    """Deprecated: always 1, the thread every grid runs on."""
-    warnings.warn("get_thread_count is deprecated: grids run on one thread",
-                  DeprecationWarning, stacklevel=2)
-    return 1
 
 
 @dataclass(frozen=True)
@@ -173,21 +167,6 @@ def _mirror_weights(points: int, a: int, b: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=16)
-def _trailing_weights(points: int, weighted: tuple[bool, ...]) -> np.ndarray:
-    """Row-major node weights of the axes a block spans in full, read-only.
-
-    Axis i has its floor(M/2) + 1 weighted nodes where ``weighted[i]``, else
-    M nodes of weight 1.  At most a block's worth of weights per grid shape.
-    """
-    w = np.ones(1)
-    for folded in weighted:
-        axis = _mirror_weights(points, 0, points // 2 + 1) if folded else np.ones(points)
-        w = np.multiply.outer(w, axis).ravel()
-    w.setflags(write=False)
-    return w
-
-
 def _grid_counts(d: int, points: int, shift: float, fold) -> list[int]:
     """Nodes on each axis of the grid ``grid_mean(fn, d, points, shift, fold=fold)`` evaluates.
 
@@ -218,16 +197,18 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
     """Average ``fn`` over the tensor grid with M = ``points`` nodes per axis.
 
     ``fold`` names the axes on which ``fn`` is even, f(theta_j) =
-    f(2 pi - theta_j).  With shift 0.5 and an even M every folded axis keeps
-    only its M/2 nodes in [0, pi): the grid is closed under the mirror and
-    has no node on its fixed points 0 and pi, so those nodes carry the full
-    mean up to rounding.  With shift 0 and M >= 3 every folded axis keeps
-    its nodes k = 0..floor(M/2), each weighted 2 for itself and its mirror
-    M - k but for the mirror's fixed points k = 0 and (even M) k = M/2,
-    weighted 1; the mean still divides by M^d.  The weights are exact, so a
-    block's values are multiplied by them elementwise before its sum and the
-    result is the full grid's mean up to rounding.  For an odd M at shift
-    0.5, or another shift, ``fold`` is ignored.
+    f(2 pi - theta_j).  A folded axis keeps the nodes that carry the mean,
+    each weighted by the grid nodes it stands for, and its angles and weights
+    are sliced together.  With shift 0.5 and an even M those are its M/2
+    nodes in [0, pi), two grid nodes each: the grid is closed under the
+    mirror and has no node on its fixed points 0 and pi, so the mean divides
+    by the nodes kept.  With shift 0 and M >= 3 they are its nodes k =
+    0..floor(M/2), weighted 2 for k and M - k but 1 at the mirror's fixed
+    points k = 0 and (even M) k = M/2, and the mean divides by M^d: a
+    block's values are multiplied by the product of its axes' weights before
+    its sum.  Every weight is 1 or 2, so that product is exact and the result
+    is the full grid's mean up to rounding.  For an odd M at shift 0.5, or
+    another shift, ``fold`` is ignored.
 
     The grid is cut into product-set blocks of at most ``max_block`` nodes
     (default ``_GRID_BLOCK`` = 2^16, which keeps an integrand's per-block
@@ -239,18 +220,19 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
     mesh: a tuple of d read-only angle arrays, axis j of shape 1 except along
     dimension j, which broadcast together to the block's shape; an axis a
     block spans in full is the same array object in every block of one grid
-    (and a new one in the next call).  An axis of at most ``max_block`` nodes
-    is built once per grid and sliced per block; a longer one, which no block
-    spans, is built per block from its index range, so no grid holds more
-    than O(d max_block) angles.  ``fn`` returns ``(values, stat)`` where
-    ``values`` is an array (real or complex) whose first axis runs over the
-    block's nodes in row-major order, summed before ``fn`` runs again (each
-    column pairwise along its node axis, made contiguous where it is not, so
-    the sum does not depend on the memory layout of ``values``), and ``stat``
-    a float minimum statistic or None.  Returns ``(mean, min_stat)``, ``mean``
-    complex for 1-D ``values``, else an array of their trailing shape.
-    A grid that evaluates more than 2^26 nodes raises ``ComputationError``
-    before ``fn`` is called: the cap counts the nodes evaluated, not M^d.
+    (and a new one in the next call).  An axis of at most ``max_block`` nodes,
+    its angles with its weights, is built once per grid and sliced per block;
+    a longer one, which no block spans, is built per block from its index
+    range, so no grid holds more than O(d max_block) angles.  ``fn`` returns
+    ``(values, stat)`` where ``values`` is an array (real or complex) whose
+    first axis runs over the block's nodes in row-major order, summed before
+    ``fn`` runs again (each column pairwise along its node axis, made
+    contiguous where it is not, so the sum does not depend on the memory
+    layout of ``values``), and ``stat`` a float minimum statistic or None.
+    Returns ``(mean, min_stat)``, ``mean`` complex for 1-D ``values``, else
+    an array of their trailing shape.  A grid that evaluates more than 2^26
+    nodes raises ``ComputationError`` before ``fn`` is called: the cap counts
+    the nodes evaluated, not M^d.
     """
     if max_block is None:
         max_block = _GRID_BLOCK
@@ -259,49 +241,43 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
     counts = _grid_counts(d, points, shift, fold)
     blocks = _blocks(counts, max_block)
     # a folded axis at shift 0 has fewer than M nodes, weighted to sum to M
-    mirrored = shift == 0.0 and min(counts) < points
-    total = points ** d if mirrored else math.prod(counts)
-    # axes of at most max_block nodes are built once and sliced per block;
-    # a longer one, which no block spans, per block from its index range
-    axis = _nodes(points, shift, 0, min(max(counts), max_block))
-    full = [axis[:n].reshape([n if k == j else 1 for k in range(d)]) if n <= max_block else None
-            for j, n in enumerate(counts)]
-    run_axis = len(blocks[0][0])  # every block spans the axes after it in full
-    if mirrored:
-        weighted = [n < points for n in counts]
-        trailing = (_trailing_weights(points, tuple(weighted[run_axis + 1:]))
-                    if run_axis < d - 1 else None)
+    weighted = [shift == 0.0 and n < points for n in counts]
+    total = points ** d if any(weighted) else math.prod(counts)
 
-    def block_weights(outer, j0, j1):
-        # row-major: the product of the fixed leading nodes' weights, times
-        # the run's, times the trailing axes' (exact: all powers of 2)
-        w = _mirror_weights(points, j0, j1) if weighted[run_axis] else np.ones(j1 - j0)
-        if outer:
-            lead = math.prod(1.0 if i == 0 or 2 * i == points else 2.0
-                             for i, folded in zip(outer, weighted) if folded)
-            w = w * lead
-        return w if trailing is None else np.multiply.outer(w, trailing).ravel()
+    # one vector of angles, and one of weights, per grid: an axis of at most
+    # max_block nodes is sliced from them, a longer one, which no block spans,
+    # is built per block from its index range to the same bits
+    line = _nodes(points, shift, 0, min(max(counts), max_block))
+    marks = _mirror_weights(points, 0, min(min(counts), max_block)) if any(weighted) else None
+
+    def axis(j, a, b):
+        # angles and weights (None if unweighted) of the nodes a..b-1 of axis j
+        shape = (1,) * j + (b - a,) + (1,) * (d - 1 - j)
+        theta = line[a:b] if b <= line.size else _nodes(points, shift, a, b)
+        if not weighted[j]:
+            return theta.reshape(shape), None
+        w = marks[a:b] if b <= marks.size else _mirror_weights(points, a, b)
+        return theta.reshape(shape), w.reshape(shape)
+
+    table = [axis(j, 0, n) if n <= max_block else None for j, n in enumerate(counts)]
 
     def work(block):
         outer, j0, j1 = block
-        mesh = list(full)
+        rows = list(table)
         for j, (a, b) in enumerate([(i, i + 1) for i in outer] + [(j0, j1)]):
-            if b - a == counts[j]:
-                continue
-            if full[j] is None:
-                mesh[j] = _nodes(points, shift, a, b).reshape([b - a if k == j else 1
-                                                               for k in range(d)])
-            else:
-                mesh[j] = full[j][(slice(None),) * j + (slice(a, b),)]
-        values, stat = fn(tuple(mesh))
-        if mirrored:
-            w = block_weights(outer, j0, j1)
-            values = values * w.reshape(w.shape + (1,) * (values.ndim - 1))
+            if b - a < counts[j]:
+                rows[j] = axis(j, a, b)
+        mesh, weights = zip(*rows)
+        values, stat = fn(mesh)
         # numpy sums pairwise only along a contiguous axis (across C-ordered
         # rows it adds one row at a time), so every column is summed along a
         # contiguous node axis: the same bits for any memory layout of values
         if values.ndim > 1:
             values = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+        if marks is not None:  # exact in any order: every weight is 1 or 2
+            w = reduce(np.multiply, [x for x in weights if x is not None])
+            nodes = values.reshape(values.shape[:-1] + tuple(theta.size for theta in mesh))
+            values = (nodes * w).reshape(values.shape)
         return values.sum(axis=-1), stat
 
     _settle_allocator()

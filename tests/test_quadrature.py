@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from mahlerzeta import ComputationError, QuadratureSpec, parse_laurent
 from mahlerzeta import mahler as mahler_module
 from mahlerzeta.correspondence import _cos_sum_grid
-from mahlerzeta.quadrature import (_blocks, _settle_allocator, det_stack, get_thread_count,
-                                   grid_mean, refine_to_tol, set_thread_count)
+from mahlerzeta.quadrature import (_blocks, _settle_allocator, det_stack, grid_mean,
+                                   refine_to_tol, set_thread_count)
 
 
 def _recording(model):
@@ -373,6 +373,46 @@ def test_block_sums_do_not_depend_on_the_memory_layout_of_values(case, shift, tr
     assert c_means.tobytes() == f_means.tobytes()
 
 
+@st.composite
+def _weight_cases(draw):
+    d = draw(st.integers(1, 3))
+    fold = draw(st.sets(st.integers(0, d - 1)))
+    return (d, draw(st.integers(1, 10)), fold, draw(st.sampled_from([0.0, 0.5])),
+            draw(st.sampled_from([1, 7, 64, 1 << 20])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weight_cases())
+def test_each_kept_node_weighs_the_grid_nodes_it_stands_for(case):
+    # one-hot rows over the kept nodes: column k of the mean is node k's
+    # weight over M^d, one nonzero term, so exact.  A folded node stands for
+    # itself and its mirror, but for the mirror's fixed points 0 and M/2 at
+    # shift 0; blocks of 1 node fix leading nodes at k = 0 and k = M/2
+    d, points, fold, shift, max_block = case
+    if shift == 0.5 and points % 2 == 0:
+        kept, weights = points // 2, np.full(points // 2, 2.0)
+    elif shift == 0.0 and points > 2:
+        k = np.arange(points // 2 + 1)
+        kept, weights = k.size, np.where((k == 0) | (2 * k == points), 1.0, 2.0)
+    else:
+        kept, weights = points, np.ones(points)
+    counts = [kept if j in fold else points for j in range(d)]
+    expected = np.ones(1)
+    for j in range(d):
+        expected = np.multiply.outer(expected, weights if j in fold else np.ones(points)).ravel()
+
+    def fn(mesh):
+        index = [np.rint(theta * points / (2.0 * math.pi) - shift).astype(int) for theta in mesh]
+        flat = np.ravel_multi_index(np.broadcast_arrays(*index), counts).ravel()
+        values = np.zeros((flat.size, math.prod(counts)))
+        values[np.arange(flat.size), flat] = 1.0
+        return values, None
+
+    mean, _ = grid_mean(fn, d, points, shift, fold=fold, max_block=max_block)
+    assert np.array_equal(mean.real, expected / points ** d)
+    assert not mean.imag.any()
+
+
 @pytest.mark.parametrize("shift", [0.5, 0.0])
 def test_one_axis_grid_builds_its_angles_per_block(shift):
     # the folded axis of M = 2^20 holds 2^19 (shift 0.5) or 2^19 + 1 nodes
@@ -575,8 +615,6 @@ def test_thread_count_is_a_deprecated_no_op():
     before = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12)
     with pytest.warns(DeprecationWarning):
         set_thread_count(2)
-    with pytest.warns(DeprecationWarning):
-        assert get_thread_count() == 1
     with pytest.raises(ValueError, match="thread count must be >= 1, got 0"):
         set_thread_count(0)
     after = grid_mean(fn, 3, 64, 0.5, max_block=1 << 12)
