@@ -49,7 +49,7 @@ from .errors import ComputationError
 # eval_on_nodes (torus points in, integer powers of them) serves mahler_quadrature only;
 # it shares no code with mesh_evaluator, so that route stays an independent oracle
 from .laurent import LaurentPolynomial, _exponent_matrix, eval_on_nodes, mesh_evaluator
-from .quadrature import _GRID_BLOCK, QuadratureSpec, grid_mean, refine_to_tol
+from .quadrature import _GRID_BLOCK, QuadratureSpec, _folded_count, grid_mean, refine_to_tol
 
 __all__ = [
     "MahlerResult",
@@ -153,15 +153,16 @@ def _halving(means: list[float]) -> float | None:
     return 2.0 if abs(older - 2.0 * newer) <= 0.02 * abs(newer) else None
 
 
-def _midpoint_ladder(fn, d: int, spec: QuadratureSpec, *, max_block=None, ratio=None,
+def _midpoint_ladder(fn, d: int, spec: QuadratureSpec, *, fold=(), max_block=None, ratio=None,
                      charge=None):
-    """``refine_to_tol`` over ``grid_mean(fn, ...)``.
+    """``refine_to_tol`` over ``grid_mean(fn, ..., fold=fold)``.
 
     ``ratio(means)`` maps the real grid means so far, coarsest first, to the
-    extrapolation ratio.  ``charge(n)`` is called with the node count of each
-    grid before it starts.  A grid mean that is not finite (``fn`` met a zero
-    or an overflow at a node) raises ``ComputationError``.  Returns the
-    result, the grid means and the smallest block stat.
+    extrapolation ratio.  ``charge(n)`` is called with the number of nodes
+    each grid evaluates (a folded axis counts the nodes it keeps) before it
+    starts.  A grid mean that is not finite (``fn`` met a zero or an
+    overflow at a node) raises ``ComputationError``.  Returns the result,
+    the grid means and the smallest block stat.
     """
     means = []
     low = math.inf
@@ -169,8 +170,8 @@ def _midpoint_ladder(fn, d: int, spec: QuadratureSpec, *, max_block=None, ratio=
     def eval_at(points):
         nonlocal low
         if charge is not None:
-            charge(points ** d)
-        mean, stat = grid_mean(fn, d, points, spec.node_shift, max_block=max_block)
+            charge(_folded_count(points, spec.node_shift) ** len(fold) * points ** (d - len(fold)))
+        mean, stat = grid_mean(fn, d, points, spec.node_shift, fold=fold, max_block=max_block)
         if not math.isfinite(mean.real):
             raise ComputationError(
                 f"the torus mean on the {points}^{d} grid is {mean.real}: the "
@@ -281,6 +282,41 @@ def _eliminated(poly: LaurentPolynomial) -> tuple[int, list[int], int]:
     used = [int(j) for j in np.flatnonzero(span)]
     var = min(used, key=lambda j: (span[j], -j), default=0)
     return var, [j for j in used if j != var], int(span[var])
+
+
+def _toric_free(coeffs: np.ndarray) -> bool:
+    """Whether the coefficients certify that no fiber root comes near the unit circle.
+
+    With S = sum_t |c_t| and margin = 2 max_t |c_t| - S, the largest term
+    outweighs the rest and |P| >= margin on the torus.  On |z| = 1 every
+    fiber f = sum_k a_k w^k of degree D <= 32 then has sum_k |a_k| <= S and
+    |f| >= margin on |w| = 1.  A root w0 at a distance g from the circle
+    and its radial projection w1 give margin <= |f(w1) - f(w0)| <=
+    g D S (1 + g)^(D - 1), so either g >= 1 / D or (1 + g)^(D - 1) < e and
+    g >= margin / (e D S); and (D + 1) max_k |a_k| >= margin.  Past
+    margin >= 1e-3 max(S, 1) the root gap stays above 1.1e-5 and the largest
+    coefficient above 3e-5, each ten times ``_SINGULAR_MIN``: no fiber root
+    crosses or touches the circle and no fiber vanishes, so ``_breakpoints``
+    could only return an empty array.
+    """
+    mags = np.abs(coeffs)
+    total = math.fsum(mags)
+    return 2.0 * float(mags.max()) - total >= 1e-3 * max(total, 1.0)
+
+
+def _mirror_even(poly: LaurentPolynomial, rest: list[int]) -> tuple[int, ...]:
+    """The positions i of the variables rest[i] that P is even in, read off its terms exactly.
+
+    P is even in X_j when P(X_j -> X_j^-1) = P coefficient for coefficient,
+    compared with no tolerance; every fiber, and so the reduced integrand,
+    is then even in theta_j.
+    """
+    terms = poly.terms
+
+    def mirrored(j):
+        return {e[:j] + (-e[j],) + e[j + 1:]: c for e, c in terms.items()}
+
+    return tuple(i for i, j in enumerate(rest) if mirrored(j) == terms)
 
 
 def _fiber_measures(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -589,10 +625,19 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     every arc between neighbouring breakpoints is integrated by tanh-sinh
     (``_arc_mean``), which converges geometrically up to such end points;
     the rungs of ``refine_to_tol`` take ``points_per_dim`` as the node count
-    per arc and halve the step, and ``singular_on_torus`` is set.
+    per arc and halve the step, and ``singular_on_torus`` is set.  When one
+    coefficient outweighs the rest, 2 max_t |c_t| - sum_t |c_t| >= 1e-3
+    max(sum_t |c_t|, 1), P has no toric points and no vanishing fiber
+    (``_toric_free`` derives the bound), so the search is skipped for the
+    ladder it would have chosen; the refusal of an aliasing sample stays.
+
+    The ladder folds every remaining axis on which P is mirror-even,
+    P(X_j -> X_j^-1) = P term for term: the integrand is even in theta_j
+    there, so ``grid_mean`` evaluates only its nodes in [0, pi] on that axis.
 
     One work budget covers every fiber evaluation of a call: the breakpoint
-    search, the arc rungs and the midpoint grids.  Each row counts the
+    search, the arc rungs and the midpoint grids, each charged for the rows
+    it evaluates (a folded grid for the nodes it keeps).  Each row counts the
     monomials it evaluates plus the cost of its fiber (a companion eigensolve
     counts about 10 D^2 of them), and an evaluation that would take the total
     past 2e8 raises ``ComputationError`` before it starts, after at most
@@ -646,17 +691,22 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
             parts = [fibers((theta[k:k + block],)) for k in range(0, max(theta.size, 1), block)]
             return tuple(np.concatenate(part) for part in zip(*parts))
 
-        breaks = _breakpoints(circle, spec, charge, int(np.ptp(outer)))
-        if breaks is not None and breaks.size:
-            res = refine_to_tol(
-                lambda points: _arc_mean(circle, breaks, points, spec.node_shift, charge), spec)
-            return MahlerResult(res.value, "jensen_reduced", res.delta, True)
+        span = int(np.ptp(outer))
+        # a certified polynomial skips the search, but not its aliasing refusal
+        if spec.points_per_dim <= 2 * span or not _toric_free(coeffs):
+            breaks = _breakpoints(circle, spec, charge, span)
+            if breaks is not None and breaks.size:
+                res = refine_to_tol(
+                    lambda points: _arc_mean(circle, breaks, points, spec.node_shift, charge),
+                    spec)
+                return MahlerResult(res.value, "jensen_reduced", res.delta, True)
 
     def fn(mesh):
         values, gap, _ = fibers(mesh)
         return values, float(gap.min())
 
-    res, _, low = _midpoint_ladder(fn, d, spec, max_block=block, charge=charge)
+    res, _, low = _midpoint_ladder(fn, d, spec, fold=_mirror_even(poly, rest), max_block=block,
+                                   charge=charge)
     return MahlerResult(res.value, "jensen_reduced", res.delta, low < _SINGULAR_MIN)
 
 

@@ -156,6 +156,17 @@ def test_mahler_term_is_jensen_reduced(verify, spec_of, d):
     assert abs(rep.diagnostics["mahler_value"] - oracle.value) <= 1e-9
 
 
+@pytest.mark.parametrize("verify, u, tol", [(verify_rw, -0.8, 1e-6), (verify_grover, -0.5, 1e-4)])
+def test_d5_mahler_side_runs_on_the_folded_ladder(verify, u, tol):
+    # the reduced ladder folds all four even axes of its 4-torus, so its
+    # 64^4 rung evaluates 32^4 fiber rows: verify_rw(5, -0.8) used to exit
+    # on the route's work budget (2.14e8 > 2e8 units)
+    rep = verify(5, u)
+    assert rep.passed and rep.tolerance == tol
+    assert rep.abs_diff < 1e-14
+    assert rep.diagnostics["mahler_route"] == "jensen_reduced"
+
+
 # --------------------------------------------------------------------------
 # random walk
 

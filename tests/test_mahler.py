@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mahlerzeta import (
     ComputationError,
@@ -406,6 +406,108 @@ def test_reduced_refuses_an_aliased_sample(k, monkeypatch):
     monkeypatch.setattr(mahler_module, "_fiber_measures", evaluated)
     with pytest.raises(ComputationError, match=f"512 nodes aliases fiber coefficients of degree {k}"):
         mahler_reduced(parse_laurent(f"X1^{k} + X2 + 1"))
+
+
+def _certified(poly):
+    return mahler_module._toric_free(np.array(list(poly.terms.values())))
+
+
+def _searched(poly, spec):
+    """mahler_reduced with the toric-zero certificate off, and what each breakpoint search found."""
+    found = []
+    search = mahler_module._breakpoints
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mahler_module, "_toric_free", lambda coeffs: False)
+        patch.setattr(mahler_module, "_breakpoints",
+                      lambda *args: found.append(search(*args)) or found[-1])
+        return mahler_reduced(poly, spec), found
+
+
+_SMALL_TERM = st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                        st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                           allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(_SMALL_TERM, min_size=1, max_size=6), excess=st.floats(0.01, 2.0),
+       phase=st.floats(0.0, 2.0 * math.pi))
+@example(terms=[((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)], excess=0.01,
+         phase=math.pi)  # Rogers' family just past c = -4: 4.04 - 4 = 0.04 apart
+def test_certified_polynomials_skip_a_search_that_finds_nothing(terms, excess, phase):
+    # a constant that outweighs every other term by excess (sum + 1) keeps P
+    # off zero on the torus with a certified margin; the search it skips
+    # returns an empty array and the result keeps its bits
+    table = {exps: coeff for exps, coeff in terms if exps != (0, 0)}
+    rest = sum(abs(c) for c in table.values())
+    table[(0, 0)] = ((1.0 + excess) * rest + excess) * complex(math.cos(phase), math.sin(phase))
+    poly = LaurentPolynomial(2, table)
+    assume(mahler_module._eliminated(poly)[1])  # both variables occur
+    assert _certified(poly)
+    spec = QuadratureSpec(64, 0.5, 1e-12, 3)
+    searched, found = _searched(poly, spec)
+    assert mahler_reduced(poly, spec) == searched
+    assert len(found) == 1 and found[0] is not None and found[0].size == 0
+
+
+def test_margin_zero_still_searches_and_finds_the_touch():
+    # |P| = 0 at (pi, pi): margin 2 * 4 - 8 = 0 certifies nothing, and the
+    # search finds the fiber's double root -1 on the circle at theta = pi (as
+    # two breakpoints a rounding-limited 2.4e-8 either side of it)
+    poly = parse_laurent("X1 + X1^-1 + X2 + X2^-1 + 4")
+    assert not _certified(poly)
+    res, found = _searched(poly, None)
+    assert found[0].size and np.all(np.abs(found[0] - math.pi) < 1e-7)
+    assert mahler_reduced(poly) == res and res.singular_on_torus
+
+
+def test_certified_polynomial_still_refuses_an_aliased_sample(monkeypatch):
+    # the margin 2 * 3 - 5 certifies X1^300 + X2 + 3, but its 512-node sample
+    # aliases fiber coefficients of degree 300: refused before any fiber
+    def evaluated(*args):
+        raise AssertionError("a fiber was evaluated")
+
+    poly = parse_laurent("X1^300 + X2 + 3")
+    assert _certified(poly)
+    monkeypatch.setattr(mahler_module, "_fiber_measures", evaluated)
+    with pytest.raises(ComputationError) as refused:
+        mahler_reduced(poly)
+    assert str(refused.value) == ("a sample of 512 nodes aliases fiber coefficients of "
+                                  "degree 300; the breakpoint search needs more than 600")
+
+
+def _cos_sum(d, c):
+    return parse_laurent(" + ".join(f"X{j} + X{j}^-1" for j in range(1, d + 1)) + f" + {c}")
+
+
+@pytest.mark.parametrize("poly, fold", [
+    (_cos_sum(2, 5), (0,)),
+    (_cos_sum(2, 4.05), (0,)),
+    (_cos_sum(3, 7.5), (0, 1)),
+    (_cos_sum(3, 15.6), (0, 1)),
+    (_cos_sum(4, 9), (0, 1, 2)),
+    (parse_laurent("X1^2 + X1^-2 + 3*X2 + 3*X2^-1 + 9"), (0,)),
+    # X2 is eliminated; X1 is not even, and X1*X2 only under the joint mirror
+    (parse_laurent("X1 + 2*X1^-1 + X2 + X2^-1 + 7"), ()),
+    (parse_laurent("X1*X2 + X1^-1*X2^-1 + 5"), ()),
+    # i X1 - i X1^-1: |P| is even in theta_1, P is not
+    (LaurentPolynomial(2, {(1, 0): 1j, (-1, 0): -1j, (0, 1): 1, (0, -1): 1, (0, 0): 7}), ()),
+])
+def test_reduced_ladder_folds_exactly_the_mirror_even_axes(monkeypatch, poly, fold):
+    folds = []
+    mean = mahler_module.grid_mean
+
+    def recording(fn, d, points, shift, *, fold=(), max_block=None):
+        folds.append(tuple(fold))
+        return mean(fn, d, points, shift, fold=fold, max_block=max_block)
+
+    monkeypatch.setattr(mahler_module, "grid_mean", recording)
+    spec = QuadratureSpec(16, 0.5, 1e-13, 3)
+    folded = mahler_reduced(poly, spec)
+    assert folds and set(folds) == {fold}
+    monkeypatch.setattr(mahler_module, "_mirror_even", lambda poly, rest: ())
+    whole = mahler_reduced(poly, spec)
+    assert abs(folded.value - whole.value) <= 1e-15
+    assert folded.singular_on_torus == whole.singular_on_torus
 
 
 def test_reduced_work_budget_counts_grids_before_they_start(monkeypatch):
