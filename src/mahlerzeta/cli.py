@@ -195,8 +195,13 @@ def _add_coin_flags(sub):
 
 
 def _add_quad_flags(sub):
-    sub.add_argument("--grid", type=int, help="final points per axis (the ladder starts at half)")
-    sub.add_argument("--tol", type=_tolerance, help="refinement tolerance (needs --grid)")
+    sub.add_argument("--grid", type=int,
+                     help="final points per axis (the ladder starts at half); an analytic "
+                          "log-det or cos-sum mean runs one proven grid instead where that "
+                          "evaluates no more nodes than the first two")
+    sub.add_argument("--tol", type=_tolerance,
+                     help="refinement tolerance (needs --grid); a proven grid meets "
+                          "min(tol, 1e-15)")
     sub.add_argument("--max-refinements", type=int, help="doublings (needs --grid)")
 
 
@@ -353,6 +358,7 @@ def _cmd_logzeta(args):
         "grid": res.points_per_dim,
         "refinement_evaluations": res.evaluations,
         "last_delta": res.delta,
+        "error_bound": res.error_bound,
         "imag_residual": abs(res.value.imag),
     }
 

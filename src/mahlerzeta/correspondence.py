@@ -31,9 +31,11 @@ from .laurent import LaurentPolynomial
 from .mahler import hyper_pfq, mahler_reduced, mahler_walk_1d, special_constants
 # perfbench's tracer wraps mahler_quadrature in every module that imports it
 from .mahler import mahler_quadrature  # noqa: F401
-from .quadrature import (_GRID_BLOCK, QuadratureSpec, _blocks, _grid_counts, _mirror_weights,
-                         _nodes, _settle_allocator, grid_mean, refine_to_tol)
+from .quadrature import (_GRID_BLOCK, QuadratureSpec, RefineResult, _blocks, _capped,
+                         _grid_counts, _mirror_weights, _nodes, _proven_grid, _settle_allocator,
+                         grid_mean, refine_to_tol)
 from .walk import matrix_weight_traces
+from . import zeta as zeta_module
 from .zeta import _series_sum, log_zeta
 # perfbench's tracer wraps log_zeta_series in every module that imports it
 from .zeta import log_zeta_series  # noqa: F401
@@ -112,10 +114,12 @@ def verify_1d_qw(xi: float, u: float, shift_type: str,
     """One-dimensional walk: determinant quadrature vs Mahler decomposition.
 
     lhs is the logarithmic zeta function computed by quadrature of the
-    momentum determinant; rhs is log(-cos(xi) u) + m(X - X^-1 + c_m) for the
-    moving shift (resp. the sin/f-type pair), with the Mahler measure from its
-    own closed form.  The direct closed form of the zeta function rides along
-    in the diagnostics.  ``tol`` defaults to the suite's ``qw1d`` tolerance.
+    momentum determinant, on one proven grid where ``log_zeta`` allows it
+    (its bound is the diagnostic ``lhs_error_bound``, None on a ladder);
+    rhs is log(-cos(xi) u) + m(X - X^-1 + c_m) for the moving shift (resp.
+    the sin/f-type pair), with the Mahler measure from its own closed form.
+    The direct closed form of the zeta function rides along in the
+    diagnostics.  ``tol`` defaults to the suite's ``qw1d`` tolerance.
     """
     lo, hi = qw_validity_interval(xi, shift_type)
     _check_open_interval(u, lo, hi, f"{shift_type}-type 1d walk")
@@ -125,7 +129,10 @@ def verify_1d_qw(xi: float, u: float, shift_type: str,
     if shift_type == F_TYPE:
         coin = flip_flop(coin)
     spec = quad or QuadratureSpec(4096, 0.5, 1e-12, 0)
-    lhs = log_zeta(coin, u, spec)
+    # through the module, as log_zeta reaches it, so that perfbench's tracer
+    # (which wraps zeta.log_zeta_refined) counts the call
+    res = zeta_module.log_zeta_refined(coin, u, spec)
+    lhs = res.value.real
     mahler = mahler_walk_1d(xi, u, shift_type)
     prefactor = -math.cos(xi) * u if shift_type == M_TYPE else -math.sin(xi) * u
     rhs = math.log(prefactor) + mahler
@@ -140,6 +147,7 @@ def verify_1d_qw(xi: float, u: float, shift_type: str,
             "rhs_minus_closed": rhs - closed,
             "mahler_term": mahler,
             "grid": spec.points_per_dim,
+            "lhs_error_bound": res.error_bound,
         },
     )
 
@@ -159,11 +167,12 @@ def _cos_sum_grid(d: int, points: int, shift: float, alpha: float, beta: float,
     and e_j = beta (cos theta_j - 1) = -2 beta sin^2(theta_j / 2), so an
     argument that vanishes at theta = 0 (lambda_d) keeps its digits near it.
     The integrand is even in every theta_j: at the half-node shift and an even
-    M each axis keeps its n = M/2 nodes in [0, pi), otherwise all n = M, and
-    an n^d over 2^26 raises ``ComputationError``.  ``grid_mean`` runs d = 1,
-    which at shift 0 folds onto the weighted nodes k = 0..floor(M/2); for
-    d >= 2 the pair rows below need one uniform, unweighted axis, so a
-    shift-0 grid keeps all its n = M nodes per axis.
+    M each axis keeps its n = M/2 nodes in [0, pi), otherwise all n = M.
+    ``grid_mean`` runs d = 1, which at shift 0 folds onto the weighted nodes
+    k = 0..floor(M/2); for d >= 2 the pair rows below need one uniform,
+    unweighted axis, so a shift-0 grid keeps all its n = M nodes per axis.
+    Evaluated nodes (``_cos_sum_counts``) over 2^26 raise
+    ``ComputationError``.
 
     For d >= 2 the last two axes, each carrying t_j = c/2 + e_j, are taken
     as unordered pairs: row r holds t_j + t_{(j+r) mod n}, j = 0..n-1, and
@@ -187,17 +196,16 @@ def _cos_sum_grid(d: int, points: int, shift: float, alpha: float, beta: float,
             return ufunc(t, out=t), None
 
         return grid_mean(fn, 1, points, shift, fold=(0,))[0].real
-    # at shift 0 no axis is folded: a weighted axis cannot be paired
-    n = _grid_counts(d, points, shift, () if shift == 0.0 else range(d))[0]
+    counts = _capped(_cos_sum_counts(d, points, shift))
+    rows, n = counts[-2:]
     e = _cos_excess(_nodes(points, shift, 0, n), beta)
     t = 0.5 * constant + e
-    rows = n // 2 + 1
     weights = _mirror_weights(n, 0, rows)
     windows = sliding_window_view(np.concatenate((t, t)), n)  # row r: t[(j + r) % n]
     pairs = None
     _settle_allocator()
     sums = []
-    for outer, j0, j1 in _blocks([n] * (d - 2) + [rows, n], _GRID_BLOCK):
+    for outer, j0, j1 in _blocks(counts, _GRID_BLOCK):
         lead = sum(e[i] for i in outer)  # the leading nodes the block fixes
         if len(outer) == d - 2:  # a run of pair rows
             block = windows[j0:j1] + t
@@ -217,22 +225,55 @@ def _cos_sum_grid(d: int, points: int, shift: float, alpha: float, beta: float,
     return math.fsum(sums) / n ** d
 
 
-def _cos_log_mean(d: int, spec: QuadratureSpec, alpha: float, beta: float,
-                  ratio: float | None = None) -> float:
-    """Refined torus average of log(alpha + beta sum_j cos theta_j).
+def _cos_sum_counts(d: int, points: int, shift: float) -> list[int]:
+    """Nodes on each axis of the grid ``_cos_sum_grid(d, points, shift, ...)`` evaluates.
 
-    Without ``ratio`` a ladder that does not converge raises.  With it, the
-    ladder extrapolates at that fixed error ratio and its last extrapolant is
-    returned as it stands.
+    The folded count n of one axis for d = 1; for d >= 2, n on each leading
+    axis, then floor(n/2) + 1 pair rows of n, with n = M/2 at shift 0.5 and
+    an even M, else M (at shift 0 no axis is folded: a weighted axis cannot
+    be paired).
     """
-    res = refine_to_tol(
-        lambda points: _cos_sum_grid(d, points, spec.node_shift, alpha, beta, np.log),
-        spec, None if ratio is None else (lambda: ratio))
-    if ratio is None and not res.converged:
+    if d == 1:
+        return _grid_counts(1, points, shift, (0,))
+    n = _grid_counts(1, points, shift, () if shift == 0.0 else (0,))[0]
+    return [n] * (d - 2) + [n // 2 + 1, n]
+
+
+def _cos_log_mean(d: int, spec: QuadratureSpec, alpha: float, beta: float,
+                  ratio: float | None = None) -> RefineResult:
+    """Refined torus average of log(alpha + beta sum_j cos theta_j), alpha >= |beta| d.
+
+    Without ``ratio`` (alpha > |beta| d) the integrand is analytic on the
+    strip |Im theta_j| < acosh(alpha / (|beta| d)): where every |Im theta_j|
+    <= a, |beta sum_j cos theta_j| <= |beta| d cosh a, so the argument has a
+    positive real part and a modulus within alpha -+ |beta| d cosh a, and
+    its log is at most the larger |log| of those two plus pi/2.  One grid
+    proven to min(tol, 1e-15) replaces the ladder wherever it evaluates no
+    more nodes (``quadrature._proven_grid``); a ladder that does not
+    converge raises.  With ``ratio`` (alpha = |beta| d, a zero on the
+    torus), the ladder extrapolates at that fixed error ratio and its last
+    extrapolant is returned as it stands.
+    """
+    def eval_at(points):
+        return _cos_sum_grid(d, points, spec.node_shift, alpha, beta, np.log)
+
+    if ratio is not None:
+        return refine_to_tol(eval_at, spec, lambda: ratio)
+    spread = abs(beta) * d
+
+    def bound(a):
+        low, high = alpha - spread * math.cosh(a), alpha + spread * math.cosh(a)
+        return max(abs(math.log(low)), abs(math.log(high))) + math.pi / 2
+
+    res = (_proven_grid(eval_at, spec,
+                        lambda points: math.prod(_cos_sum_counts(d, points, spec.node_shift)),
+                        math.acosh(alpha / spread), bound, d)
+           or refine_to_tol(eval_at, spec))
+    if not res.converged:
         raise ComputationError(
             f"scalar quadrature did not converge (last delta {res.delta:.3e})"
         )
-    return float(res.value)
+    return res
 
 
 def _grover_spec(d: int) -> QuadratureSpec:
@@ -264,6 +305,9 @@ def verify_grover(d: int, u: float,
     measure taken by the Jensen-reduced route (one variable integrated out
     exactly), so the two sides share no integrand.  For d = 2 the diagnostics
     also carry the hypergeometric form log(1-u^4) - (2/c^2) 4F3(.; 16/c^2).
+    The torus average runs on one grid proven to 1e-15 where that evaluates
+    no more nodes than the first two grids of ``quad`` (``_cos_log_mean``);
+    its bound is the diagnostic ``lhs_error_bound``, None on a ladder.
     ``tol`` defaults to the suite's ``grover_d<d>`` tolerance, and to 1e-4
     for a dimension the suite does not check.
     """
@@ -274,7 +318,8 @@ def verify_grover(d: int, u: float,
         tol = DEFAULT_TOLERANCES.get(f"grover_d{d}", 1e-4)
     spec = quad or _grover_spec(d)
     base = (d - 1) * math.log(1.0 - u * u)
-    lhs = base + _cos_log_mean(d, spec, 1.0 + u * u, -2.0 * u / d)
+    mean = _cos_log_mean(d, spec, 1.0 + u * u, -2.0 * u / d)
+    lhs = base + mean.value
     c = -d * (u + 1.0 / u)
     poly = _lattice_polynomial(d, c)
     mahler = mahler_reduced(poly, spec)
@@ -286,6 +331,7 @@ def verify_grover(d: int, u: float,
         "mahler_error_estimate": mahler.error_estimate,
         "singular_on_torus": mahler.singular_on_torus,
         "grid": spec.points_per_dim,
+        "lhs_error_bound": mean.error_bound,
     }
     if d == 1:
         # the d = 1 coin degenerates to the bare swap; both sides vanish
@@ -326,7 +372,10 @@ def verify_rw(d: int, u: float,
     carry the closed form log((1+sqrt(1-u^2))/2) and the central-binomial
     series; for d = 2 the 4F3 form and the squared-binomial series.  No
     other d computes a series: its return weights to r = 60 meet on a
-    light-cone field of 31^d sites.
+    light-cone field of 31^d sites.  The torus average runs on one grid
+    proven to 1e-15 where that evaluates no more nodes than the first two
+    grids of ``quad`` (``_cos_log_mean``); its bound is the diagnostic
+    ``lhs_error_bound``, None on a ladder.
     ``tol`` defaults to the suite's ``rw_d<d>`` tolerance, and to 1e-6 for a
     dimension the suite does not check.
     """
@@ -336,7 +385,8 @@ def verify_rw(d: int, u: float,
     if tol is None:
         tol = DEFAULT_TOLERANCES.get(f"rw_d{d}", 1e-6)
     spec = quad or _rw_spec(d)
-    lhs = _cos_log_mean(d, spec, 1.0, -u / d)
+    mean = _cos_log_mean(d, spec, 1.0, -u / d)
+    lhs = mean.value
     c = -2.0 * d / u
     poly = _lattice_polynomial(d, c)
     mahler = mahler_reduced(poly, spec)
@@ -346,6 +396,7 @@ def verify_rw(d: int, u: float,
         "mahler_value": mahler.value,
         "mahler_route": mahler.method,
         "grid": spec.points_per_dim,
+        "lhs_error_bound": mean.error_bound,
     }
     if d <= 2:
         series_value, series_tail = _series_sum(_rw_traces(d, 60), u, d)
@@ -372,11 +423,14 @@ def stgf(d: int, u: float, quad: QuadratureSpec | None = None) -> float:
     """Spanning tree generating function of Z^d at 0 < u <= 1.
 
     Equals log(2d) plus the torus average of log(1/u - (1/d) sum_j cos),
-    i.e. the random-walk logarithmic zeta shifted by log(2d) - log u.  The
-    u = 1 endpoint has an integrable singularity at Theta = 0, where the
-    integrand vanishes quadratically; there the leading quadrature error is
-    1/M in one dimension and 1/M^2 above, and the ladder extrapolates against
-    that model.
+    i.e. the random-walk logarithmic zeta shifted by log(2d) - log u.  For
+    u < 1 the integrand is analytic on the strip |Im Theta_j| < acosh(1/u),
+    and the average runs on one grid proven to min(tol, 1e-15) where that
+    evaluates no more nodes than the first two grids of ``quad``
+    (``_cos_log_mean``).  The u = 1 endpoint has an integrable singularity
+    at Theta = 0, where the integrand vanishes quadratically; there the
+    leading quadrature error is 1/M in one dimension and 1/M^2 above, and
+    the ladder extrapolates against that model.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
@@ -384,11 +438,11 @@ def stgf(d: int, u: float, quad: QuadratureSpec | None = None) -> float:
         raise ValueError(f"u must lie in (0, 1], got {u}")
     if u == 1.0:
         spec = quad or _tree_spec(d)
-        integral = _cos_log_mean(d, spec, 1.0, -1.0 / d, 2.0 if d == 1 else 4.0)
+        mean = _cos_log_mean(d, spec, 1.0, -1.0 / d, 2.0 if d == 1 else 4.0)
     else:
         spec = quad or _rw_spec(d)
-        integral = _cos_log_mean(d, spec, 1.0 / u, -1.0 / d)
-    return math.log(2 * d) + integral
+        mean = _cos_log_mean(d, spec, 1.0 / u, -1.0 / d)
+    return math.log(2 * d) + mean.value
 
 
 def _tree_spec(d: int) -> QuadratureSpec:

@@ -33,8 +33,13 @@ at the fixed points.  Every weight is 1 or 2, so their products are exact in
 any order, and a folded mean differs from the full grid's by rounding alone.
 The 2^26-node budget counts the nodes a grid evaluates, folded or not.
 
-``refine_to_tol`` is the one refinement ladder: every refined torus average
-in the package runs through it, with or without Richardson extrapolation.
+``refine_to_tol`` is the one refinement ladder.  A mean whose integrand is
+analytic on a strip |Im theta_j| < a, with a bound on it there, can skip it:
+``_strip_points`` sizes one grid whose error is proven below a target, and
+``_proven_grid`` runs that grid wherever it evaluates no more nodes than the
+ladder's first two grids.  The log zeta integrand and the sum-of-cosines logs
+of the Grover, random-walk and spanning-tree means do so; every other refined
+torus average runs the ladder, with or without Richardson extrapolation.
 """
 
 from __future__ import annotations
@@ -103,7 +108,9 @@ class QuadratureSpec:
     ``points_per_dim`` is the first full grid: the ladder of
     ``refine_to_tol`` starts one halving below it and doubles M until its
     convergence test passes or ``max_refinements`` doublings have been
-    spent.
+    spent.  A mean with a proven strip bound (``_proven_grid``) runs one
+    grid instead where that evaluates no more nodes than the ladder's first
+    two, so the spec is the most such a mean spends.
     """
 
     points_per_dim: int = 32
@@ -184,14 +191,21 @@ def _grid_counts(d: int, points: int, shift: float, fold) -> list[int]:
     """Nodes on each axis of the grid ``grid_mean(fn, d, points, shift, fold=fold)`` evaluates.
 
     A folded axis keeps ``_folded_count(points, shift)`` nodes, any other
-    axis all M.  Raises ``ComputationError`` when the product of the counts
-    exceeds the 2^26 cap.
+    axis all M.
     """
     kept = _folded_count(points, shift)
     folded = set(fold)
-    counts = [kept if j in folded else points for j in range(d)]
+    return [kept if j in folded else points for j in range(d)]
+
+
+def _capped(counts: list[int]) -> list[int]:
+    """``counts``, once the grid of ``counts[j]`` nodes on axis j is within the 2^26 cap.
+
+    Raises ``ComputationError``, quoting the shape and the node count, when it is not.
+    """
     total = math.prod(counts)
     if total > _MAX_GRID_NODES:
+        d = len(counts)
         shape = f"{counts[0]}^{d}" if len(set(counts)) == 1 else "x".join(map(str, counts))
         raise ComputationError(
             f"grid {shape} = {total} nodes exceeds the cap of {_MAX_GRID_NODES} (2^26)"
@@ -245,7 +259,7 @@ def grid_mean(fn, d: int, points: int, shift: float, *, fold=(),
         max_block = _GRID_BLOCK
     if d < 1 or max_block < 1:
         raise ValueError(f"need d >= 1 and max_block >= 1, got d={d}, max_block={max_block}")
-    counts = _grid_counts(d, points, shift, fold)
+    counts = _capped(_grid_counts(d, points, shift, fold))
     blocks = _blocks(counts, max_block)
     # a folded axis at shift 0 has fewer than M nodes, weighted to sum to M
     weighted = [shift == 0.0 and n < points for n in counts]
@@ -307,7 +321,10 @@ class RefineResult:
     ``value`` is the last estimate and ``previous`` the one before it (the
     previous grid value, or the previous extrapolant); ``delta`` is the gap
     the convergence test used.  ``points_per_dim`` is the finest grid and
-    ``evaluations`` the number of grids.
+    ``evaluations`` the number of grids.  ``error_bound`` is None on a
+    ladder; a proven grid (``_proven_grid``) has one evaluation, its value as
+    ``previous`` and its discretization bound as ``delta`` and
+    ``error_bound``.
     """
 
     value: complex
@@ -316,6 +333,7 @@ class RefineResult:
     converged: bool
     points_per_dim: int
     evaluations: int
+    error_bound: float | None = None
 
 
 def refine_to_tol(eval_at, spec: QuadratureSpec, order=None) -> RefineResult:
@@ -353,6 +371,58 @@ def refine_to_tol(eval_at, spec: QuadratureSpec, order=None) -> RefineResult:
                                 points, len(grids))
         points *= 2
         grids.append(eval_at(points))
+
+
+def _strip_points(a_max: float, bound, d: int, tol: float) -> tuple[int, float]:
+    """The smallest even M whose discretization bound on the M^d grid meets ``tol``, and that bound.
+
+    ``bound(a)`` bounds |f| where every |Im theta_j| <= a, for 0 < a <
+    ``a_max``, f being analytic on that polystrip.  Its Fourier coefficients
+    then obey |f^(k)| <= B e^(-a |k|_1), and a grid of M nodes per axis at any
+    shift aliases exactly the k in M Z^d, k != 0, onto its mean, so the mean
+    is off by at most B (((1 + q) / (1 - q))^d - 1) with q = e^(-a M)
+    (Trefethen & Weideman, SIAM Review 2014).  Nine half-widths a = a_max
+    k / 10 are tried and the one that needs the fewest nodes is kept; the
+    bound returned is the least of the nine at that M.  The d-th root of
+    1 + tol/B is taken through ``log1p``: rounded, it would be 1.
+    """
+    def needed(a, b):
+        # ((1 + q) / (1 - q))^d <= 1 + tol / B  <=>  q <= tanh(log1p(tol / B) / 2d)
+        q = math.tanh(math.log1p(tol / b) / (2 * d))
+        return 2 * math.ceil(-math.log(q) / (2 * a))
+
+    def error(a, b, points):
+        q = math.exp(-a * points)
+        return b * math.expm1(d * math.log1p(2 * q / (1 - q)))
+
+    strips = [(a, bound(a)) for a in (a_max * k / 10 for k in range(1, 10))]
+    points = max(2, min(needed(a, b) for a, b in strips))
+    return points, min(error(a, b, points) for a, b in strips)
+
+
+def _proven_grid(eval_at, spec: QuadratureSpec, nodes, a_max: float, bound,
+                d: int) -> RefineResult | None:
+    """One grid of ``eval_at(points)`` with a proven bound, or None where the ladder is cheaper.
+
+    ``eval_at`` is the M^d grid mean of an integrand analytic on the strip
+    of ``_strip_points`` and ``nodes(points)`` the nodes that grid evaluates.
+    The grid sized for min(``spec.tol``, 1e-15) runs when it evaluates no
+    more nodes than the first two grids of ``refine_to_tol(eval_at, spec)``
+    and fits the 2^26 cap, so it never costs more than the ladder the spec
+    allows; proof costs only log(1/tol) in M, so the mean goes to rounding.
+    An overflowed strip or mean (not finite) is left to the ladder, which
+    reports it.
+    """
+    if not math.isfinite(a_max):
+        return None
+    points, error = _strip_points(a_max, bound, d, min(spec.tol, 1e-15))
+    first = spec.points_per_dim
+    if nodes(points) > min(nodes(max(1, first // 2)) + nodes(first), _MAX_GRID_NODES):
+        return None
+    value = eval_at(points)
+    if not math.isfinite(abs(value)):
+        return None
+    return RefineResult(value, value, error, True, points, 1, error)
 
 
 def det_stack(mats: np.ndarray) -> np.ndarray:

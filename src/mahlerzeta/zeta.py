@@ -55,7 +55,8 @@ import numpy as np
 from .coins import CoinMatrix, F_TYPE, HADAMARD, M_TYPE
 from .errors import ComputationError
 from .laurent import mesh_evaluator
-from .quadrature import QuadratureSpec, det_stack, grid_mean, refine_to_tol
+from .quadrature import (QuadratureSpec, _grid_counts, _proven_grid, det_stack, grid_mean,
+                         refine_to_tol)
 from .walk import _check_work, _momentum_stack, matrix_weight_traces
 
 __all__ = [
@@ -392,13 +393,57 @@ def _cr_closed_values(xi: float, l_max: int, shift_type: str) -> list[float]:
     return [scale * p for scale, p in zip(scales, jacobi)]
 
 
+def _coin_norms(coin: CoinMatrix) -> tuple[float, float]:
+    """Upper bounds on ||C||_2 and ||C^-1||_2 (inf where none is found).
+
+    Gershgorin discs of the Hermitian G = C^H C bound its eigenvalues, the
+    squared singular values of C, by max_i sum_j |G_ij| from above and by
+    min_i (2 G_ii - sum_j |G_ij|) from below: exact for a unitary coin
+    (G = I), looser for any other.  G is summed by broadcasting: an SVD or a
+    matrix product would call LAPACK or BLAS, whose first call costs 0.9 or
+    0.5 MB of resident memory.
+    """
+    c = coin.entries
+    g = np.abs((c.conj()[:, :, None] * c[:, None, :]).sum(axis=0))
+    rows = g.sum(axis=1)
+    low = float((2 * np.diag(g) - rows).min())
+    return math.sqrt(rows.max()), (1.0 / math.sqrt(low) if low > 0 else math.inf)
+
+
+def _log_det_strip(coin: CoinMatrix, u: float):
+    """``(a_max, bound)`` of log |det(I - u M_hat)| for ``quadrature._strip_points``, or None.
+
+    ||M_hat(Theta + iy)||_2 <= ||C||_2 e^a where every |y_j| <= a, and
+    det(I - u M_hat) = u^(2d) det C det(I - M_hat^-1 / u) with
+    ||M_hat^-1||_2 <= ||C^-1||_2 e^a.  With rho the smaller of |u| ||C||_2
+    and ||C^-1||_2 / |u| (each norm bounded by ``_coin_norms``), the real
+    part of the log is thus, up to a constant, that of the log det of I - W
+    with ||W||_2 <= rho e^a, analytic and at most -2d log(1 - rho e^a) in
+    modulus while a < -log rho.  None for rho >= 1 (and u = 0).
+    """
+    norm, inverse = _coin_norms(coin)
+    rho = min(abs(u) * norm, inverse / abs(u)) if u else 1.0
+    if rho >= 1.0:
+        return None
+    d = coin.dim_d
+    return -math.log(rho), lambda a: -2 * d * math.log1p(-rho * math.exp(a))
+
+
 def log_zeta_refined(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = None):
     """Like ``log_zeta`` but returning the full refinement record."""
     spec = quad or QuadratureSpec()
+    d = coin.dim_d
     fn = _log_det_block(coin, u, require_positive=True)
     fold = _even_axes(coin)
-    res = refine_to_tol(
-        lambda points: grid_mean(fn, coin.dim_d, points, spec.node_shift, fold=fold)[0], spec)
+
+    def eval_at(points):
+        return grid_mean(fn, d, points, spec.node_shift, fold=fold)[0]
+
+    strip = _log_det_strip(coin, u)
+    proven = strip and _proven_grid(
+        eval_at, spec, lambda points: math.prod(_grid_counts(d, points, spec.node_shift, fold)),
+        *strip, d)
+    res = proven or refine_to_tol(eval_at, spec)
     if not res.converged:
         raise ComputationError(
             f"log-zeta quadrature did not converge after {spec.max_refinements} refinements "
@@ -416,6 +461,16 @@ def log_zeta(coin: CoinMatrix, u: float, quad: QuadratureSpec | None = None) -> 
     on their validity ranges), and the symmetric grid cancels the imaginary
     part, which is asserted below 1e-9.  Every axis on which the determinant
     is even (``_even_axes``) is folded onto [0, pi).
+
+    With rho = min(|u| ||C||_2, ||C^-1||_2 / |u|) below 1 (each norm bounded
+    from above, exactly for a unitary coin) the integrand is analytic on the
+    strip |Im Theta_j| < -log rho, and one grid sized by
+    ``quadrature._strip_points`` for min(tol, 1e-15) replaces the ladder
+    wherever it evaluates no more nodes than the ladder's first two grids;
+    its bound covers the real part returned.  For |u| > 1 only
+    log det(I - M_hat^-1 / u) is discretized: det(-u M_hat) = u^(2d) det C
+    is constant.  Otherwise (rho >= 1, as at |u| = 1 for a unitary coin) the
+    ladder of ``quad`` runs.
     """
     return log_zeta_refined(coin, u, quad).value.real
 

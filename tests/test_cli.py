@@ -29,6 +29,19 @@ def test_logzeta_hadamard(capsys):
     assert payload["command"] == "logzeta"
     assert abs(payload["result"] - (-0.0049874)) < 1e-6
     assert payload["inputs"]["u"] == -0.1
+    # rho = |u| = 0.1: one proven grid in place of the 2048, 4096 ladder
+    diagnostics = payload["diagnostics"]
+    assert diagnostics["refinement_evaluations"] == 1
+    assert diagnostics["error_bound"] == diagnostics["last_delta"] <= 1e-15
+
+
+def test_logzeta_prints_no_error_bound_on_a_ladder(capsys):
+    # a unitary coin at |u| = 1 has no strip: rho = 1
+    code, out, _ = run_cli(["logzeta", "--coin", "hadamard", "--xi", "0.785398", "--shift", "f",
+                            "--u", "-1", "--grid", "4096"], capsys)
+    assert code == 0
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["refinement_evaluations"] == 2 and diagnostics["error_bound"] is None
 
 
 def test_mahler_log2(capsys):
@@ -330,16 +343,17 @@ def test_mahler_grid_over_budget_exit_1(capsys):
 
 
 def test_lambda_grid_budget_counts_folded_nodes(capsys):
-    # the 2^26 budget counts the folded (M/2)^3 grid, of which the pair rows
-    # evaluate about half: the ladder 256, 512 of --grid 512 fits it, and
-    # the 1024 rung of --grid 1024 (512^3 nodes) does not
+    # the 2^26 budget counts the nodes the folded grid evaluates: its M/2
+    # leading nodes times floor(M/4) + 1 pair rows of M/2.  The ladder 256,
+    # 512 of --grid 512 fits it, and the 1024 rung of --grid 1024
+    # (512 x 257 x 512 nodes) does not
     code, out, _ = run_cli(["lambda", "--d", "3", "--grid", "512"], capsys)
     assert code == 0
     assert json.loads(out)["result"] == 1.6733892978492759
     code, out, err = run_cli(["lambda", "--d", "3", "--grid", "1024"], capsys)
     assert code == 1
     assert out == ""
-    assert "grid 512^3" in err and "cap" in err
+    assert "grid 512x257x512 = 67371008 nodes exceeds the cap" in err
 
 
 def test_verify_tol_file(tmp_path, capsys):

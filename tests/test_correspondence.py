@@ -7,6 +7,7 @@ import pytest
 
 from mahlerzeta import (
     DEFAULT_TOLERANCES,
+    ComputationError,
     QuadratureSpec,
     build_coin,
     central_binomial_weight,
@@ -73,6 +74,39 @@ def test_qw1d_three_way_agreement():
     assert abs(rep.diagnostics["lhs_minus_closed"]) < 1e-9
     assert abs(rep.diagnostics["rhs_minus_closed"]) < 1e-12
 
+
+def test_suite_lhs_lies_within_its_proven_bound():
+    # each qw1d, Grover and RW lhs of the suite but three rows runs one grid
+    # and records its bound, which covers the gap to the closed form up to
+    # rounding.  The qw1d rows at u = -1 keep the ladder (a unitary coin on
+    # |u| = 1 has no strip), those at u = -2 take the reflected strip
+    # (rho = ||C^-1|| / 2), and Grover d = 3 at u = -0.8 needs more nodes
+    # than its ladder's first two grids
+    ladders = []
+    for kind in ("qw1d", "grover_d1", "grover_d2", "grover_d3", "rw_d1", "rw_d2"):
+        for args in SUITE_CHECKS[kind].grid:
+            rep = SUITE_CHECKS[kind].verifier(**args)
+            bound = rep.diagnostics["lhs_error_bound"]
+            if bound is None:
+                ladders.append((kind, args["u"]))
+                continue
+            assert bound <= 1e-15
+            if "lhs_minus_closed" in rep.diagnostics:
+                assert abs(rep.diagnostics["lhs_minus_closed"]) <= bound + 1e-15 * max(
+                    1.0, abs(rep.lhs))
+    assert ladders == [("qw1d", -1.0)] * 3 + [("grover_d3", -0.8)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowed_strip_or_mean_is_refused_as_on_the_ladder():
+    # 1/u overflows to inf at u = 5e-324, so the cos-sum strip is infinite,
+    # and at u = -1e300 the reflected strip is wide but the determinants
+    # overflow: both fall back to the ladder, which refuses them, where a
+    # proven grid would raise ValueError or return nan
+    with pytest.raises(ComputationError, match="did not converge"):
+        stgf(2, 5e-324)
+    with pytest.raises(ComputationError, match="did not converge"):
+        log_zeta(build_coin("hadamard", 1, 0.7), -1e300)
 
 def test_qw1d_closed_form_equivalence_grid():
     # the direct closed form and the prefactor-plus-mahler split agree pointwise

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from mahlerzeta import ComputationError, QuadratureSpec, parse_laurent
 from mahlerzeta import mahler as mahler_module
-from mahlerzeta.correspondence import _cos_sum_grid
-from mahlerzeta.quadrature import (_blocks, _settle_allocator, det_stack, grid_mean,
-                                   refine_to_tol, set_thread_count)
+from mahlerzeta import correspondence as correspondence_module
+from mahlerzeta import quadrature as quadrature_module
+from mahlerzeta.correspondence import _cos_log_mean, _cos_sum_grid
+from mahlerzeta.quadrature import (_blocks, _settle_allocator, _strip_points, det_stack,
+                                   grid_mean, refine_to_tol, set_thread_count)
 
 
 def _recording(model):
@@ -112,6 +115,92 @@ def test_spec_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
 
 
 # --------------------------------------------------------------------------
+# one proven grid, sized by the analyticity strip
+
+def _aliasing_bound(b, a, d, points):
+    """B (((1 + q) / (1 - q))^d - 1) at q = e^(-a M), in exact rational arithmetic."""
+    q = Fraction(math.exp(-a * points))
+    return b * float(((1 + q) / (1 - q)) ** d - 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("tol", [1e-6, 1e-15])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_strip_points_is_the_smallest_even_grid_that_meets_the_target(d, tol, scale):
+    # the bound returned is the least of the nine half-widths at M, and none
+    # of them meets tol at M - 2.  The root of 1 + tol/B near 1 is taken by
+    # log1p: rounded, it would ask for several times the nodes
+    def bound(a):
+        return scale / (1.0 - a / 2.0)
+
+    points, error = _strip_points(2.0, bound, d, tol)
+    assert points % 2 == 0 and error <= tol
+    halfwidths = [2.0 * k / 10 for k in range(1, 10)]
+    assert error == pytest.approx(min(_aliasing_bound(bound(a), a, d, points)
+                                      for a in halfwidths), rel=1e-9)
+    assert min(_aliasing_bound(bound(a), a, d, points - 2) for a in halfwidths) > tol
+
+
+@st.composite
+def _cos_strips(draw):
+    d = draw(st.integers(1, 3))
+    alpha = draw(st.floats(0.5, 4.0))
+    spread = alpha * draw(st.floats(0.05, 0.9))  # |beta| d
+    return d, alpha, spread / d * draw(st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cos_strips())
+def test_proven_cos_log_mean_lies_within_its_bound(case):
+    # the mean of log(alpha + beta sum_j cos theta_j) on one proven grid,
+    # against log((alpha + sqrt(alpha^2 - beta^2)) / 2) at d = 1 and a 4x
+    # finer grid above; the 1e-15 relative slack covers rounding
+    d, alpha, beta = case
+    res = _cos_log_mean(d, QuadratureSpec(1024 if d < 3 else 256, 0.5, 1e-10, 0), alpha, beta)
+    assert (res.evaluations, res.delta, res.previous) == (1, res.error_bound, res.value)
+    assert res.error_bound <= 1e-15
+    if d == 1:
+        reference = math.log((alpha + math.sqrt(alpha * alpha - beta * beta)) / 2.0)
+    else:
+        reference = _cos_sum_grid(d, 4 * res.points_per_dim, 0.5, alpha, beta, np.log)
+    assert abs(res.value - reference) <= res.error_bound + 1e-15 * max(1.0, abs(res.value))
+
+
+def _counting_cos_sum_grid(seen):
+    """``_cos_sum_grid`` with every node its ufunc evaluates counted into ``seen``."""
+    def grid(d, points, shift, alpha, beta, ufunc):
+        def counted(block, out):
+            seen.append(block.size)
+            return ufunc(block, out=out)
+
+        return _cos_sum_grid(d, points, shift, alpha, beta, counted)
+
+    return grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.floats(0.05, 0.95),
+       st.sampled_from([4, 8, 16, 32, 64, 128, 256]), st.sampled_from([0.5, 0.0]))
+def test_proven_cos_log_mean_costs_no_more_than_the_first_two_ladder_grids(d, u, points, shift):
+    # tol 1 ends the ladder after its first two grids; the proven grid may
+    # replace them only if it evaluates no more nodes, else the ladder runs
+    spec = QuadratureSpec(points, shift, 1.0, 0)
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correspondence_module, "_cos_sum_grid", _counting_cos_sum_grid(seen))
+        res = _cos_log_mean(d, spec, 1.0, -u / d)
+        nodes = sum(seen)
+        patch.setattr(correspondence_module, "_proven_grid", lambda *args: None)
+        seen.clear()
+        ladder = _cos_log_mean(d, spec, 1.0, -u / d)
+    assert ladder.evaluations == 2 and ladder.error_bound is None
+    if res.error_bound is None:
+        assert nodes == sum(seen)
+    else:
+        assert nodes <= sum(seen)
+
+
+# --------------------------------------------------------------------------
 # grid budget
 
 @pytest.mark.parametrize("d, points", [(3, 512), (1, (1 << 26) + 1), (8, 16)])
@@ -139,6 +228,20 @@ def test_grid_mean_axes_view_rejects_oversized_grid_before_any_work(d, points):
     with pytest.raises(ComputationError, match=f"grid {points}\\^{d}.*cap"):
         grid_mean(fn, d, points, 0.5, max_block=points)
     assert called == []
+
+
+@pytest.mark.parametrize("d, shape", [(2, "17x32"), (3, "32x17x32")])
+def test_cos_sum_grid_caps_the_pair_rows_it_evaluates(monkeypatch, d, shape):
+    # M = 64 at shift 0.5 keeps n = 32 nodes per axis, and the last two axes
+    # evaluate 17 pair rows of 32: 544 nodes stand for the 32^2 = 1024 grid
+    # at d = 2, 17,408 for 32^3 at d = 3.  The cap counts the nodes evaluated
+    nodes = 17 * 32 ** (d - 1)
+    expected = _cos_sum_grid(d, 64, 0.5, 1.0, -0.5 / d, np.log)
+    monkeypatch.setattr(quadrature_module, "_MAX_GRID_NODES", nodes)
+    assert _cos_sum_grid(d, 64, 0.5, 1.0, -0.5 / d, np.log) == expected
+    monkeypatch.setattr(quadrature_module, "_MAX_GRID_NODES", nodes - 1)
+    with pytest.raises(ComputationError, match=f"grid {shape} = {nodes} nodes exceeds the cap"):
+        _cos_sum_grid(d, 64, 0.5, 1.0, -0.5 / d, np.log)
 
 
 # --------------------------------------------------------------------------

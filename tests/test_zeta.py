@@ -26,11 +26,11 @@ from mahlerzeta import (
 )
 import mahlerzeta.zeta as zeta_module
 from conftest import REAL_COIN_KINDS, phase_conjugate, random_unitary, real_coin
-from mahlerzeta.quadrature import det_stack, grid_mean
+from mahlerzeta.quadrature import _strip_points, det_stack, grid_mean
 from mahlerzeta.laurent import mesh_evaluator
 from mahlerzeta.walk import _momentum_stack
-from mahlerzeta.zeta import (_char_poly, _even_axes, _log_det_block, _principal_log,
-                             _site_coords, zeta_finite_log_mean)
+from mahlerzeta.zeta import (_char_poly, _coin_norms, _even_axes, _log_det_block,
+                             _log_det_strip, _principal_log, _site_coords, zeta_finite_log_mean)
 
 
 def hadamard(xi=math.pi / 4, shift="m"):
@@ -712,15 +712,14 @@ def _foldable_walks(draw):
 @settings(max_examples=60, deadline=None)
 @given(_foldable_walks())
 def test_folded_log_zeta_matches_the_unfolded_mean(case):
-    # one plain ladder step (tol 1 converges at once): the value is the
-    # folded grid mean at M, against the full M^d grid mean.  Mirrored nodes
+    # the log zeta integrand's grid mean at M folded on the coin's even axes,
+    # as log_zeta takes it, against the full M^d grid mean.  Mirrored nodes
     # agree to rounding only, so the bound scales with the largest |log det|
     # on the grid: the mean itself can cancel to far below it (Grover d = 1
     # flip-flop at u = 0.875, M = 8: 1.2e-15 apart on a mean of 0.074)
     coin, u, points = case
-    res = log_zeta_refined(coin, u, QuadratureSpec(points, 0.5, 1.0, 0))
-    assert res.points_per_dim == points
     fn = _log_det_block(coin, u, require_positive=True)
+    folded, _ = grid_mean(fn, coin.dim_d, points, 0.5, fold=_even_axes(coin))
     largest = [1.0]
 
     def full_grid(mesh):
@@ -729,4 +728,84 @@ def test_folded_log_zeta_matches_the_unfolded_mean(case):
         return values, stat
 
     full, _ = grid_mean(full_grid, coin.dim_d, points, 0.5)
-    assert abs(res.value - full) <= 1e-15 * max(largest)
+    assert abs(folded - full) <= 1e-15 * max(largest)
+
+
+@st.composite
+def _strip_walks(draw, outside=True):
+    # a real coin of d <= 2 (seeded orthogonal 4 x 4 coins among them) and a u
+    # with rho <= 0.9: inside |u| = 1 through ||C||, outside through ||C^-1||
+    kind = draw(st.sampled_from(REAL_COIN_KINDS))
+    d = 1 if kind == "hadamard" else draw(st.integers(1, 2))
+    coin = real_coin(kind, d, draw(st.integers(0, 10 ** 6)), draw(st.floats(0.1, 1.4)))
+    coin = flip_flop(coin) if draw(st.booleans()) else coin
+    norm, inverse = _coin_norms(coin)
+    rho = draw(st.floats(0.02, 0.9))
+    reflected = outside and inverse < 1e3 and draw(st.booleans())
+    u = inverse / rho if reflected else rho / norm
+    return coin, u * draw(st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_strip_walks())
+def test_proven_log_det_mean_lies_within_its_bound(case):
+    # the real part of the log-det mean on the grid sized for 1e-15, against
+    # a 4x finer grid; the integrand is taken without the positivity check,
+    # since the bound holds for log |det| whatever the sign of Re det
+    coin, u = case
+    d = coin.dim_d
+    points, error = _strip_points(*_log_det_strip(coin, u), d, 1e-15)
+    assert error <= 1e-15
+    fn = _log_det_block(coin, u, require_positive=False)
+    value, finer = (grid_mean(fn, d, m, 0.5, fold=_even_axes(coin))[0].real
+                    for m in (points, 4 * points))
+    assert abs(value - finer) <= error + 1e-15 * max(1.0, abs(value))
+
+
+def _counting_grid_mean(seen):
+    """``grid_mean`` with every node its integrand evaluates counted into ``seen``."""
+    def counted(fn, *args, **kwargs):
+        def integrand(mesh):
+            values, stat = fn(mesh)
+            seen.append(values.shape[0])
+            return values, stat
+
+        return grid_mean(integrand, *args, **kwargs)
+
+    return counted
+
+
+@settings(max_examples=40, deadline=None)
+@given(_strip_walks(outside=False), st.sampled_from([4, 8, 16, 32, 64, 128, 256]))
+def test_proven_log_zeta_costs_no_more_than_the_first_two_ladder_grids(case, points):
+    # tol 1 ends the ladder after its first two grids; the proven grid may
+    # replace them only if it evaluates no more nodes, else the ladder runs
+    coin, u = case
+    spec = QuadratureSpec(points, 0.5, 1.0, 0)
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeta_module, "grid_mean", _counting_grid_mean(seen))
+        res = log_zeta_refined(coin, u, spec)
+        nodes = sum(seen)
+        patch.setattr(zeta_module, "_proven_grid", lambda *args: None)
+        seen.clear()
+        ladder = log_zeta_refined(coin, u, spec)
+    assert ladder.evaluations == 2 and ladder.error_bound is None
+    if res.error_bound is None:
+        assert nodes == sum(seen)
+    else:
+        assert res.evaluations == 1 and res.error_bound <= 1e-15
+        assert nodes <= sum(seen)
+
+
+def test_log_zeta_takes_the_reflected_strip_for_large_u_and_the_ladder_at_u_minus_1():
+    # the flip-flop Hadamard coin is orthogonal: rho = |u| ||C|| = 1 at u = -1
+    # leaves no strip, and at u = -2 rho = ||C^-1|| / 2 = 1/2 sizes the grid
+    coin = hadamard(math.pi / 4, "f")
+    spec = QuadratureSpec(4096, 0.5, 1e-12, 0)
+    assert log_zeta_refined(coin, -1.0, spec).error_bound is None
+    res = log_zeta_refined(coin, -2.0, spec)
+    points, error = _strip_points(math.log(2.0), lambda a: -2.0 * math.log1p(-0.5 * math.exp(a)),
+                                  1, 1e-15)
+    assert (res.points_per_dim, res.evaluations, res.error_bound) == (points, 1, error)
+    assert points == 60
