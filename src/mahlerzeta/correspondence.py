@@ -34,7 +34,8 @@ from .mahler import mahler_quadrature  # noqa: F401
 from .quadrature import (_GRID_BLOCK, QuadratureSpec, RefineResult, _blocks, _capped,
                          _grid_counts, _mirror_weights, _nodes, _proven_grid, _settle_allocator,
                          grid_mean, refine_to_tol)
-from .walk import matrix_weight_traces
+# perfbench's tracer wraps matrix_weight_traces in every module that imports it
+from .walk import matrix_weight_traces  # noqa: F401
 from . import zeta as zeta_module
 from .zeta import _series_sum, log_zeta
 # perfbench's tracer wraps log_zeta_series in every module that imports it
@@ -99,6 +100,13 @@ def _check_open_interval(u: float, lo: float, hi: float, label: str) -> None:
     if min(u - lo, hi - u) < 1e-8:
         warnings.warn(f"u={u} within 1e-8 of the validity boundary; conditioning degrades",
                       stacklevel=3)
+
+
+def _prefactor(value: float, u: float) -> float:
+    """``value``, a walk's prefactor -u/d or -u/2d, refused once it underflows to 0."""
+    if value == 0.0:
+        raise ComputationError(f"u={u} is too small: its prefactor underflows to 0")
+    return value
 
 
 def _qw_closed_form(xi: float, u: float, shift_type: str) -> float:
@@ -181,9 +189,12 @@ def _cos_sum_grid(d: int, points: int, shift: float, alpha: float, beta: float,
     every ordered pair once.  These are the weights of an axis of n nodes
     folded at shift 0, ``_mirror_weights(n, 0, floor(n/2) + 1)``.  With
     the leading d - 2 axes as a product set, ``_blocks`` cuts the
-    (floor(n/2) + 1) n^(d-1) nodes into blocks of at most ``_GRID_BLOCK``.
-    Weighted row sums are added per block by ``np.sum`` and the blocks joined
-    by ``math.fsum``, so no BLAS call touches the result.
+    (floor(n/2) + 1) n^(d-1) nodes into blocks of at most ``_GRID_BLOCK``,
+    each the outer sum of its leading nodes' sums (a scalar once all d - 2
+    are fixed) and its run of pair rows (all of them, built once per grid,
+    unless it fixes every leading axis).  Weighted row sums are added per
+    block by ``np.sum`` and the blocks joined by ``math.fsum``, so no BLAS
+    call touches the result.
     """
     # correctly rounded: a rounding of d * beta would shift every node alike,
     # which near a zero of the argument (the Green function as u -> 1) biases
@@ -202,26 +213,19 @@ def _cos_sum_grid(d: int, points: int, shift: float, alpha: float, beta: float,
     t = 0.5 * constant + e
     weights = _mirror_weights(n, 0, rows)
     windows = sliding_window_view(np.concatenate((t, t)), n)  # row r: t[(j + r) % n]
-    pairs = None
+    cut = None  # the pair rows (r0, r1) that pair_rows holds
     _settle_allocator()
     sums = []
     for outer, j0, j1 in _blocks(counts, _GRID_BLOCK):
         lead = sum(e[i] for i in outer)  # the leading nodes the block fixes
-        if len(outer) == d - 2:  # a run of pair rows
-            block = windows[j0:j1] + t
-            if outer:
-                block += lead
-            w = weights[j0:j1]
-        else:  # a run on leading axis len(outer); later axes and pair rows in full
-            lead = lead + e[j0:j1]
-            for _ in range(len(outer) + 1, d - 2):
-                lead = np.add.outer(lead, e)
-            if pairs is None:
-                pairs = windows[:rows] + t
-            block = np.add.outer(lead, pairs)
-            w = weights
+        r0, r1 = (j0, j1) if len(outer) == d - 2 else (0, rows)
+        for j in range(len(outer), d - 2):  # a run on axis len(outer), later axes in full
+            lead = np.add.outer(lead, e[j0:j1] if j == len(outer) else e)
+        if cut != (r0, r1):
+            cut, pair_rows = (r0, r1), windows[r0:r1] + t
+        block = np.add.outer(lead, pair_rows)
         ufunc(block, out=block)
-        sums.append(np.sum(np.sum(block, axis=-1) * w))
+        sums.append(np.sum(np.sum(block, axis=-1) * weights[r0:r1]))
     return math.fsum(sums) / n ** d
 
 
@@ -316,6 +320,7 @@ def verify_grover(d: int, u: float,
     _check_open_interval(u, -1.0, 0.0, "grover walk")
     if tol is None:
         tol = DEFAULT_TOLERANCES.get(f"grover_d{d}", 1e-4)
+    scale = _prefactor(-u / d, u)
     spec = quad or _grover_spec(d)
     base = (d - 1) * math.log(1.0 - u * u)
     mean = _cos_log_mean(d, spec, 1.0 + u * u, -2.0 * u / d)
@@ -323,7 +328,7 @@ def verify_grover(d: int, u: float,
     c = -d * (u + 1.0 / u)
     poly = _lattice_polynomial(d, c)
     mahler = mahler_reduced(poly, spec)
-    rhs = base + math.log(-u / d) + mahler.value
+    rhs = base + math.log(scale) + mahler.value
     diagnostics = {
         "c": c,
         "mahler_value": mahler.value,
@@ -355,12 +360,6 @@ def _rw_spec(d: int) -> QuadratureSpec:
             2: QuadratureSpec(256, 0.5, 1e-9, 2)}.get(d, QuadratureSpec(64, 0.5, 1e-7, 1))
 
 
-@lru_cache(maxsize=None)
-def _rw_traces(d: int, r_max: int) -> tuple[complex, ...]:
-    """Return-weight traces of the symmetric walk on Z^d for r = 0..r_max."""
-    return tuple(matrix_weight_traces(build_coin(SIMPLE_RW, d), r_max))
-
-
 def verify_rw(d: int, u: float,
               quad: QuadratureSpec | None = None,
               tol: float | None = None) -> CorrespondenceReport:
@@ -370,12 +369,11 @@ def verify_rw(d: int, u: float,
     log(-u/2d) + m(sum_j (X_j + X_j^-1) - 2d/u), the Mahler measure taken by
     the Jensen-reduced route.  For d = 1 the diagnostics
     carry the closed form log((1+sqrt(1-u^2))/2) and the central-binomial
-    series; for d = 2 the 4F3 form and the squared-binomial series.  No
-    other d computes a series: its return weights to r = 60 meet on a
-    light-cone field of 31^d sites.  The torus average runs on one grid
-    proven to 1e-15 where that evaluates no more nodes than the first two
-    grids of ``quad`` (``_cos_log_mean``); its bound is the diagnostic
-    ``lhs_error_bound``, None on a ladder.
+    series; for d = 2 the 4F3 form and the squared-binomial series, each
+    summed to r = 60 from the exact return probabilities.  The torus
+    average runs on one grid proven to 1e-15 where that evaluates no more
+    nodes than the first two grids of ``quad`` (``_cos_log_mean``); its
+    bound is the diagnostic ``lhs_error_bound``, None on a ladder.
     ``tol`` defaults to the suite's ``rw_d<d>`` tolerance, and to 1e-6 for a
     dimension the suite does not check.
     """
@@ -384,13 +382,14 @@ def verify_rw(d: int, u: float,
     _check_open_interval(u, -1.0, 0.0, "symmetric rw")
     if tol is None:
         tol = DEFAULT_TOLERANCES.get(f"rw_d{d}", 1e-6)
+    scale = _prefactor(-u / (2.0 * d), u)
     spec = quad or _rw_spec(d)
     mean = _cos_log_mean(d, spec, 1.0, -u / d)
     lhs = mean.value
     c = -2.0 * d / u
     poly = _lattice_polynomial(d, c)
     mahler = mahler_reduced(poly, spec)
-    rhs = math.log(-u / (2.0 * d)) + mahler.value
+    rhs = math.log(scale) + mahler.value
     diagnostics = {
         "c": c,
         "mahler_value": mahler.value,
@@ -399,7 +398,7 @@ def verify_rw(d: int, u: float,
         "lhs_error_bound": mean.error_bound,
     }
     if d <= 2:
-        series_value, series_tail = _series_sum(_rw_traces(d, 60), u, d)
+        series_value, series_tail = _series_sum(_return_probabilities(d, 60), u, d)
         diagnostics["series_value"] = series_value
         diagnostics["series_tail_bound"] = series_tail
         diagnostics["lhs_minus_series"] = lhs - series_value
@@ -473,7 +472,8 @@ def closed_walk_count(d: int, n: int) -> int:
     return _closed_walk_counts(d, n // 2)[-1]
 
 
-def _closed_walk_counts(d: int, m_max: int) -> list[int]:
+@lru_cache(maxsize=16)
+def _closed_walk_counts(d: int, m_max: int) -> tuple[int, ...]:
     """Closed walks of length 2m on Z^d for m = 0 .. m_max, in one pass.
 
     count(2m) = C(2m, m) h_d(m), where h_d(m) sums the squared multinomials
@@ -484,7 +484,21 @@ def _closed_walk_counts(d: int, m_max: int) -> list[int]:
     for _ in range(d - 1):
         h = [sum(math.comb(m, k) ** 2 * h[m - k] for k in range(m + 1))
              for m in range(m_max + 1)]
-    return [math.comb(2 * m, m) * h[m] for m in range(m_max + 1)]
+    return tuple(math.comb(2 * m, m) * h[m] for m in range(m_max + 1))
+
+
+def _return_probabilities(d: int, n_max: int) -> list[float]:
+    """P_n(0, 0) = count(n) / (2d)^n on Z^d for n = 0..n_max, each rounded once (int division)."""
+    counts = _closed_walk_counts(d, n_max // 2)
+    return [0.0 if n % 2 else counts[n // 2] / (2 * d) ** n for n in range(n_max + 1)]
+
+
+def _return_series(probs: list[float], u: float) -> float:
+    """sum_n P_n u^n over the ``_return_probabilities`` list ``probs``, added in order."""
+    total = 0.0
+    for n, prob in enumerate(probs):
+        total += prob * u ** n
+    return total
 
 
 def return_probability(d: int, n: int) -> Fraction:
@@ -511,11 +525,8 @@ def green_series_estimate(d: int, u: float, n_exact: int = 60) -> float:
     if n_exact < 2 or n_exact % 2:
         raise ValueError(f"n_exact must be a positive even number, got {n_exact}")
     m0 = n_exact // 2
-    # P_n = count(n) / (2d)^n; int division rounds as float(Fraction) does
-    probs = [count / (2 * d) ** (2 * m) for m, count in enumerate(_closed_walk_counts(d, m0))]
-    total = 0.0
-    for m, prob in enumerate(probs):
-        total += prob * u ** (2 * m)
+    probs = _return_probabilities(d, n_exact)
+    total = _return_series(probs, u)
     asympt = lambda m: 2.0 * (d / (4.0 * math.pi * m)) ** (d / 2.0)
     scale = probs[-1] / asympt(m0)
     # extend until u^{2m} is negligible
@@ -602,15 +613,7 @@ def transience_probe(d: int, u_values) -> TransienceProbe:
         w1, w2 = math.sqrt(1.0 - us[-2]), math.sqrt(1.0 - us[-1])
         g1, g2 = greens[-2], greens[-1]
         extrapolated = g2 + (g2 - g1) * w2 / (w1 - w2)
-    traces = _rw_traces(d, 12)
-    partials = []
-    bounds = []
-    for u in us:
-        acc = 1.0
-        for n in range(1, 13):
-            acc += traces[n].real * u ** n
-        partials.append(acc)
-        bounds.append(u ** 13 / (1.0 - u))
+    probs = _return_probabilities(d, 12)
     return TransienceProbe(
         dim_d=d,
         u_values=us,
@@ -620,8 +623,8 @@ def transience_probe(d: int, u_values) -> TransienceProbe:
         bounded=bounded,
         verdict="bounded" if bounded else "divergent",
         extrapolated_green=extrapolated,
-        series_partial=tuple(partials),
-        series_truncation_bound=tuple(bounds),
+        series_partial=tuple(_return_series(probs, u) for u in us),
+        series_truncation_bound=tuple(u ** 13 / (1.0 - u) for u in us),
     )
 
 

@@ -49,7 +49,7 @@ from .errors import ComputationError
 # eval_on_nodes (torus points in, integer powers of them) serves mahler_quadrature only;
 # it shares no code with mesh_evaluator, so that route stays an independent oracle
 from .laurent import LaurentPolynomial, _exponent_matrix, eval_on_nodes, mesh_evaluator
-from .quadrature import _GRID_BLOCK, QuadratureSpec, _folded_count, grid_mean, refine_to_tol
+from .quadrature import _GRID_BLOCK, QuadratureSpec, _grid_counts, grid_mean, refine_to_tol
 
 __all__ = [
     "MahlerResult",
@@ -170,7 +170,7 @@ def _midpoint_ladder(fn, d: int, spec: QuadratureSpec, *, fold=(), max_block=Non
     def eval_at(points):
         nonlocal low
         if charge is not None:
-            charge(_folded_count(points, spec.node_shift) ** len(fold) * points ** (d - len(fold)))
+            charge(math.prod(_grid_counts(d, points, spec.node_shift, fold)))
         mean, stat = grid_mean(fn, d, points, spec.node_shift, fold=fold, max_block=max_block)
         if not math.isfinite(mean.real):
             raise ComputationError(
@@ -440,7 +440,7 @@ def _narrow(lo: np.ndarray, hi: np.ndarray, pick) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def _breakpoints(fibers, spec: QuadratureSpec, charge, span: int) -> np.ndarray | None:
+def _breakpoints(fibers, spec: QuadratureSpec, charge) -> np.ndarray | None:
     """Sorted angles in [0, 2 pi) where a one-variable reduced integrand is not analytic.
 
     ``fibers(theta)`` gives the measures of the fibers at the angles
@@ -449,11 +449,7 @@ def _breakpoints(fibers, spec: QuadratureSpec, charge, span: int) -> np.ndarray 
     roots inside the disc; the angles are first sampled on the midpoint grid
     of ``spec``.
     ``charge(n)`` is called before each evaluation of n fibers, and before
-    the sample grid is built.  The fiber coefficients are trigonometric
-    polynomials of degree ``span`` in theta, and a sample grid of at most
-    2 * span nodes aliases them, so that whole runs of toric points fall
-    between its nodes: ``ComputationError`` is raised before any fiber is
-    evaluated.
+    the sample grid is built.
 
     - Each local minimum of the gap statistic is refined over its two
       neighbouring cells and kept if the gap drops below 1e-6 there: a fiber
@@ -480,10 +476,6 @@ def _breakpoints(fibers, spec: QuadratureSpec, charge, span: int) -> np.ndarray 
     at nearly every node at great cost.
     """
     points = spec.points_per_dim
-    if points <= 2 * span:
-        raise ComputationError(
-            f"a sample of {points} nodes aliases fiber coefficients of degree {span}; "
-            f"the breakpoint search needs more than {2 * span}")
     charge(points)
     shift = spec.node_shift
     cell = 2.0 * math.pi / points
@@ -629,7 +621,10 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
     coefficient outweighs the rest, 2 max_t |c_t| - sum_t |c_t| >= 1e-3
     max(sum_t |c_t|, 1), P has no toric points and no vanishing fiber
     (``_toric_free`` derives the bound), so the search is skipped for the
-    ladder it would have chosen; the refusal of an aliasing sample stays.
+    ladder it would have chosen.  A sample of at most 2 s nodes, s the
+    degree span of the remaining variable, aliases the fiber coefficients
+    (whole runs of toric points fall between its nodes) and raises
+    ``ComputationError`` before any fiber is evaluated, searched or not.
 
     The ladder folds every remaining axis on which P is mirror-even,
     P(X_j -> X_j^-1) = P term for term: the integrand is even in theta_j
@@ -691,10 +686,13 @@ def mahler_reduced(poly: LaurentPolynomial, quad: QuadratureSpec | None = None) 
             parts = [fibers((theta[k:k + block],)) for k in range(0, max(theta.size, 1), block)]
             return tuple(np.concatenate(part) for part in zip(*parts))
 
-        span = int(np.ptp(outer))
-        # a certified polynomial skips the search, but not its aliasing refusal
-        if spec.points_per_dim <= 2 * span or not _toric_free(coeffs):
-            breaks = _breakpoints(circle, spec, charge, span)
+        span, points = int(np.ptp(outer)), spec.points_per_dim
+        if points <= 2 * span:
+            raise ComputationError(
+                f"a sample of {points} nodes aliases fiber coefficients of degree {span}; "
+                f"the breakpoint search needs more than {2 * span}")
+        if not _toric_free(coeffs):
+            breaks = _breakpoints(circle, spec, charge)
             if breaks is not None and breaks.size:
                 res = refine_to_tol(
                     lambda points: _arc_mean(circle, breaks, points, spec.node_shift, charge),
@@ -738,7 +736,10 @@ def mahler_walk_1d(xi: float, u: float, shift_type: str) -> float:
     """
     if not 0.0 < xi < math.pi / 2:
         raise ValueError(f"xi must lie strictly inside (0, pi/2), got {xi}")
-    root = math.sqrt(u * u + 2.0 * math.cos(2.0 * xi) + u ** -2)
+    try:
+        root = math.sqrt(u * u + 2.0 * math.cos(2.0 * xi) + u ** -2)
+    except OverflowError:
+        raise ComputationError(f"u={u} is too small: u^-2 overflows") from None
     if shift_type == M_TYPE:
         if not -1.0 < u < 0.0:
             raise ValueError(f"m-type needs -1 < u < 0, got u={u}")

@@ -174,28 +174,19 @@ def _mirror_weights(points: int, a: int, b: int) -> np.ndarray:
     return w
 
 
-def _folded_count(points: int, shift: float) -> int:
-    """Nodes a folded axis of M = ``points`` nodes keeps.
-
-    Its M/2 nodes in [0, pi) at shift 0.5 and an even M, its floor(M/2) + 1
-    nodes in [0, pi] at shift 0 and M >= 3, and all M nodes otherwise.
-    """
-    if shift == 0.5 and points % 2 == 0:
-        return points // 2
-    if shift == 0.0 and points > 2:
-        return points // 2 + 1
-    return points
-
-
 def _grid_counts(d: int, points: int, shift: float, fold) -> list[int]:
     """Nodes on each axis of the grid ``grid_mean(fn, d, points, shift, fold=fold)`` evaluates.
 
-    A folded axis keeps ``_folded_count(points, shift)`` nodes, any other
-    axis all M.
+    A folded axis of M = ``points`` nodes keeps its M/2 nodes in [0, pi) at
+    shift 0.5 and an even M, its floor(M/2) + 1 nodes in [0, pi] at shift 0
+    and M >= 3, and all M nodes otherwise; any other axis keeps all M.
     """
-    kept = _folded_count(points, shift)
-    folded = set(fold)
-    return [kept if j in folded else points for j in range(d)]
+    kept = points
+    if shift == 0.5 and points % 2 == 0:
+        kept = points // 2
+    elif shift == 0.0 and points > 2:
+        kept = points // 2 + 1
+    return [kept if j in fold else points for j in range(d)]
 
 
 def _capped(counts: list[int]) -> list[int]:

@@ -226,6 +226,25 @@ def test_rw_tiny_u_leading_order():
     assert abs(rep.lhs + 1e-12 / 4) < 1e-13
 
 
+@pytest.mark.parametrize("verify, args", [
+    (verify_rw, (1, -5e-324)), (verify_rw, (2, -5e-324)),
+    (verify_grover, (4, -5e-324)),
+    (verify_1d_qw, (0.5, -5e-324, "f")), (verify_1d_qw, (0.5, -1e-300, "f")),
+    (verify_1d_qw, (0.5, -1e-200, "f")), (verify_1d_qw, (0.5, -1e-200, "m"))])
+def test_tiny_u_is_a_computation_error(verify, args):
+    # a prefactor -u/d or -u/2d that underflows to 0, or a u^-2 that overflows, is
+    # refused as a failed computation, not a bare math error
+    with pytest.warns(UserWarning, match="validity boundary"):
+        with pytest.raises(ComputationError, match="is too small"):
+            verify(*args)
+
+
+def test_tiny_u_with_a_non_finite_side_stays_a_report():
+    with pytest.warns(UserWarning, match="validity boundary"):
+        rep = verify_rw(1, -1e-300)
+    assert rep.lhs == 0.0 and rep.rhs == math.inf and not rep.passed
+
+
 def test_rw_matches_det_route_log_zeta():
     coin = build_coin("simple_rw", 2)
     u = -0.6

@@ -462,13 +462,18 @@ def test_margin_zero_still_searches_and_finds_the_touch():
 
 def test_certified_polynomial_still_refuses_an_aliased_sample(monkeypatch):
     # the margin 2 * 3 - 5 certifies X1^300 + X2 + 3, but its 512-node sample
-    # aliases fiber coefficients of degree 300: refused before any fiber
+    # aliases fiber coefficients of degree 300: refused before any fiber,
+    # and without entering the breakpoint search
     def evaluated(*args):
         raise AssertionError("a fiber was evaluated")
+
+    def searched(*args):
+        raise AssertionError("the breakpoint search ran")
 
     poly = parse_laurent("X1^300 + X2 + 3")
     assert _certified(poly)
     monkeypatch.setattr(mahler_module, "_fiber_measures", evaluated)
+    monkeypatch.setattr(mahler_module, "_breakpoints", searched)
     with pytest.raises(ComputationError) as refused:
         mahler_reduced(poly)
     assert str(refused.value) == ("a sample of 512 nodes aliases fiber coefficients of "
@@ -561,7 +566,7 @@ def test_breakpoints_of_counts_between_nodes_and_extra_samples(monkeypatch, bloc
         bump = (x > t0 - 0.09 * cell) & (x < t0 - 0.05 * cell)
         return np.zeros(x.size), np.abs(np.sin(0.5 * (x - t0))), bump + (x > 40 * cell)
 
-    breaks = mahler_module._breakpoints(fibers, QuadratureSpec(64), lambda n: None, 1)
+    breaks = mahler_module._breakpoints(fibers, QuadratureSpec(64), lambda n: None)
     expected = [0.0, t0 - 0.09 * cell, t0 - 0.05 * cell, t0, 40 * cell]
     assert breaks == pytest.approx(expected, abs=1e-14)
 
@@ -611,7 +616,7 @@ def test_breakpoints_of_made_up_fibers(shift, block, touches, edges):
                       + ([0.0] if steps else []))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mahler_module, "_SAMPLE_BLOCK", block)
-        breaks = mahler_module._breakpoints(fibers, QuadratureSpec(64, shift), lambda n: None, 1)
+        breaks = mahler_module._breakpoints(fibers, QuadratureSpec(64, shift), lambda n: None)
     assert breaks == pytest.approx(expected, abs=1e-14)
 
 
@@ -624,7 +629,7 @@ def test_breakpoint_sample_holds_a_block_at_a_time():
 
     tracemalloc.start()
     try:
-        breaks = mahler_module._breakpoints(fibers, QuadratureSpec(1 << 20), lambda n: None, 1)
+        breaks = mahler_module._breakpoints(fibers, QuadratureSpec(1 << 20), lambda n: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

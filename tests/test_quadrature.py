@@ -10,7 +10,7 @@ from mahlerzeta import ComputationError, QuadratureSpec, parse_laurent
 from mahlerzeta import mahler as mahler_module
 from mahlerzeta import correspondence as correspondence_module
 from mahlerzeta import quadrature as quadrature_module
-from mahlerzeta.correspondence import _cos_log_mean, _cos_sum_grid
+from mahlerzeta.correspondence import _cos_log_mean, _cos_sum_counts, _cos_sum_grid
 from mahlerzeta.quadrature import (_blocks, _settle_allocator, _strip_points, det_stack,
                                    grid_mean, refine_to_tol, set_thread_count)
 
@@ -283,6 +283,21 @@ def test_cos_sum_axes_view_matches_dense_view(d, points):
         axes = _cos_sum_grid(d, points, shift, 1.0, -0.9 / d, np.log)
         dense = _cos_sum_dense(d, points, shift, 1.0, -0.9 / d, np.log)
         assert abs(axes - dense) <= 4 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("shift, points", [(0.5, 40), (0.0, 20)])
+def test_cos_sum_pair_rows_cut_under_fixed_leading_nodes(monkeypatch, d, shift, points):
+    # n = 20 nodes per axis, so 11 pair rows of 20 under each leading node:
+    # with blocks of 200 nodes every block fixes all d - 2 leading axes and
+    # takes a run of pair rows, a cut that default blocks reach at d = 3
+    # only from M = 726.  Within 4 ulp of the dense route, as above
+    monkeypatch.setattr(correspondence_module, "_GRID_BLOCK", 200)
+    assert all(len(outer) == d - 2
+               for outer, _, _ in _blocks(_cos_sum_counts(d, points, shift), 200))
+    axes = _cos_sum_grid(d, points, shift, 1.0, -0.9 / d, np.log)
+    dense = _cos_sum_dense(d, points, shift, 1.0, -0.9 / d, np.log)
+    assert abs(axes - dense) <= 4 * 2.0 ** -52
 
 
 @st.composite

@@ -24,6 +24,7 @@ from mahlerzeta import (
     uniform_state,
 )
 from conftest import REAL_COIN_KINDS, phase_conjugate, random_unitary, real_coin
+from mahlerzeta.correspondence import _return_probabilities
 from mahlerzeta.walk import WalkState, _cone_fields, _step
 
 
@@ -363,12 +364,18 @@ def test_weight_trace_real_for_even_steps():
 @pytest.mark.parametrize("d,r_max", [(1, 60), (2, 60), (3, 24)])
 def test_weight_traces_rw_match_return_probability(d, r_max):
     # the float64 u-grid run of the simple walk against its exact return
-    # probabilities, far past the dyadic range of the d = 4 test below
+    # probabilities, far past the dyadic range of the d = 4 test below.  No
+    # check runs this light cone: their walk series read the probabilities
+    # the whole trace list is held to here, Tr I = 2d at r = 0 and zeros at
+    # odd r included (measured gap at most 1.4e-17)
     traces = matrix_weight_traces(build_coin("simple_rw", d), r_max)
     for r in range(2, r_max + 1, 2):
         exact = float(return_probability(d, r))
         assert traces[r].imag == 0
         assert abs(traces[r].real - exact) <= 2e-15 * exact
+    exact = _return_probabilities(d, r_max)
+    exact[0] = 2 * d
+    assert np.max(np.abs(np.asarray(traces) - exact)) <= 1e-15
 
 
 @pytest.mark.parametrize("shift", ["m", "f"])
