@@ -28,9 +28,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .coins import F_TYPE, M_TYPE, SIMPLE_RW, build_coin, flip_flop
 from .errors import ComputationError
 from .laurent import LaurentPolynomial
-from .mahler import hyper_pfq, mahler_reduced, mahler_walk_1d, special_constants
-# perfbench's tracer wraps mahler_quadrature in every module that imports it
-from .mahler import mahler_quadrature  # noqa: F401
+from .mahler import (log_cos_identity, mahler_reduced, mahler_square_lattice, mahler_walk_1d,
+                     special_constants)
+# perfbench's tracer wraps mahler_quadrature and hyper_pfq in every module that imports them
+from .mahler import hyper_pfq, mahler_quadrature  # noqa: F401
 from .quadrature import (_GRID_BLOCK, QuadratureSpec, RefineResult, _blocks, _capped,
                          _grid_counts, _mirror_weights, _nodes, _proven_grid, _settle_allocator,
                          grid_mean, refine_to_tol)
@@ -100,13 +101,6 @@ def _check_open_interval(u: float, lo: float, hi: float, label: str) -> None:
     if min(u - lo, hi - u) < 1e-8:
         warnings.warn(f"u={u} within 1e-8 of the validity boundary; conditioning degrades",
                       stacklevel=3)
-
-
-def _prefactor(value: float, u: float) -> float:
-    """``value``, a walk's prefactor -u/d or -u/2d, refused once it underflows to 0."""
-    if value == 0.0:
-        raise ComputationError(f"u={u} is too small: its prefactor underflows to 0")
-    return value
 
 
 def _qw_closed_form(xi: float, u: float, shift_type: str) -> float:
@@ -223,7 +217,9 @@ def _cos_sum_grid(d: int, points: int, shift: float, alpha: float, beta: float,
             lead = np.add.outer(lead, e[j0:j1] if j == len(outer) else e)
         if cut != (r0, r1):
             cut, pair_rows = (r0, r1), windows[r0:r1] + t
-        block = np.add.outer(lead, pair_rows)
+        # rows built for this block alone take its leading sums in place;
+        # rows shared by every block are never written
+        block = np.add.outer(lead, pair_rows, out=pair_rows if r1 - r0 < rows else None)
         ufunc(block, out=block)
         sums.append(np.sum(np.sum(block, axis=-1) * weights[r0:r1]))
     return math.fsum(sums) / n ** d
@@ -288,46 +284,39 @@ def _grover_spec(d: int) -> QuadratureSpec:
 
 def _lattice_polynomial(d: int, constant: float) -> LaurentPolynomial:
     """sum_j (X_j + X_j^-1) + constant."""
-    terms: dict[tuple[int, ...], complex] = {}
-    for j in range(d):
-        up = tuple(1 if k == j else 0 for k in range(d))
-        dn = tuple(-1 if k == j else 0 for k in range(d))
-        terms[up] = 1.0
-        terms[dn] = 1.0
+    terms = {tuple(sign if k == j else 0 for k in range(d)): 1.0
+             for j in range(d) for sign in (1, -1)}
     terms[(0,) * d] = constant
     return LaurentPolynomial(d, terms)
 
 
-def verify_grover(d: int, u: float,
-                  quad: QuadratureSpec | None = None,
-                  tol: float | None = None) -> CorrespondenceReport:
-    """Flip-flop Grover walk in d dimensions: zeta quadrature vs Mahler form.
-
-    lhs: (d-1) log(1-u^2) plus the torus average of
-    log(1 - (2/d) u sum_j cos theta_j + u^2).  rhs replaces the integral by
-    log(-u/d) + m(sum_j (X_j + X_j^-1) + c) with c = -d(u + 1/u), the Mahler
-    measure taken by the Jensen-reduced route (one variable integrated out
-    exactly), so the two sides share no integrand.  For d = 2 the diagnostics
-    also carry the hypergeometric form log(1-u^4) - (2/c^2) 4F3(.; 16/c^2).
-    The torus average runs on one grid proven to 1e-15 where that evaluates
-    no more nodes than the first two grids of ``quad`` (``_cos_log_mean``);
-    its bound is the diagnostic ``lhs_error_bound``, None on a ladder.
-    ``tol`` defaults to the suite's ``grover_d<d>`` tolerance, and to 1e-4
-    for a dimension the suite does not check.
-    """
+def _check_dimension(d) -> None:
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
-    _check_open_interval(u, -1.0, 0.0, "grover walk")
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.get(f"grover_d{d}", 1e-4)
-    scale = _prefactor(-u / d, u)
-    spec = quad or _grover_spec(d)
-    base = (d - 1) * math.log(1.0 - u * u)
-    mean = _cos_log_mean(d, spec, 1.0 + u * u, -2.0 * u / d)
+
+
+def _lattice_identity(name: str, d: int, u: float, a: float, base: float,
+                      spec: QuadratureSpec, tol: float) -> CorrespondenceReport:
+    """The report of base + L_d(a) against base + log(-a/2d) + m(sum_j (X_j + X_j^-1) - 2d/a).
+
+    L_d(a), the torus average of log(1 - (a/d) sum_j cos theta_j), runs on
+    one grid proven to 1e-15 where that evaluates no more nodes than the
+    first two grids of ``spec`` (``_cos_log_mean``; its bound is the
+    diagnostic ``lhs_error_bound``, None on a ladder).  The Mahler measure
+    is taken by the Jensen-reduced route (one variable integrated out
+    exactly), so the two sides share no integrand.  The diagnostics carry
+    the identity's other forms shifted by base: for d <= 2 the return
+    series -sum_r P_r a^r / r to r = 60 from the exact return probabilities
+    and its tail bound, for d = 1 the closed form ``log_cos_identity(a)``,
+    for d = 2 the 4F3 form log(-a/4) + ``mahler_square_lattice(-4/a)``.
+    """
+    scale = -a / (2.0 * d)
+    if scale == 0.0:
+        raise ComputationError(f"u={u} is too small: its prefactor underflows to 0")
+    mean = _cos_log_mean(d, spec, 1.0, -a / d)
     lhs = base + mean.value
-    c = -d * (u + 1.0 / u)
-    poly = _lattice_polynomial(d, c)
-    mahler = mahler_reduced(poly, spec)
+    c = -2.0 * d / a
+    mahler = mahler_reduced(_lattice_polynomial(d, c), spec)
     rhs = base + math.log(scale) + mahler.value
     diagnostics = {
         "c": c,
@@ -338,21 +327,45 @@ def verify_grover(d: int, u: float,
         "grid": spec.points_per_dim,
         "lhs_error_bound": mean.error_bound,
     }
+    if d <= 2:
+        series_value, series_tail = _series_sum(_return_probabilities(d, 60), a, d)
+        diagnostics["series_value"] = base + series_value
+        diagnostics["series_tail_bound"] = series_tail
+        diagnostics["lhs_minus_series"] = lhs - diagnostics["series_value"]
+    if d == 1:
+        diagnostics["closed_form"] = base + log_cos_identity(a)
+        diagnostics["lhs_minus_closed"] = lhs - diagnostics["closed_form"]
+    if d == 2:
+        diagnostics["hypergeometric_form"] = base + math.log(-a / 4.0) + mahler_square_lattice(c)
+        diagnostics["lhs_minus_hyper"] = lhs - diagnostics["hypergeometric_form"]
+    return _report(name, lhs, rhs, tol, {"d": d, "u": u}, diagnostics)
+
+
+def verify_grover(d: int, u: float,
+                  quad: QuadratureSpec | None = None,
+                  tol: float | None = None) -> CorrespondenceReport:
+    """Flip-flop Grover walk in d dimensions: zeta quadrature vs Mahler form.
+
+    The momentum determinant is (1-u^2)^(d-1) (1+u^2) (1 - (a/d) sum_j cos
+    theta_j) with a = 2u/(1+u^2), so the log zeta function is base + L_d(a)
+    with base = (d-1) log(1-u^2) + log(1+u^2): this is ``verify_rw``'s
+    identity at a, shifted by base, its c = -2d/a = -d(u + 1/u).  At d = 1
+    the coin degenerates to the bare swap and both sides vanish.  ``tol``
+    defaults to the suite's ``grover_d<d>`` tolerance, and to 1e-4 for a
+    dimension the suite does not check.
+    """
+    _check_dimension(d)
+    _check_open_interval(u, -1.0, 0.0, "grover walk")
+    if tol is None:
+        tol = DEFAULT_TOLERANCES.get(f"grover_d{d}", 1e-4)
+    base = (d - 1) * math.log(1.0 - u * u) + math.log(1.0 + u * u)
+    rep = _lattice_identity(f"logzeta vs mahler: grover (d={d})", d, u,
+                            2.0 * u / (1.0 + u * u), base, quad or _grover_spec(d), tol)
     if d == 1:
         # the d = 1 coin degenerates to the bare swap; both sides vanish
-        diagnostics["degenerate"] = True
-        diagnostics["expected_value"] = 0.0
-    if d == 2:
-        hyper = math.log(1.0 - u ** 4) - (2.0 / c ** 2) * hyper_pfq(
-            [1.5, 1.5, 1.0, 1.0], [2.0, 2.0, 2.0], 16.0 / c ** 2)
-        diagnostics["hypergeometric_form"] = hyper
-        diagnostics["lhs_minus_hyper"] = lhs - hyper
-    return _report(
-        f"logzeta vs mahler: grover (d={d})",
-        lhs, rhs, tol,
-        {"d": d, "u": u},
-        diagnostics,
-    )
+        rep.diagnostics["degenerate"] = True
+        rep.diagnostics["expected_value"] = 0.0
+    return rep
 
 
 def _rw_spec(d: int) -> QuadratureSpec:
@@ -365,57 +378,19 @@ def verify_rw(d: int, u: float,
               tol: float | None = None) -> CorrespondenceReport:
     """Symmetric random walk in d dimensions: zeta quadrature vs Mahler form.
 
-    lhs: torus average of log(1 - (u/d) sum_j cos theta_j).  rhs:
-    log(-u/2d) + m(sum_j (X_j + X_j^-1) - 2d/u), the Mahler measure taken by
-    the Jensen-reduced route.  For d = 1 the diagnostics
-    carry the closed form log((1+sqrt(1-u^2))/2) and the central-binomial
-    series; for d = 2 the 4F3 form and the squared-binomial series, each
-    summed to r = 60 from the exact return probabilities.  The torus
-    average runs on one grid proven to 1e-15 where that evaluates no more
-    nodes than the first two grids of ``quad`` (``_cos_log_mean``); its
-    bound is the diagnostic ``lhs_error_bound``, None on a ladder.
-    ``tol`` defaults to the suite's ``rw_d<d>`` tolerance, and to 1e-6 for a
-    dimension the suite does not check.
+    lhs: L_d(u), the torus average of log(1 - (u/d) sum_j cos theta_j).
+    rhs: log(-u/2d) + m(sum_j (X_j + X_j^-1) - 2d/u).  The diagnostics carry
+    the Mahler route's error estimate and singularity flag, for d <= 2 the
+    return series, for d = 1 the closed form and for d = 2 the 4F3 form
+    (``_lattice_identity``).  ``tol`` defaults to the suite's ``rw_d<d>``
+    tolerance, and to 1e-6 for a dimension the suite does not check.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _check_dimension(d)
     _check_open_interval(u, -1.0, 0.0, "symmetric rw")
     if tol is None:
         tol = DEFAULT_TOLERANCES.get(f"rw_d{d}", 1e-6)
-    scale = _prefactor(-u / (2.0 * d), u)
-    spec = quad or _rw_spec(d)
-    mean = _cos_log_mean(d, spec, 1.0, -u / d)
-    lhs = mean.value
-    c = -2.0 * d / u
-    poly = _lattice_polynomial(d, c)
-    mahler = mahler_reduced(poly, spec)
-    rhs = math.log(scale) + mahler.value
-    diagnostics = {
-        "c": c,
-        "mahler_value": mahler.value,
-        "mahler_route": mahler.method,
-        "grid": spec.points_per_dim,
-        "lhs_error_bound": mean.error_bound,
-    }
-    if d <= 2:
-        series_value, series_tail = _series_sum(_return_probabilities(d, 60), u, d)
-        diagnostics["series_value"] = series_value
-        diagnostics["series_tail_bound"] = series_tail
-        diagnostics["lhs_minus_series"] = lhs - series_value
-    if d == 1:
-        closed = math.log((1.0 + math.sqrt(1.0 - u * u)) / 2.0)
-        diagnostics["closed_form"] = closed
-        diagnostics["lhs_minus_closed"] = lhs - closed
-    if d == 2:
-        hyper = -(u * u / 8.0) * hyper_pfq([1.5, 1.5, 1.0, 1.0], [2.0, 2.0, 2.0], u * u)
-        diagnostics["hypergeometric_form"] = hyper
-        diagnostics["lhs_minus_hyper"] = lhs - hyper
-    return _report(
-        f"logzeta vs mahler: rw (d={d})",
-        lhs, rhs, tol,
-        {"d": d, "u": u},
-        diagnostics,
-    )
+    return _lattice_identity(f"logzeta vs mahler: rw (d={d})", d, u, u, 0.0,
+                             quad or _rw_spec(d), tol)
 
 
 def stgf(d: int, u: float, quad: QuadratureSpec | None = None) -> float:
@@ -431,8 +406,7 @@ def stgf(d: int, u: float, quad: QuadratureSpec | None = None) -> float:
     leading quadrature error is 1/M in one dimension and 1/M^2 above, and
     the ladder extrapolates against that model.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _check_dimension(d)
     if not 0.0 < u <= 1.0:
         raise ValueError(f"u must lie in (0, 1], got {u}")
     if u == 1.0:
@@ -589,8 +563,7 @@ def transience_probe(d: int, u_values) -> TransienceProbe:
     sqrt(1-u).  The partial return series sum_{n<=12} P_n u^n rides along
     as a diagnostic cross-check of G, with its geometric truncation bound.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _check_dimension(d)
     us = tuple(float(u) for u in u_values)
     if len(us) < 3:
         raise ValueError("need at least three probe points")

@@ -46,6 +46,7 @@ P C P = S C S, a similarity either way.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -95,7 +96,9 @@ class SeriesCoefficients:
 
 
 def _real(x: complex, limit: float, what: str) -> float:
-    """The real part of x, once its imaginary residual is below ``limit``."""
+    """The real part of x, once x is finite and its imaginary residual is below ``limit``."""
+    if not cmath.isfinite(x):
+        raise ComputationError(f"{what} is not finite: {complex(x)}")
     if abs(x.imag) >= limit:
         raise ComputationError(
             f"imaginary residual {abs(x.imag):.3e} of {what} exceeds {limit}"

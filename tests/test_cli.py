@@ -189,6 +189,16 @@ def test_zeta_finite_singular_exit_1(capsys):
     assert "singular" in err
 
 
+def test_zeta_finite_non_finite_log_mean_exit_1(capsys):
+    # the determinants overflow at u = 1e150 and their log mean is NaN: it
+    # used to print "result": "nan" with exit 0
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(
+            ["zeta-finite", "--coin", "grover", "--d", "2", "--N", "3", "--u", "1e150"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "computation failed: the log-determinant sum is not finite: (nan+nanj)\n"
+
+
 def test_zeta_finite_dense_negative_determinant_exit_1(capsys):
     code, out, err = run_cli(
         ["zeta-finite", "--coin", "grover", "--d", "2", "--N", "3", "--u", "-2", "--dense"],

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from mahlerzeta.correspondence import (
     _REFERENCE_CONSTANTS,
     SUITE_CHECKS,
     SUITE_GROUPS,
+    _WALK_US,
     _grover_spec,
     _lattice_polynomial,
     _rw_spec,
@@ -199,6 +201,45 @@ def test_d5_mahler_side_runs_on_the_folded_ladder(verify, u, tol):
     assert rep.passed and rep.tolerance == tol
     assert rep.abs_diff < 1e-14
     assert rep.diagnostics["mahler_route"] == "jensen_reduced"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_grover_is_the_rw_identity_at_a(d):
+    # the Grover log zeta is (d-1) log(1-u^2) + log(1+u^2) + L_d(a) with
+    # a = 2u/(1+u^2): both sides of the Grover check are the random-walk
+    # sides at a, on the Grover grids, shifted by that base
+    for u in _WALK_US:
+        base = (d - 1) * math.log(1.0 - u * u) + math.log(1.0 + u * u)
+        grover = verify_grover(d, u)
+        rw = verify_rw(d, 2.0 * u / (1.0 + u * u), quad=_grover_spec(d))
+        assert abs(grover.lhs - (base + rw.lhs)) <= 1e-15
+        assert abs(grover.rhs - (base + rw.rhs)) <= 1e-15
+
+
+def test_walk_reports_agree_with_their_witnesses():
+    # every Grover and random-walk report of the suite carries the identity's
+    # other forms: the return series for d <= 2, the closed form for d = 1
+    # and the 4F3 form for d = 2
+    reports = run_suite(params=default_suite_params("grover") + default_suite_params("rw"))
+    assert len(reports) == 15
+    for rep in reports:
+        diag, d = rep.diagnostics, rep.inputs["d"]
+        assert ("lhs_minus_series" in diag) == (d <= 2)
+        assert ("lhs_minus_closed" in diag) == (d == 1)
+        assert ("lhs_minus_hyper" in diag) == (d == 2)
+        assert abs(diag.get("lhs_minus_closed", 0.0)) <= 1e-15
+        assert abs(diag.get("lhs_minus_hyper", 0.0)) <= 1e-15
+        if d <= 2:
+            assert abs(diag["lhs_minus_series"]) <= diag["series_tail_bound"] + 1e-15
+        assert diag["singular_on_torus"] is False
+
+
+@pytest.mark.parametrize("call", [
+    partial(verify_grover, 1.0, -0.5), partial(verify_rw, 0, -0.5),
+    partial(stgf, 2.0, 0.5), partial(transience_probe, -1, (0.9, 0.99, 0.999))])
+def test_walk_dimension_is_a_positive_integer(call):
+    with pytest.raises(ValueError, match=r"^d must be a positive integer, got "):
+        call()
 
 
 # --------------------------------------------------------------------------

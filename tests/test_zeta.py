@@ -581,17 +581,30 @@ def _coefficients(d, center, edge):
     return out
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_char_poly_closed_forms(d):
-    for u in (-0.8, -0.3, 0.45):
+    # the reduction the Grover and random-walk checks rest on: both
+    # determinants are a multiple of 1 - (a/d) sum_j cos Theta_j, the Grover
+    # one at a = 2u/(1+u^2); each is matched to 1e-15 of its largest coefficient
+    for u in (-2.0, -0.8, -0.3, 0.45):
         # flip-flop Grover: (1 - u^2)^(d-1) (1 - (2u/d) sum cos Theta_j + u^2)
         scale = (1 - u * u) ** (d - 1)
+        expected = _coefficients(d, scale * (1 + u * u), -scale * u / d)
         grover = _char_poly(flip_flop(build_coin("grover", d)), u)[1].reshape((3,) * d)
-        np.testing.assert_allclose(grover, _coefficients(d, scale * (1 + u * u), -scale * u / d),
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(grover, expected, rtol=0,
+                                   atol=1e-15 * np.abs(expected).max())
         # the rank-one random-walk coin: 1 - (u/d) sum cos Theta_j
+        expected = _coefficients(d, 1.0, -u / (2 * d))
         rw = _char_poly(build_coin("simple_rw", d), u)[1].reshape((3,) * d)
-        np.testing.assert_allclose(rw, _coefficients(d, 1.0, -u / (2 * d)), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rw, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
+
+
+def test_a_non_finite_log_mean_is_refused():
+    # at u = 1e100 the determinants overflow and their log mean is NaN, which
+    # passed the imaginary-residual test (NaN >= limit is False) as a result
+    with np.errstate(all="ignore"):
+        with pytest.raises(ComputationError, match=r"not finite: \(nan\+nanj\)"):
+            zeta_finite(flip_flop(build_coin("grover", 2)), 3, 1e100)
 
 
 def test_char_poly_coefficient_cap():
